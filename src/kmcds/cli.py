@@ -147,8 +147,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
+def _jobs_from_env() -> int:
+    text = os.environ.get("KMCDS_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"KMCDS_JOBS must be a positive integer, got {text!r}")
+    return jobs
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    jobs = args.jobs if args.jobs is not None else _jobs_from_env()
     kinds = [s for s in args.kinds.split(",") if s]
     variants = [s for s in args.variants.split(",") if s]
     for kind in kinds:
@@ -171,7 +183,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         config=config,
         oracle_cap=args.oracle_cap,
     )
-    rows, skipped = run_bench(tasks, jobs=args.jobs)
+    rows, skipped = run_bench(tasks, jobs=jobs)
     _write_output(rows_to_csv(rows), args.output)
     if args.json is not None:
         doc = {
@@ -294,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("KMCDS_JOBS", "1")),
         help="worker processes (default: KMCDS_JOBS or 1)",
     )
     _add_config_flags(p)

@@ -1,7 +1,20 @@
 """Connectivity and domination verifiers plus brute-force characterizations.
 
 The flow-based tests here are the package's ground truth for Menger-style
-connectivity questions. The subset-enumeration characterizations
+connectivity questions. Whole-graph k-connectivity goes through one kernel,
+:func:`find_k_connectivity_violation`, on Even's schedule (Even 1975,
+SIAM J. Comput. 4(3); see also Esfahanian & Hakimi 1984, Networks 14):
+with nodes v_1..v_n in id order, the graph is k-connected iff the first k
+nodes are pairwise k-connected and every later v_j keeps k disjoint paths
+from a super-source joined to v_1..v_{j-1}. That is C(k, 2) + (n - k)
+max-flows on one network instead of one per node pair; k = 1 is a plain
+search and a node of degree below k is a witness without any flow. The
+literal all-pair loop it replaced is kept in the test suite
+(``tests/brutes.py``) as the reference the kernel is compared against.
+Certificates (:func:`build_certificate`) still check every member pair,
+since each pair carries its own path witness.
+
+The subset-enumeration characterizations
 (:func:`check_cut_characterization`, :func:`check_subpartition_characterization`)
 are independent second routes used to cross-check the flow answers; they
 stay deliberately literal.
@@ -33,51 +46,14 @@ def local_connectivity(g: Graph, u: int, v: int, cap: int) -> int:
     return SplitFlowNetwork(g).max_flow(u, v, cap)
 
 
-def _pair_order(g: Graph) -> list[tuple[int, int]]:
-    pairs = []
-    nodes = g.nodes
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            pairs.append((g.degree(u) + g.degree(v), u, v))
-    pairs.sort()
-    return [(u, v) for _, u, v in pairs]
-
-
-def _connected(g: Graph) -> bool:
-    if not g.nodes:
-        return False
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
-    while stack:
-        for w in g.adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k nodes and no pair falls below k paths.
 
-    Tests every unordered pair (sorted by degree sum, so likely failures
-    exit early) rather than a sparser certificate scheme: the graphs here
-    are small and clarity wins. k=1 collapses to plain connectivity and
-    min-degree < k can never pass, so both short-circuit.
+    Runs the kernel of :func:`find_k_connectivity_violation`: at most
+    C(k, 2) + (n - k) max-flows, none for k = 1 or when a node has degree
+    below k.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if g.n <= k:
-        return False
-    if min(g.degree(v) for v in g.nodes) < k:
-        return False
-    if k == 1:
-        return _connected(g)
-    net = SplitFlowNetwork(g)
-    for u, v in _pair_order(g):
-        net.reset()
-        if net.max_flow(u, v, k) < k:
-            return False
-    return True
+    return find_k_connectivity_violation(g, k) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +63,10 @@ class ConnectivityViolation:
     ``separator`` disconnects ``pair`` once removed; when ``direct_edge``
     is set the pair is adjacent and the edge must be dropped as well (the
     witness then certifies local connectivity below k, Menger-style).
-    ``too_small`` marks graphs with at most k nodes, where no separator
-    is needed.
+    ``value`` is the size of that cut, ``len(separator) + direct_edge``,
+    and so an upper bound on the pair's disjoint paths (equal to it when
+    a flow found the witness). ``too_small`` marks graphs with at most k
+    nodes, where no separator is needed.
     """
 
     pair: tuple[int, int] | None
@@ -98,19 +76,76 @@ class ConnectivityViolation:
     too_small: bool = False
 
 
+def _pair_violation(
+    net: SplitFlowNetwork, u: int, v: int, k: int
+) -> ConnectivityViolation | None:
+    net.reset()
+    f = net.max_flow(u, v, k)
+    if f >= k:
+        return None
+    cut, direct = net.min_cut_separator(u, v)
+    return ConnectivityViolation((u, v), tuple(cut), direct, f)
+
+
 def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | None:
-    """None when g is k-connected, else a checkable witness."""
+    """None when g is k-connected, else a checkable witness.
+
+    The one connectivity kernel (see the module docstring), in this order:
+
+    - at most k nodes: ``too_small``;
+    - k = 1: a search from the first node; the witness pairs it with the
+      first node left unreached, separator ``()``;
+    - a node v of degree below k: v and its first non-neighbour, separated
+      by N(v);
+    - Even's schedule on one network: the first k nodes pairwise, then
+      each later node v_j against the super-source joined to v_1..v_{j-1}.
+      When v_j fails, an earlier node u left on the source side of the
+      minimum cut is not adjacent to v_j and is cut off from it by fewer
+      than k nodes; one u-v_j flow turns that into the usual pair witness.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= k:
         return ConnectivityViolation(None, (), False, 0, too_small=True)
+    nodes = g.nodes
+    if k == 1:
+        first = nodes[0]
+        seen = {first}
+        stack = [first]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == g.n:
+            return None
+        far = next(v for v in nodes if v not in seen)
+        return ConnectivityViolation((first, far), (), False, 0)
+    for v in nodes:
+        near = g.adj[v]
+        if len(near) < k:
+            far = next(w for w in nodes if w != v and w not in near)
+            return ConnectivityViolation(
+                (min(v, far), max(v, far)), near, False, len(near)
+            )
+
     net = SplitFlowNetwork(g)
-    for u, v in _pair_order(g):
+    for i in range(k):
+        for j in range(i + 1, k):
+            found = _pair_violation(net, nodes[i], nodes[j], k)
+            if found is not None:
+                return found
+    source = SplitFlowNetwork.SOURCE
+    for v in nodes[: k - 1]:
+        net.join_source(v)
+    for j in range(k, g.n):
+        net.join_source(nodes[j - 1])
         net.reset()
-        f = net.max_flow(u, v, k)
-        if f < k:
-            cut, direct = net.min_cut_separator(u, v)
-            return ConnectivityViolation((u, v), tuple(cut), direct, f)
+        if net.max_flow(source, nodes[j], k) < k:
+            # ids ascend with the index, so the least source-side node is
+            # one of v_1..v_{j-1}: fewer than k of them fall in the cut
+            u = net.source_side(source)[0]
+            return _pair_violation(net, u, nodes[j], k)
     return None
 
 

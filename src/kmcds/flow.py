@@ -12,6 +12,12 @@ uncapacitated without special casing. Flow values never exceed the small
 connectivity targets used in this package, which keeps plain augmenting
 search exact and fast. All tie-breaking is fixed by arc construction order
 (nodes ascending, then edges in sorted order), making results deterministic.
+
+One extra slot, the super-source :attr:`SplitFlowNetwork.SOURCE`, is made
+on the first :meth:`SplitFlowNetwork.join_source`; each call gives it one
+more arc of capacity one into a node, so a flow from it reaches a growing
+node set. Its arcs come after all others, so flows between graph nodes
+search exactly as they would without it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ _INF = 1 << 60
 
 
 class SplitFlowNetwork:
+    SOURCE = -1  # id of the super-source; graph node ids are nonnegative
+
     __slots__ = (
         "graph", "slot", "ids", "size",
         "_to", "_from", "_cost", "_cap0", "_res",
@@ -84,6 +92,32 @@ class SplitFlowNetwork:
 
     def reset(self) -> None:
         self._res = list(self._cap0)
+
+    def join_source(self, v: int) -> None:
+        """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities.
+
+        The super-source slot is made on the first call. Its arcs stay in
+        place across :meth:`reset`. ``SOURCE`` may be the source of
+        :meth:`max_flow`, :meth:`residual_reachable` and :meth:`source_side`
+        and nothing else; after a reset, flows between graph nodes never
+        use it.
+        """
+        if self.SOURCE not in self.slot:
+            self.slot[self.SOURCE] = self.size // 2
+            self.size += 2
+            self._out += [[], []]
+            self._seen += [0, 0]
+            self._parent += [0, 0]
+        a = 2 * self.slot[self.SOURCE] + 1
+        b = 2 * self.slot[v]
+        idx = len(self._to)
+        self._to += [b, a]
+        self._from += [a, b]
+        self._cost += [0, 0]
+        self._cap0 += [1, 0]
+        self._res += [1, 0]
+        self._out[a].append(idx)
+        self._out[b].append(idx + 1)
 
     def set_node_cost(self, v: int, c: int) -> None:
         a = self._internal_arc[v]
@@ -243,6 +277,15 @@ class SplitFlowNetwork:
                     seen.add(to[a])
                     q.append(to[a])
         return seen
+
+    def source_side(self, s: int) -> list[int]:
+        """Graph nodes, ascending, whose out-node the residual network reaches from s.
+
+        After a max-flow that fell short of its cap, these are the nodes on
+        the source side of a minimum cut, none of them in the cut.
+        """
+        reach = self.residual_reachable(s)
+        return [v for v in self.ids if 2 * self.slot[v] + 1 in reach]
 
     def min_cut_separator(self, s: int, t: int) -> tuple[list[int], bool]:
         """Menger witness after a saturating max-flow run.

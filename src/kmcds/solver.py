@@ -326,15 +326,21 @@ def _check_final(instance: Instance, members: set[int]) -> None:
 
 
 def _solve_pipeline(
-    instance: Instance, config: SolverConfig, edge_mode: bool, variant: str
+    instance: Instance,
+    config: SolverConfig,
+    edge_mode: bool,
+    variant: str,
+    prechecked: bool = False,
 ) -> SolutionReport:
+    """The shared pipeline; ``prechecked`` skips a precheck the caller ran."""
     g = instance.graph
     k, m = instance.k, instance.m
     times: dict[str, float] = {}
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    _require_feasible(instance)
+    if not prechecked:
+        _require_feasible(instance)
     times["precheck"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -487,7 +493,7 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     times["candidates"] = time.perf_counter() - t0
 
     if best is None:
-        report = _solve_pipeline(instance, config, False, "guess-root")
+        report = _solve_pipeline(instance, config, False, "guess-root", prechecked=True)
         report.flags["fallback_to_general"] = True
         report.stage_seconds.update(
             {"precheck": times["precheck"], "candidates": times["candidates"]}

@@ -2,14 +2,18 @@
 
 Everything here works by exhaustive enumeration straight from the
 definitions, sharing no code with the flow machinery under test. Sizes
-must stay tiny (n around 10).
+must stay tiny (n around 10). The one exception is the all-pair
+k-connectivity reference at the end: the literal loop (one max-flow per
+node pair) that the package's Even-schedule kernel replaced, kept as the
+slow route that kernel is compared against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from kmcds import Graph
+from kmcds import ConnectivityViolation, Graph
+from kmcds.flow import SplitFlowNetwork
 
 
 def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
@@ -85,4 +89,67 @@ def brute_rooted_opt(
         sub = g_r.induced(free | set(combo))
         if all(brute_pair_connectivity(sub, t, root) >= k for t in terminals):
             return weight, combo
+    return None
+
+
+def _pair_order(g: Graph) -> list[tuple[int, int]]:
+    pairs = []
+    nodes = g.nodes
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            pairs.append((g.degree(u) + g.degree(v), u, v))
+    pairs.sort()
+    return [(u, v) for _, u, v in pairs]
+
+
+def _connected(g: Graph) -> bool:
+    if not g.nodes:
+        return False
+    seen = {g.nodes[0]}
+    stack = [g.nodes[0]]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def allpair_is_k_connected(g: Graph, k: int) -> bool:
+    """True iff g has more than k nodes and no pair falls below k paths.
+
+    Tests every unordered pair (sorted by degree sum, so likely failures
+    exit early) rather than a sparser certificate scheme: the graphs here
+    are small and clarity wins. k=1 collapses to plain connectivity and
+    min-degree < k can never pass, so both short-circuit.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if g.n <= k:
+        return False
+    if min(g.degree(v) for v in g.nodes) < k:
+        return False
+    if k == 1:
+        return _connected(g)
+    net = SplitFlowNetwork(g)
+    for u, v in _pair_order(g):
+        net.reset()
+        if net.max_flow(u, v, k) < k:
+            return False
+    return True
+
+
+def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | None:
+    """None when g is k-connected, else a checkable witness."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if g.n <= k:
+        return ConnectivityViolation(None, (), False, 0, too_small=True)
+    net = SplitFlowNetwork(g)
+    for u, v in _pair_order(g):
+        net.reset()
+        f = net.max_flow(u, v, k)
+        if f < k:
+            cut, direct = net.min_cut_separator(u, v)
+            return ConnectivityViolation((u, v), tuple(cut), direct, f)
     return None

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
+from kmcds import Instance, dump_instance
 from kmcds.cli import main
+
+from brutes import brute_pair_connectivity
 
 
 def _run(capsys, *argv):
@@ -55,6 +59,55 @@ def test_solve_reports_infeasible(tmp_path, capsys):
     code, _, err = _run(capsys, "solve", str(inst))
     assert code == 2
     assert "infeasible" in err
+
+
+_WITNESS = re.compile(
+    r"removing nodes \[([\d, ]*)\]( plus their shared edge)? separates (\d+) from (\d+)"
+)
+
+
+@pytest.mark.parametrize("n, edges, k", [
+    # k = 1, disconnected: found by a plain search
+    (5, [(0, 1), (1, 2), (3, 4)], 1),
+    # node 4 has degree 1 < k
+    (5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 4)], 2),
+    # bowtie: every degree is 2, node 2 is a cut node
+    (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], 2),
+    # two K4s joined by the edges 0-1 and 2-5: the pair 0, 1 keeps 2 < 3 paths
+    (8, [(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4),
+         (1, 5), (1, 6), (1, 7), (5, 6), (5, 7), (6, 7), (0, 1), (2, 5)], 3),
+])
+def test_solve_infeasible_message_carries_a_true_witness(tmp_path, capsys, n, edges, k):
+    instance = Instance.general(n, edges, [1] * n, k, k)
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(instance))
+    code, out, err = _run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    found = _WITNESS.search(err)
+    assert found, err
+    separator = [int(x) for x in found.group(1).split(",") if x.strip()]
+    pair = (int(found.group(3)), int(found.group(4)))
+    g = instance.graph
+    rest = g.induced(set(g.nodes) - set(separator))
+    if found.group(2):
+        rest = rest.without_edges([pair])
+    assert len(separator) + bool(found.group(2)) < k
+    assert brute_pair_connectivity(rest, *pair) == 0
+
+
+def test_jobs_variable_is_read_by_bench_only(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    _run(
+        capsys, "gen", "--kind", "gnp", "--n", "6", "--p", "1.0",
+        "--k", "2", "--m", "2", "-o", str(inst),
+    )
+    monkeypatch.setenv("KMCDS_JOBS", "two")
+    code, out, _ = _run(capsys, "solve", str(inst))
+    assert code == 0 and json.loads(out)["kind"] == "kmcds-report"
+    code, out, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "KMCDS_JOBS" in err
+    assert "Traceback" not in err
 
 
 def test_parse_errors_exit_one(tmp_path, capsys):

@@ -7,9 +7,10 @@ separator-enumeration brute force in brutes.py and then frozen.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kmcds import (
+    ConnectivityViolation,
     Graph,
     attach_root,
     build_certificate,
@@ -26,7 +27,12 @@ from kmcds import (
 from kmcds.connectivity import find_root_connectivity_violation
 from kmcds.errors import InfeasibleError
 
-from brutes import brute_is_k_connected, brute_pair_connectivity
+from brutes import (
+    allpair_find_k_connectivity_violation,
+    allpair_is_k_connected,
+    brute_is_k_connected,
+    brute_pair_connectivity,
+)
 from toolbox import (
     complete_graph,
     cycle_graph,
@@ -71,6 +77,63 @@ def test_is_k_connected_matches_brute_force(seed, n, k):
     assert is_k_connected(g, k) == brute_is_k_connected(g, k)
 
 
+def _shaped_graph(rng: random.Random, k: int, shape: str) -> Graph:
+    """A graph on at most 14 sparse, non-contiguous ids, of the named shape."""
+    if shape == "complete":
+        n = rng.randint(1, k + 1)
+    else:
+        n = rng.randint(0 if shape == "random" else k + 1, 14)
+    ids = rng.sample(range(60), n)
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    if shape == "complete":
+        return Graph(ids, pairs)
+    p = rng.choice((0.5, 0.8, 0.95, 1.0))
+    if shape in ("disconnected", "glued"):
+        # two blocks with no edge between them; glued blocks share a few
+        # nodes and a few cross edges, fewer than k in all
+        cut = n // 2 if shape == "glued" else rng.randint(1, n - 1)
+        shared = set(ids[cut:cut + rng.randint(0, k - 1)]) if shape == "glued" else set()
+        left = set(ids[:cut]) | shared
+        cross = [(u, v) for u, v in pairs if u not in shared and v not in shared
+                 and (u in left) != (v in left)]
+        pairs = [e for e in pairs if e not in cross]
+        if shape == "glued":
+            p = 1.0
+            pairs += rng.sample(cross, min(len(cross), rng.randint(0, k - 1 - len(shared))))
+    edges = [e for e in pairs if rng.random() < p]
+    if shape == "low-degree" and ids:
+        v = rng.choice(ids)
+        touching = [e for e in edges if v in e]
+        keep = set(rng.sample(touching, min(len(touching), rng.randint(0, k - 1))))
+        edges = [e for e in edges if v not in e or e in keep]
+    return Graph(ids, edges)
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from(("random", "disconnected", "glued", "low-degree", "complete")),
+)
+def test_kernel_matches_allpair_reference(seed, k, shape):
+    g = _shaped_graph(random.Random(seed), k, shape)
+    expected = allpair_is_k_connected(g, k)
+    assert is_k_connected(g, k) == expected
+    found = find_k_connectivity_violation(g, k)
+    reference = allpair_find_k_connectivity_violation(g, k)
+    assert (found is None) == (reference is None) == expected
+    if found is None:
+        return
+    assert found.too_small == reference.too_small == (g.n <= k)
+    if found.too_small:
+        return
+    assert found.value == len(found.separator) + found.direct_edge < k
+    rest = g.induced(set(g.nodes) - set(found.separator))
+    if found.direct_edge:
+        rest = rest.without_edges([found.pair])
+    assert brute_pair_connectivity(rest, *found.pair) == 0
+
+
 def test_violation_witness_is_checkable():
     g = cycle_graph(6)
     v = find_k_connectivity_violation(g, 3)
@@ -81,6 +144,31 @@ def test_violation_witness_is_checkable():
         trimmed = trimmed.without_edges([v.pair])
     assert brute_pair_connectivity(trimmed, *v.pair) == 0 or v.direct_edge
     assert find_k_connectivity_violation(g, 2) is None
+
+
+def test_violation_witness_of_each_kernel_branch():
+    # k = 1: the first node and the first node it cannot reach
+    g = Graph([3, 5, 8, 9], [(3, 9), (5, 8)])
+    assert find_k_connectivity_violation(g, 1) == ConnectivityViolation(
+        (3, 5), (), False, 0
+    )
+    # degree below k: the node, its first non-neighbour, its neighbourhood
+    g = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 4)])
+    assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
+        (0, 4), (3,), False, 1
+    )
+    # bowtie: node 3 fails against the super-source on {0, 1, 2}
+    g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
+        (0, 3), (2,), False, 1
+    )
+    # two K4s tied by the edges 0-1 and 2-5: the first pair needs its edge cut
+    k4s = [(a, b) for block in ((0, 2, 3, 4), (1, 5, 6, 7))
+           for i, a in enumerate(block) for b in block[i + 1:]]
+    g = Graph(range(8), k4s + [(0, 1), (2, 5)])
+    assert find_k_connectivity_violation(g, 3) == ConnectivityViolation(
+        (0, 1), (2,), True, 2
+    )
 
 
 def test_violation_on_tiny_graph_is_flagged():

@@ -153,16 +153,24 @@ def test_guess_root_falls_back_when_no_candidate_survives(monkeypatch):
     g = cycle_graph(5)
     instance = inst(g, 2, 2)
     real = solver_mod.solve_rooted_nodeweight
+    real_precheck = solver_mod.precheck
+    prechecks = []
 
     def starve_original_roots(problem, backend="flow-union"):
         if problem.root in g.nodes:  # candidate roots; the virtual root is n
             raise InfeasibleError("forced for the test")
         return real(problem, backend)
 
+    def counting_precheck(instance):
+        prechecks.append(instance)
+        return real_precheck(instance)
+
     monkeypatch.setattr(solver_mod, "solve_rooted_nodeweight", starve_original_roots)
+    monkeypatch.setattr(solver_mod, "precheck", counting_precheck)
     report = solve_guess_root(instance)
     assert report.variant == "guess-root"
     assert report.flags["fallback_to_general"] is True
+    assert len(prechecks) == 1  # the fallback pipeline does not repeat it
     _verified(instance, report)
 
 
