@@ -18,6 +18,18 @@ on the first :meth:`SplitFlowNetwork.join_source`; each call gives it one
 more arc of capacity one into a node, so a flow from it reaches a growing
 node set. Its arcs come after all others, so flows between graph nodes
 search exactly as they would without it.
+
+Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
+sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
+edge's two arcs, to capacity one or zero. A closed node is as good as
+deleted for flows between other nodes and a closed edge as good as absent,
+so one network serves every induced or edge-deleted subgraph of its graph.
+Masks are written to the initial capacities: they persist across
+:meth:`SplitFlowNetwork.reset` and take effect at the next one. Closed arcs
+keep their place in the arc order and every search skips them, so a masked
+network finds the same paths as a network built on the subgraph. The
+readers of the current flow compare residuals with initial capacities, so
+a closed arc never reads as carrying flow or as cut.
 """
 
 from __future__ import annotations
@@ -119,6 +131,16 @@ class SplitFlowNetwork:
         self._out[a].append(idx)
         self._out[b].append(idx + 1)
 
+    def set_node_open(self, v: int, is_open: bool) -> None:
+        """Open or close v's internal arc; effective from the next :meth:`reset`."""
+        self._cap0[self._internal_arc[v]] = int(is_open)
+
+    def set_edge_open(self, u: int, v: int, is_open: bool) -> None:
+        """Open or close both arcs of edge uv; effective from the next :meth:`reset`."""
+        e = (u, v) if u < v else (v, u)
+        for a in self._edge_arcs[e]:
+            self._cap0[a] = int(is_open)
+
     def set_node_cost(self, v: int, c: int) -> None:
         a = self._internal_arc[v]
         self._cost[a] = c
@@ -216,14 +238,14 @@ class SplitFlowNetwork:
 
     def nodes_carrying_flow(self) -> list[int]:
         """Node ids whose internal arc is used by the current flow."""
-        res = self._res
-        return [v for v, a in self._internal_arc.items() if res[a] == 0]
+        res, cap0 = self._res, self._cap0
+        return [v for v, a in self._internal_arc.items() if res[a] < cap0[a]]
 
     def edges_carrying_flow(self) -> list[tuple[int, int]]:
-        res = self._res
+        res, cap0 = self._res, self._cap0
         out = []
         for e, (a1, a2) in self._edge_arcs.items():
-            if res[a1] == 0 or res[a2] == 0:
+            if res[a1] < cap0[a1] or res[a2] < cap0[a2]:
                 out.append(e)
         return out
 
@@ -297,10 +319,10 @@ class SplitFlowNetwork:
         reach = self.residual_reachable(s)
         nodes: set[int] = set()
         direct = False
-        res = self._res
+        res, cap0 = self._res, self._cap0
         for e, (a1, a2) in self._edge_arcs.items():
             for a in (a1, a2):
-                if res[a] == 0 and self._from[a] in reach and self._to[a] not in reach:
+                if res[a] < cap0[a] and self._from[a] in reach and self._to[a] not in reach:
                     u = self.ids[self._from[a] // 2]
                     v = self.ids[self._to[a] // 2]
                     if v not in (s, t):
@@ -310,7 +332,7 @@ class SplitFlowNetwork:
                     else:
                         direct = True
         for v, a in self._internal_arc.items():
-            if res[a] == 0 and 2 * self.slot[v] in reach and 2 * self.slot[v] + 1 not in reach:
+            if res[a] < cap0[a] and 2 * self.slot[v] in reach and 2 * self.slot[v] + 1 not in reach:
                 if v not in (s, t):
                     nodes.add(v)
         return sorted(nodes), direct

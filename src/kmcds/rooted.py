@@ -9,6 +9,16 @@ Two backends: ``flow-union`` runs one min-cost flow per terminal (pool
 nodes priced at their weight, already-selected or free nodes at zero) and
 unions the nodes the flows traverse; ``exact`` enumerates pool subsets in
 nondecreasing weight order. Both finish with an inclusion pruning pass.
+
+A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`, the
+caller's or one built over ``graph_r``. Its open arcs must be exactly the
+edges of ``graph_r``; a caller may pass a network over a supergraph with
+the extra edges closed. A feasibility check for a selection closes the
+pool nodes outside it and reopens them afterwards, so no subgraph is ever
+built. The prune keeps one k-path witness per terminal, the nodes its
+flow uses, and when it tries to drop a node it re-runs only the terminals
+whose witness uses that node: a witness that avoids the node still holds
+without it, so every verdict is the one a full check would give.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from typing import Iterable, Mapping
 
 from ._enum import iter_subsets_by_weight
 from .errors import InfeasibleError
-from .flow import SplitFlowNetwork, edge_cost_map, node_cost_map
+from .flow import SplitFlowNetwork, edge_cost_map
 from .graph import Graph
 
 _EXACT_POOL_CAP = 20
@@ -73,20 +83,45 @@ class GuaranteeInfo:
     factor_value: int
 
 
-def find_infeasible_terminal(problem: RootedProblem, selected: Iterable[int]) -> int | None:
+def _network(problem: RootedProblem, net: SplitFlowNetwork | None) -> SplitFlowNetwork:
+    return SplitFlowNetwork(problem.graph_r) if net is None else net
+
+
+def _open_pool(net: SplitFlowNetwork, problem: RootedProblem, keep: Iterable[int]) -> None:
+    """Open the pool nodes in ``keep`` and close the rest of the pool."""
+    keep = frozenset(keep)
+    for v in problem.pool:
+        net.set_node_open(v, v in keep)
+
+
+def _witness(net: SplitFlowNetwork, problem: RootedProblem, t: int) -> frozenset[int] | None:
+    """Nodes carrying k disjoint t-root paths on the open arcs, or None."""
+    net.reset()
+    if net.max_flow(t, problem.root, problem.k) < problem.k:
+        return None
+    return frozenset(net.nodes_carrying_flow())
+
+
+def find_infeasible_terminal(
+    problem: RootedProblem, selected: Iterable[int], net: SplitFlowNetwork | None = None
+) -> int | None:
     """First terminal lacking k disjoint root paths in free∪selected."""
-    keep = problem.free | frozenset(selected)
-    sub = problem.graph_r.induced(keep)
-    net = SplitFlowNetwork(sub)
-    for t in problem.terminals:
-        net.reset()
-        if net.max_flow(t, problem.root, problem.k) < problem.k:
-            return t
-    return None
+    net = _network(problem, net)
+    _open_pool(net, problem, selected)
+    try:
+        for t in problem.terminals:
+            net.reset()
+            if net.max_flow(t, problem.root, problem.k) < problem.k:
+                return t
+        return None
+    finally:
+        _open_pool(net, problem, problem.pool)
 
 
-def selection_is_feasible(problem: RootedProblem, selected: Iterable[int]) -> bool:
-    return find_infeasible_terminal(problem, selected) is None
+def selection_is_feasible(
+    problem: RootedProblem, selected: Iterable[int], net: SplitFlowNetwork | None = None
+) -> bool:
+    return find_infeasible_terminal(problem, selected, net) is None
 
 
 def _terminal_order(problem: RootedProblem) -> list[int]:
@@ -97,7 +132,9 @@ def _terminal_order(problem: RootedProblem) -> list[int]:
     )
 
 
-def flow_union_backend(problem: RootedProblem) -> frozenset[int]:
+def flow_union_backend(
+    problem: RootedProblem, net: SplitFlowNetwork | None = None
+) -> frozenset[int]:
     """Union of one min-cost path bundle per terminal.
 
     Each flow is exact for its own terminal, so the union costs at most
@@ -106,7 +143,9 @@ def flow_union_backend(problem: RootedProblem) -> frozenset[int]:
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
-    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, frozenset(g.nodes) - pool))
+    net = _network(problem, net)
+    for v in g.nodes:
+        net.set_node_cost(v, g.weights[v] if v in pool else 0)
     selected: set[int] = set()
     for t in _terminal_order(problem):
         net.reset()
@@ -122,48 +161,79 @@ def flow_union_backend(problem: RootedProblem) -> frozenset[int]:
     return frozenset(selected)
 
 
-def exact_backend(problem: RootedProblem) -> frozenset[int]:
+def exact_backend(
+    problem: RootedProblem, net: SplitFlowNetwork | None = None
+) -> frozenset[int]:
     """Cheapest feasible pool subset, by weight-ordered enumeration."""
     if len(problem.pool) > _EXACT_POOL_CAP:
         raise ValueError(f"exact backend capped at {_EXACT_POOL_CAP} pool nodes")
+    net = _network(problem, net)
     weights = problem.graph_r.weights
     for _, subset in iter_subsets_by_weight(problem.pool, weights):
-        if selection_is_feasible(problem, subset):
+        if selection_is_feasible(problem, subset, net):
             return frozenset(subset)
-    bad = find_infeasible_terminal(problem, problem.pool)
+    bad = find_infeasible_terminal(problem, problem.pool, net)
     raise InfeasibleError(
         f"terminal {bad}: no pool subset yields {problem.k} disjoint root paths"
     )
 
 
-def prune_selection(problem: RootedProblem, selected: frozenset[int]) -> frozenset[int]:
-    """Drop nodes whose removal keeps feasibility, heaviest first.
+def prune_selection(
+    problem: RootedProblem, selected: frozenset[int], net: SplitFlowNetwork | None = None
+) -> frozenset[int]:
+    """Drop nodes of ``selected``, a pool subset, whose removal keeps feasibility.
 
-    A single pass suffices for inclusion minimality: feasibility is
-    monotone, so a node kept against a larger set stays unremovable.
+    Heaviest first. A single pass suffices for inclusion minimality:
+    feasibility is monotone, so a node kept against a larger set stays
+    unremovable. An infeasible ``selected`` comes back whole.
     """
+    net = _network(problem, net)
     weights = problem.graph_r.weights
     current = set(selected)
-    for v in sorted(selected, key=lambda v: (-weights[v], v)):
-        current.discard(v)
-        if not selection_is_feasible(problem, current):
-            current.add(v)
-    return frozenset(current)
+    _open_pool(net, problem, current)
+    try:
+        witness = {}
+        for t in problem.terminals:
+            witness[t] = _witness(net, problem, t)
+            if witness[t] is None:
+                return frozenset(selected)
+        for v in sorted(selected, key=lambda v: (-weights[v], v)):
+            net.set_node_open(v, False)
+            for t in problem.terminals:
+                if v in witness[t]:
+                    found = _witness(net, problem, t)
+                    if found is None:
+                        net.set_node_open(v, True)
+                        break
+                    # paths that avoid v hold whether or not v comes back
+                    witness[t] = found
+            else:
+                current.discard(v)
+        return frozenset(current)
+    finally:
+        _open_pool(net, problem, problem.pool)
 
 
 def solve_rooted_nodeweight(
-    problem: RootedProblem, backend: str = "flow-union"
+    problem: RootedProblem,
+    backend: str = "flow-union",
+    net: SplitFlowNetwork | None = None,
 ) -> tuple[frozenset[int], GuaranteeInfo]:
-    """Dispatch to a backend, then prune. Node weights price the pool."""
+    """Dispatch to a backend, then prune. Node weights price the pool.
+
+    Every flow runs on ``net`` when one is given (see the module notes on
+    what it must hold); its node costs are overwritten, its masks kept.
+    """
     if backend == "flow-union":
-        selected = flow_union_backend(problem)
         info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
+        select = flow_union_backend
     elif backend == "exact":
-        selected = exact_backend(problem)
         info = GuaranteeInfo("exact", "1", 1)
+        select = exact_backend
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return prune_selection(problem, selected), info
+    net = _network(problem, net)
+    return prune_selection(problem, select(problem, net), net), info
 
 
 def solve_rooted_edgecost(
@@ -206,4 +276,4 @@ def solve_rooted_edgecost(
                 selected.add(v)
                 _refresh_costs_around(v)
     info = GuaranteeInfo("flow-union-edgecost", "2|T|", 2 * len(problem.terminals))
-    return prune_selection(problem, frozenset(selected)), info
+    return prune_selection(problem, frozenset(selected), net), info

@@ -15,8 +15,11 @@ k-connected, so a precheck rejects everything else with a witness.
 
 :func:`solve_guess_root` (k in {2, 3}) instead enumerates a real root and
 k of its incident edges, reruns the rooted stage with the root's other
-edges removed, and keeps the best candidate; the k-in-connected outcome
-with a degree-k root is already k-connected, so no forest stage is needed.
+edges closed on one flow network shared by every candidate, and keeps the
+best candidate; the k-in-connected outcome with a degree-k root is already
+k-connected, so no forest stage is needed. A candidate whose neighbour
+lower bound (see :func:`_neighbour_bound`) cannot beat the best weight so
+far is skipped before any flow runs, which never changes the answer.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .connectivity import (
 )
 from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
-from .graph import Instance, attach_root, degree_stats
+from .flow import SplitFlowNetwork
+from .graph import Graph, Instance, attach_root, degree_stats
 from .rooted import (
     GuaranteeInfo,
     RootedProblem,
@@ -432,14 +436,96 @@ def solve_unit_disk(instance: Instance, config: SolverConfig | None = None) -> S
     return _solve_pipeline(instance, config or SolverConfig(), True, "unit-disk")
 
 
+def _neighbour_bound(
+    g: Graph,
+    r: int,
+    picked: tuple[int, ...],
+    forced: frozenset[int],
+    terminals: frozenset[int],
+    k: int,
+) -> int | None:
+    """Lower bound on the connector weight of candidate (r, picked).
+
+    Each of a terminal t's k disjoint paths to r is the kept edge t-r
+    (only when t is picked) or starts at its own neighbour x != r, and an x
+    outside ``forced`` must be bought. So t needs
+    k - [t in picked] - |N(t) ∩ forced - {r}| pool neighbours, at least
+    its cheapest ones, and the dearest terminal bounds the connectors.
+    None means some terminal has too few pool neighbours: no connector
+    set is feasible.
+    """
+    bound = 0
+    for t in terminals:
+        if t == r:
+            continue
+        pool_weights = sorted(g.weights[x] for x in g.adj[t] if x not in forced)
+        need = k - (t in picked) - sum(1 for x in g.adj[t] if x in forced and x != r)
+        if need > len(pool_weights):
+            return None
+        bound = max(bound, sum(pool_weights[:need]) if need > 0 else 0)
+    return bound
+
+
+def _best_guess(
+    instance: Instance, terminals: frozenset[int], config: SolverConfig
+) -> tuple[int, tuple[int, ...], frozenset[int], GuaranteeInfo] | None:
+    """The candidate loop of :func:`solve_guess_root`: (root, picked, connectors, info)."""
+    g = instance.graph
+    k = instance.k
+    w_terminals = g.total_weight(terminals)
+    net = SplitFlowNetwork(g)
+    best_weight: int | None = None
+    best = None
+    for r in sorted(g.nodes, key=lambda v: (g.weights[v], v)):
+        if g.degree(r) < k:
+            continue
+        lower = w_terminals + (0 if r in terminals else g.weights[r])
+        if best_weight is not None and lower >= best_weight:
+            continue
+        for picked in combinations(g.adj[r], k):
+            forced = frozenset(picked) | {r} | terminals
+            bound = _neighbour_bound(g, r, picked, forced, terminals, k)
+            if bound is None or (
+                best_weight is not None and g.total_weight(forced) + bound >= best_weight
+            ):
+                continue
+            closed = [x for x in g.adj[r] if x not in picked]
+            problem = RootedProblem(
+                graph_r=g.without_edges((r, x) for x in closed),
+                root=r,
+                terminals=tuple(sorted(terminals - {r})),
+                pool=tuple(v for v in g.nodes if v not in forced),
+                k=k,
+            )
+            for x in closed:
+                net.set_edge_open(r, x, False)
+            try:
+                connectors, info = solve_rooted_nodeweight(problem, config.backend, net)
+            except InfeasibleError:
+                continue
+            finally:
+                for x in closed:
+                    net.set_edge_open(r, x, True)
+            weight = g.total_weight(forced | connectors)
+            if best_weight is None or weight < best_weight:
+                best_weight = weight
+                best = (r, picked, connectors, info)
+    return best
+
+
 def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> SolutionReport:
     """Root-guessing solver for k in {2, 3}.
 
-    Tries every node r and every k-subset of its incident edges, keeps r's
-    other edges out, reruns the rooted stage with the chosen neighbors
-    forced into the solution, and returns the lightest feasible candidate
-    (first found wins ties). Falls back to the general pipeline, flagged,
-    if no candidate is feasible.
+    Tries every node r and every k-subset of its incident edges, closes r's
+    other edges, reruns the rooted stage with the chosen neighbors forced
+    into the solution, and returns the lightest feasible candidate (first
+    found wins ties). A candidate is skipped, without a flow, when the
+    weight it forces plus its neighbour lower bound reaches the best weight
+    found so far, or when the bound is infinite. Each of a terminal t's k
+    disjoint paths to r is the kept edge t-r or starts at its own neighbour
+    other than r, so t buys at least its cheapest missing pool neighbours
+    and a skipped candidate could not have won. Falls back to the general pipeline,
+    flagged, if no candidate is feasible.
     """
     config = config or SolverConfig()
     if instance.k not in (2, 3):
@@ -456,40 +542,9 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     t0 = time.perf_counter()
     terminals = greedy_mds(instance)
     times["dominating"] = time.perf_counter() - t0
-    w_terminals = g.total_weight(terminals)
 
-    best_weight: int | None = None
-    best: tuple[int, tuple[int, ...], frozenset[int], GuaranteeInfo] | None = None
     t0 = time.perf_counter()
-    for r in sorted(g.nodes, key=lambda v: (g.weights[v], v)):
-        if g.degree(r) < k:
-            continue
-        lower = w_terminals + (0 if r in terminals else g.weights[r])
-        if best_weight is not None and lower >= best_weight:
-            continue
-        for picked in combinations(g.adj[r], k):
-            forced = set(picked) | {r} | terminals
-            lower_full = g.total_weight(forced)
-            if best_weight is not None and lower_full >= best_weight:
-                continue
-            trimmed = g.without_edges(
-                (r, x) for x in g.adj[r] if x not in picked
-            )
-            problem = RootedProblem(
-                graph_r=trimmed,
-                root=r,
-                terminals=tuple(sorted(terminals - {r})),
-                pool=tuple(v for v in g.nodes if v not in forced),
-                k=k,
-            )
-            try:
-                connectors, info = solve_rooted_nodeweight(problem, config.backend)
-            except InfeasibleError:
-                continue
-            weight = g.total_weight(forced | connectors)
-            if best_weight is None or weight < best_weight:
-                best_weight = weight
-                best = (r, tuple(picked), connectors, info)
+    best = _best_guess(instance, terminals, config)
     times["candidates"] = time.perf_counter() - t0
 
     if best is None:

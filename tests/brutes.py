@@ -2,18 +2,23 @@
 
 Everything here works by exhaustive enumeration straight from the
 definitions, sharing no code with the flow machinery under test. Sizes
-must stay tiny (n around 10). The one exception is the all-pair
-k-connectivity reference at the end: the literal loop (one max-flow per
-node pair) that the package's Even-schedule kernel replaced, kept as the
-slow route that kernel is compared against.
+must stay tiny (n around 10). The exceptions are literal slow routes
+the package replaced, kept as the references its fast routes are compared
+against: the all-pair k-connectivity loop (one max-flow per node pair)
+that the Even-schedule kernel replaced, and the rooted stage and
+guess-root candidate loop that build one induced subgraph and one flow
+network per feasibility check, in place of one masked network per solve.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
-from kmcds import ConnectivityViolation, Graph
-from kmcds.flow import SplitFlowNetwork
+from kmcds import ConnectivityViolation, Graph, GuaranteeInfo, Instance, RootedProblem
+from kmcds._enum import iter_subsets_by_weight
+from kmcds.errors import InfeasibleError
+from kmcds.flow import SplitFlowNetwork, node_cost_map
 
 
 def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
@@ -153,3 +158,111 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
             cut, direct = net.min_cut_separator(u, v)
             return ConnectivityViolation((u, v), tuple(cut), direct, f)
     return None
+
+
+def induced_find_infeasible_terminal(problem: RootedProblem, selected: Iterable[int]) -> int | None:
+    """First terminal lacking k disjoint root paths in free∪selected."""
+    keep = problem.free | frozenset(selected)
+    sub = problem.graph_r.induced(keep)
+    net = SplitFlowNetwork(sub)
+    for t in problem.terminals:
+        net.reset()
+        if net.max_flow(t, problem.root, problem.k) < problem.k:
+            return t
+    return None
+
+
+def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) -> frozenset[int]:
+    """Drop nodes whose removal keeps feasibility, heaviest first.
+
+    A single pass suffices for inclusion minimality: feasibility is
+    monotone, so a node kept against a larger set stays unremovable.
+    """
+    weights = problem.graph_r.weights
+    current = set(selected)
+    for v in sorted(selected, key=lambda v: (-weights[v], v)):
+        current.discard(v)
+        if induced_find_infeasible_terminal(problem, current) is not None:
+            current.add(v)
+    return frozenset(current)
+
+
+def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
+    """The flow-union backend on a network of its own, costs set at build."""
+    g = problem.graph_r
+    pool = frozenset(problem.pool)
+    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, frozenset(g.nodes) - pool))
+    selected: set[int] = set()
+    order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
+    for t in order:
+        net.reset()
+        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+        if units < problem.k:
+            raise InfeasibleError(f"terminal {t}: only {units} of {problem.k} paths")
+        for v in net.nodes_carrying_flow():
+            if v in pool and v not in selected:
+                selected.add(v)
+                net.set_node_cost(v, 0)
+    return frozenset(selected)
+
+
+def induced_solve_rooted(
+    problem: RootedProblem, backend: str
+) -> tuple[frozenset[int], GuaranteeInfo]:
+    """The node-weighted rooted stage with induced-subgraph feasibility checks."""
+    if backend == "flow-union":
+        selected = _unmasked_flow_union(problem)
+        info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
+    else:
+        for _, subset in iter_subsets_by_weight(problem.pool, problem.graph_r.weights):
+            if induced_find_infeasible_terminal(problem, subset) is None:
+                break
+        else:
+            raise InfeasibleError("no pool subset is feasible")
+        selected = frozenset(subset)
+        info = GuaranteeInfo("exact", "1", 1)
+    return induced_prune_selection(problem, selected), info
+
+
+def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: str):
+    """The guess-root candidate loop with no neighbour bound.
+
+    Builds the root-trimmed graph and a fresh rooted stage per candidate;
+    returns (root, picked, connectors, info) of the lightest feasible
+    candidate, the first found on ties, or None.
+    """
+    g = instance.graph
+    k = instance.k
+    w_terminals = g.total_weight(terminals)
+    best_weight = None
+    best = None
+    for r in sorted(g.nodes, key=lambda v: (g.weights[v], v)):
+        if g.degree(r) < k:
+            continue
+        lower = w_terminals + (0 if r in terminals else g.weights[r])
+        if best_weight is not None and lower >= best_weight:
+            continue
+        for picked in combinations(g.adj[r], k):
+            forced = set(picked) | {r} | terminals
+            lower_full = g.total_weight(forced)
+            if best_weight is not None and lower_full >= best_weight:
+                continue
+            trimmed = g.without_edges(
+                (r, x) for x in g.adj[r] if x not in picked
+            )
+            problem = RootedProblem(
+                graph_r=trimmed,
+                root=r,
+                terminals=tuple(sorted(terminals - {r})),
+                pool=tuple(v for v in g.nodes if v not in forced),
+                k=k,
+            )
+            try:
+                connectors, info = induced_solve_rooted(problem, backend)
+            except InfeasibleError:
+                continue
+            weight = g.total_weight(forced | connectors)
+            if best_weight is None or weight < best_weight:
+                best_weight = weight
+                best = (r, tuple(picked), connectors, info)
+    return best

@@ -106,6 +106,57 @@ def test_edge_cost_map_prices_only_listed_endpoints():
     assert both == {(0, 1): 12, (1, 2): 16}
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    s, t = g.nodes[0], g.nodes[-1]
+    gone = {v for v in g.nodes[1:-1] if rng.random() < 0.3}
+    cut_edges = [e for e in g.edges if rng.random() < 0.3]
+    sub = g.without_edges(cut_edges).induced(set(g.nodes) - gone)
+    free = {s, t}
+    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, free))
+    for v in gone:
+        net.set_node_open(v, False)
+    for e in cut_edges:
+        net.set_edge_open(*e, False)
+    net.reset()
+    value = net.max_flow(s, t, n)
+    assert value == SplitFlowNetwork(sub).max_flow(s, t, n)
+    assert not gone & set(net.nodes_carrying_flow())
+    assert not set(cut_edges) & set(net.edges_carrying_flow())
+    separator, direct = net.min_cut_separator(s, t)
+    assert not gone & set(separator)
+    assert len(separator) + direct == value
+    rest = sub.induced(set(sub.nodes) - set(separator))
+    if direct:
+        rest = rest.without_edges([(s, t)])
+    assert brute_pair_connectivity(rest, s, t) == 0
+
+    # a masked min-cost flow walks the paths a flow on the subgraph walks
+    net.reset()
+    sub_net = SplitFlowNetwork(sub, node_cost=node_cost_map(sub, free))
+    units = min(value, 3)
+    assert net.min_cost_flow(s, t, units) == sub_net.min_cost_flow(s, t, units)
+    assert net.nodes_carrying_flow() == sub_net.nodes_carrying_flow()
+
+
+def test_reset_keeps_masks_until_reopened():
+    g = complete_graph(5)
+    net = SplitFlowNetwork(g)
+    net.set_node_open(2, False)
+    net.set_edge_open(4, 0, False)
+    for _ in range(2):
+        net.reset()
+        assert net.max_flow(0, 4, 5) == 2  # 0-1-4 and 0-3-4
+        assert 2 not in net.nodes_carrying_flow()
+        assert (0, 4) not in net.edges_carrying_flow()
+    net.set_node_open(2, True)
+    net.set_edge_open(0, 4, True)
+    net.reset()
+    assert net.max_flow(0, 4, 5) == 4
+
+
 def test_flow_is_deterministic():
     g = petersen()
     runs = []

@@ -8,14 +8,26 @@ from hypothesis import given, strategies as st
 from kmcds import (
     GuaranteeInfo,
     RootedProblem,
+    SplitFlowNetwork,
     attach_root,
     solve_rooted_edgecost,
     solve_rooted_nodeweight,
 )
 from kmcds.errors import InfeasibleError
-from kmcds.rooted import find_infeasible_terminal, prune_selection, selection_is_feasible
+from kmcds.rooted import (
+    exact_backend,
+    find_infeasible_terminal,
+    flow_union_backend,
+    prune_selection,
+    selection_is_feasible,
+)
 
-from brutes import brute_rooted_opt
+from brutes import (
+    brute_rooted_opt,
+    induced_find_infeasible_terminal,
+    induced_prune_selection,
+    induced_solve_rooted,
+)
 from toolbox import complete_graph, path_graph, random_graph, star_graph, wheel_graph
 
 
@@ -179,3 +191,51 @@ def test_zero_weights_cost_nothing():
         return
     assert sum(g.weights[v] for v in s) == 0
     assert selection_is_feasible(p, s)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_masked_network_matches_induced_subgraph_reference(seed, k):
+    # a root whose closed edges are the guess-root shape: one network over g
+    # serves the root-trimmed problem
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(k + 2, 12), rng.uniform(0.3, 0.8))
+    root = rng.choice(g.nodes)
+    closed = [(root, x) for x in g.adj[root] if rng.random() < 0.4]
+    rest = [v for v in g.nodes if v != root]
+    rng.shuffle(rest)
+    n_terminals = rng.randint(1, min(4, len(rest)))
+    terminals = rest[:n_terminals]
+    pool = [v for v in rest[n_terminals:] if rng.random() < 0.8]
+    p = RootedProblem(
+        graph_r=g.without_edges(closed), root=root,
+        terminals=tuple(terminals), pool=tuple(pool), k=k,
+    )
+    net = SplitFlowNetwork(g)
+    for e in closed:
+        net.set_edge_open(*e, False)
+    masks = list(net._cap0)
+
+    for _ in range(4):
+        chosen = [v for v in pool if rng.random() < 0.5]
+        assert find_infeasible_terminal(p, chosen, net) == (
+            induced_find_infeasible_terminal(p, chosen)
+        )
+        assert net._cap0 == masks  # the check reopened the pool it closed
+    full = frozenset(pool)
+    assert prune_selection(p, full, net) == induced_prune_selection(p, full)
+    assert net._cap0 == masks
+
+    for backend, select in (("flow-union", flow_union_backend), ("exact", exact_backend)):
+        try:
+            expected = induced_solve_rooted(p, backend)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                select(p, net)
+            with pytest.raises(InfeasibleError):
+                solve_rooted_nodeweight(p, backend, net)
+            continue
+        selected = select(p, net)
+        assert selected == select(p)  # the same set as on a network of its own
+        assert prune_selection(p, selected, net) == induced_prune_selection(p, selected)
+        assert solve_rooted_nodeweight(p, backend, net) == expected
+        assert net._cap0 == masks

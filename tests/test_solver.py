@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kmcds.solver as solver_mod
 from kmcds import (
     Graph,
     Instance,
+    RootedProblem,
     SolverConfig,
     certificate_is_sound,
     dump_report,
@@ -16,12 +19,30 @@ from kmcds import (
     precheck,
     solve_general,
     solve_guess_root,
+    solve_rooted_nodeweight,
     solve_unit_disk,
     verify_solution,
 )
+from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError
 
+from brutes import induced_best_guess
 from toolbox import complete_graph, cycle_graph, inst, petersen, random_graph
+
+
+def _guess_root_instances(count, n_range, k_values):
+    """Seeded feasible guess-root inputs."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        k = rng.choice(k_values)
+        g = random_graph(rng, rng.randint(*n_range), rng.uniform(0.35, 0.75))
+        instance = inst(g, k, k + rng.randint(0, 1))
+        if precheck(instance).feasible:
+            out.append(instance)
+        seed += 1
+    return out
 
 
 def _verified(instance, report):
@@ -156,10 +177,10 @@ def test_guess_root_falls_back_when_no_candidate_survives(monkeypatch):
     real_precheck = solver_mod.precheck
     prechecks = []
 
-    def starve_original_roots(problem, backend="flow-union"):
+    def starve_original_roots(problem, backend="flow-union", net=None):
         if problem.root in g.nodes:  # candidate roots; the virtual root is n
             raise InfeasibleError("forced for the test")
-        return real(problem, backend)
+        return real(problem, backend, net)
 
     def counting_precheck(instance):
         prechecks.append(instance)
@@ -293,3 +314,53 @@ def test_guess_root_never_returns_garbage(seed):
         return
     report = solve_guess_root(instance)
     _verified(instance, report)
+
+
+def test_neighbour_bound_is_sound_on_every_candidate():
+    # bound <= the weight of every feasible candidate; None only when infeasible
+    finite = infinite = positive = 0
+    for instance in _guess_root_instances(14, (5, 12), (2, 3)):
+        g, k = instance.graph, instance.k
+        terminals = greedy_mds(instance)
+        for r in g.nodes:
+            for picked in combinations(g.adj[r], k):
+                forced = frozenset(picked) | {r} | terminals
+                bound = solver_mod._neighbour_bound(g, r, picked, forced, terminals, k)
+                problem = RootedProblem(
+                    graph_r=g.without_edges((r, x) for x in g.adj[r] if x not in picked),
+                    root=r,
+                    terminals=tuple(sorted(terminals - {r})),
+                    pool=tuple(v for v in g.nodes if v not in forced),
+                    k=k,
+                )
+                for backend in ("flow-union", "exact"):
+                    if bound is None:
+                        with pytest.raises(InfeasibleError):
+                            solve_rooted_nodeweight(problem, backend)
+                        continue
+                    try:
+                        connectors, _ = solve_rooted_nodeweight(problem, backend)
+                    except InfeasibleError:
+                        continue
+                    weight = g.total_weight(forced | connectors)
+                    assert g.total_weight(forced) + bound <= weight
+                infinite += bound is None
+                finite += bound is not None
+                positive += bool(bound)
+    assert infinite and positive and finite > positive
+
+
+@pytest.mark.parametrize("backend", ["flow-union", "exact"])
+def test_guess_root_matches_the_unbounded_induced_loop(monkeypatch, backend):
+    config = SolverConfig(backend=backend)
+    for instance in _guess_root_instances(16, (6, 12), (2, 3)):
+        terminals = greedy_mds(instance)
+        expected = induced_best_guess(instance, terminals, backend)
+        assert solver_mod._best_guess(instance, terminals, config) == expected
+        report = dump_report(solve_guess_root(instance, config))
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                solver_mod, "_best_guess",
+                lambda inst_, terms, cfg: induced_best_guess(inst_, terms, cfg.backend),
+            )
+            assert dump_report(solve_guess_root(instance, config)) == report
