@@ -56,9 +56,10 @@ def gen_unit_disk(
 ) -> Instance:
     """Random geometric instance: points in the unit square, exact edge rule.
 
-    Coordinates are uniform multiples of 10^-6 (kept as exact fractions, so
-    the squared-distance comparison has no rounding). Draw order: x then y
-    per node in id order, then one integer weight per node.
+    Coordinates are uniform multiples of 10^-6, kept as exact fractions;
+    the edges come from the exact integer disk rule of
+    :meth:`Instance.unit_disk`, so no distance is rounded. Draw order: x
+    then y per node in id order, then one integer weight per node.
     """
     if n < 1:
         raise ValueError("need at least one node")

@@ -6,14 +6,14 @@ nonnegative integers throughout; fractional user input is scaled to
 integers at parse time (see :mod:`kmcds.serialize`) so that all weight
 comparisons stay exact. Geometric instances carry exact rational
 coordinates and derive their edge set from the disk rule
-``dist(u, v)^2 <= radius^2`` with :class:`fractions.Fraction` arithmetic.
+``dist(u, v)^2 <= radius^2``, tested in exact integer arithmetic on the
+pairs that grid cells of side ``radius`` leave as candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 
@@ -166,13 +166,45 @@ def degree_stats(g: Graph) -> tuple[int, int]:
 def _disk_edges(
     coords: Mapping[int, tuple[Fraction, Fraction]], radius: Fraction
 ) -> list[tuple[int, int]]:
-    rr = radius * radius
+    """Sorted pairs ``(u, v)``, ``u < v``, with ``dist(u, v) <= radius``.
+
+    Points are bucketed into square cells of side ``s`` (``radius``, or 1
+    when the radius is 0), so a point is compared only with the points of
+    the 3x3 block of cells around its own (fixed-radius near neighbours,
+    Bentley, Stanat & Williams 1977); any ``s >= radius`` would do. With
+    ``x = a/b``, ``y = c/d`` and ``radius = rn/rd``, a pair is kept when
+    ``(((a*b' - a'*b)*d*d')**2 + ((c*d' - c'*d)*b*b')**2) * rd**2
+    <= rn**2 * (b*b'*d*d')**2``: the squared-distance rule with every
+    denominator multiplied out, in exact integers. Each pair uses its own
+    denominators; one common denominator for all points can grow with n.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    rn, rd = radius.numerator, radius.denominator
+    sn, sd = (rn, rd) if rn else (1, 1)
+    rn2, rd2 = rn * rn, rd * rd
+    cells: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    for v, (x, y) in coords.items():
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        cell = ((a * sd) // (b * sn), (c * sd) // (d * sn))
+        cells.setdefault(cell, []).append((v, a, b, c, d))
+
     out = []
-    for u, v in combinations(sorted(coords), 2):
-        dx = coords[u][0] - coords[v][0]
-        dy = coords[u][1] - coords[v][1]
-        if dx * dx + dy * dy <= rr:
-            out.append((u, v))
+    for (cx, cy), here in cells.items():
+        # this cell, then the half of its 3x3 block that lies ahead of it;
+        # the other half scans this cell when its own turn comes
+        block = here + [
+            p
+            for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1))
+            for p in cells.get(key, ())
+        ]
+        for i, (v, a, b, c, d) in enumerate(here):
+            for w, a2, b2, c2, d2 in block[i + 1:]:
+                bb, dd = b * b2, d * d2
+                dx, dy = (a * b2 - a2 * b) * dd, (c * d2 - c2 * d) * bb
+                if (dx * dx + dy * dy) * rd2 <= rn2 * (bb * dd) ** 2:
+                    out.append((v, w) if v < w else (w, v))
+    out.sort()
     return out
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Iterable, TYPE_CHECKING
 
 from .errors import ParseError
-from .graph import Instance
+from .graph import Graph, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connectivity import Certificate
@@ -128,20 +128,22 @@ def instance_from_dict(doc: Any) -> Instance:
     if geometric != bool(coords_by_id) and n > 0:
         raise ParseError("radius and coordinates must appear together")
 
+    weights = [weights_by_id[v] for v in range(n)]
     try:
-        if geometric:
-            radius = parse_fraction(doc["radius"])
-            coords = [coords_by_id[v] for v in range(n)]
-            weights = [weights_by_id[v] for v in range(n)]
-            inst = Instance.unit_disk(coords, radius, weights, k, m, denominator=denom)
-        else:
-            weights = [weights_by_id[v] for v in range(n)]
-            inst = Instance.general(n, edges, weights, k, m, denominator=denom)
+        if not geometric:
+            return Instance.general(n, edges, weights, k, m, denominator=denom)
+        # the file's own edges; Instance checks them against the disk rule
+        radius = parse_fraction(doc["radius"])
+        return Instance(
+            graph=Graph(range(n), edges, dict(enumerate(weights))),
+            k=k,
+            m=m,
+            coords=tuple(coords_by_id[v] for v in range(n)),
+            radius=radius,
+            weight_denominator=denom,
+        )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if geometric and set(inst.graph.edges) != {(min(u, v), max(u, v)) for u, v in edges}:
-        raise ParseError("edge list disagrees with the coordinate/radius rule")
-    return inst
 
 
 def load_instance(text: str) -> Instance:

@@ -5,15 +5,17 @@ definitions, sharing no code with the flow machinery under test. Sizes
 must stay tiny (n around 10). The exceptions are literal slow routes
 the package replaced, kept as the references its fast routes are compared
 against: the all-pair k-connectivity loop (one max-flow per node pair)
-that the Even-schedule kernel replaced, and the rooted stage and
-guess-root candidate loop that build one induced subgraph and one flow
-network per feasibility check, in place of one masked network per solve.
+that the Even-schedule kernel replaced, the rooted stage and guess-root
+candidate loop that build one induced subgraph and one flow network per
+feasibility check, in place of one masked network per solve, and the
+all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from kmcds import ConnectivityViolation, Graph, GuaranteeInfo, Instance, RootedProblem
 from kmcds._enum import iter_subsets_by_weight
@@ -266,3 +268,17 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
                 best_weight = weight
                 best = (r, tuple(picked), connectors, info)
     return best
+
+
+def brute_disk_edges(
+    coords: Mapping[int, tuple[Fraction, Fraction]], radius: Fraction
+) -> list[tuple[int, int]]:
+    """Every pair within ``radius``, by ``Fraction`` squared distances."""
+    rr = radius * radius
+    out = []
+    for u, v in combinations(sorted(coords), 2):
+        dx = coords[u][0] - coords[v][0]
+        dy = coords[u][1] - coords[v][1]
+        if dx * dx + dy * dy <= rr:
+            out.append((u, v))
+    return out

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kmcds import Graph, Instance, attach_root, degree_stats, induced_subgraph, neighbors
+from kmcds.graph import _disk_edges
 
-from toolbox import complete_graph, path_graph, random_graph, star_graph
+from brutes import brute_disk_edges
+from toolbox import complete_graph, coprime_disk_points, path_graph, random_graph, star_graph
 
 
 def test_rejects_duplicate_nodes():
@@ -129,6 +131,48 @@ def test_unit_disk_edges_are_exact_at_the_boundary():
     assert on.graph.edges == ((0, 1),)
     off = Instance.unit_disk(pts, Fraction(999999, 1000000), [1, 1], 1, 1)
     assert off.graph.edges == ()
+
+
+# mixed denominators, small primes among them so that some pairs are coprime
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 30)
+_coordinates = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(_DENOMINATORS))
+# scaled 3-4-5 offsets: a partner at exactly the radius, in every direction
+_ON_CIRCLE = ((3, 4), (4, 3), (-3, 4), (4, -3), (-4, -3), (5, 0), (0, -5))
+
+
+@st.composite
+def _disk_layouts(draw):
+    radius = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 30), st.sampled_from(_DENOMINATORS)),
+    ))
+    pts = draw(st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=12))
+    for kind in draw(st.lists(st.sampled_from(("copy", "circle", "cell")), max_size=8)):
+        if kind == "copy":  # a coincident point
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "circle":  # a point at distance exactly radius
+            x, y = draw(st.sampled_from(pts))
+            sx, sy = draw(st.sampled_from(_ON_CIRCLE))
+            pts.append((x + radius * sx / 5, y + radius * sy / 5))
+        else:  # a point on cell boundaries: whole multiples of the radius
+            pts.append((radius * draw(st.integers(-4, 4)), radius * draw(st.integers(-4, 4))))
+    order = draw(st.permutations(range(len(pts))))
+    return {v: pts[i] for v, i in enumerate(order)}, radius
+
+
+@settings(max_examples=300)
+@given(_disk_layouts())
+def test_disk_rule_matches_the_fraction_reference(layout):
+    coords, radius = layout
+    assert _disk_edges(coords, radius) == brute_disk_edges(coords, radius)
+
+
+def test_disk_rule_on_pairwise_coprime_denominators():
+    pts = coprime_disk_points(60, seed=3)
+    instance = Instance.unit_disk(pts, Fraction(1, 5), [1] * 60, 1, 1)
+    want = brute_disk_edges(dict(enumerate(pts)), Fraction(1, 5))
+    assert len(want) > 60
+    assert instance.graph.edges == tuple(want)
 
 
 def test_instance_coord_edge_agreement_enforced():

@@ -36,6 +36,13 @@ def _doc(**overrides):
     return base
 
 
+# two points at distance 1/2: one edge under radius 1
+_NEAR_PAIR = [
+    {"id": 0, "weight": 1, "x": "0", "y": "0"},
+    {"id": 1, "weight": 1, "x": "1/2", "y": "0"},
+]
+
+
 def test_general_round_trip_is_byte_exact():
     instance = gen_gnp(9, 0.4, (0, 12), seed=4, k=2, m=2)
     text = dump_instance(instance)
@@ -89,6 +96,8 @@ def test_malformed_documents_are_rejected():
         (_doc(edges=[[0, 0]]), "loop"),
         (_doc(edges=[[0, 7]]), None),
         (_doc(radius="1/2"), "together"),
+        (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [0, 1]]), "duplicate"),
+        (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [1, 0]]), "duplicate"),
         (_doc(nodes=[{"id": 0, "weight": -1}, {"id": 1, "weight": 1}]), None),
         (_doc(k=0), None),
         (_doc(m=0), None),

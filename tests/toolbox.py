@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from kmcds import Graph, Instance
 
@@ -65,3 +66,26 @@ def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 9) -> G
     ]
     weights = {v: rng.randint(0, max_weight) for v in range(n)}
     return Graph(range(n), edges, weights)
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    found: list[int] = []
+    p = 2
+    while len(found) < count:
+        if all(p % q for q in found if q * q <= p):
+            found.append(p)
+        p += 1
+    return found
+
+
+def coprime_disk_points(n: int, seed: int = 0) -> list[tuple[Fraction, Fraction]]:
+    """``n`` points in the unit square whose 2n coordinate denominators are
+    distinct primes, so no two coordinates share a denominator."""
+    rng = random.Random(seed)
+    ps = _primes(2 * n + 2)[2:]  # skip 2 and 3: every coordinate has 5+ choices
+    return [
+        (Fraction(rng.randrange(1, ps[2 * i]), ps[2 * i]),
+         Fraction(rng.randrange(1, ps[2 * i + 1]), ps[2 * i + 1]))
+        for i in range(n)
+    ]
