@@ -13,7 +13,7 @@ from .connectivity import (
     ConnectivityViolation,
     DominationCheck,
     build_certificate,
-    certificate_is_sound,
+    check_certificate,
     check_cut_characterization,
     check_subpartition_characterization,
     domination_counts,
@@ -86,7 +86,7 @@ __all__ = [
     "VerifyResult",
     "attach_root",
     "build_certificate",
-    "certificate_is_sound",
+    "check_certificate",
     "check_cut_characterization",
     "check_subpartition_characterization",
     "coverage_potential",

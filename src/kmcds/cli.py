@@ -14,10 +14,13 @@ import sys
 from fractions import Fraction
 
 from .bench import build_tasks, rows_to_csv, run_bench
+from .connectivity import check_certificate
 from .errors import InfeasibleError, KmcdsError, ParseError
 from .generators import gen_gnp, gen_unit_disk
 from .oracle import opt_kmcds
 from .serialize import (
+    REPORT_SCHEMA_VERSION,
+    certificate_of_report,
     dump_instance,
     dump_report,
     dumps_canonical,
@@ -123,11 +126,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _members_from_args(args: argparse.Namespace) -> list[int]:
     if args.members is not None:
         return _parse_int_list(args.members)
-    with open(args.from_report, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    doc = _read_json(args.from_report)
     if isinstance(doc, list):
         return [int(x) for x in doc]
     if isinstance(doc, dict):
@@ -139,8 +138,28 @@ def _members_from_args(args: argparse.Namespace) -> list[int]:
     raise ParseError("report file carries no node set")
 
 
+def _read_json(path: str) -> object:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
+    if args.certificate is not None:
+        cert = certificate_of_report(_read_json(args.certificate))
+        problems = check_certificate(instance, cert)
+        doc = {
+            "kind": "kmcds-certificate-check",
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "members": list(cert.members),
+            "sound": not problems,
+            "problems": problems,
+        }
+        _write_output(dumps_canonical(doc), args.output)
+        return EXIT_INFEASIBLE if problems else EXIT_OK
     members = _members_from_args(args)
     result = verify_solution(instance, members, with_witnesses=not args.no_witnesses)
     _write_output(dumps_canonical(verify_result_to_dict(result, members)), args.output)
@@ -269,12 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="check a node set against an instance")
+    p = sub.add_parser(
+        "verify", help="check a node set, or a report's certificate, against an instance"
+    )
     p.add_argument("instance")
-    p.add_argument("--members", help="comma-separated node ids")
-    p.add_argument(
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--members", help="comma-separated node ids")
+    which.add_argument(
         "--from-report",
         help="JSON file holding a report (sets.solution), oracle output, or id list",
+    )
+    which.add_argument(
+        "--certificate",
+        help="report or verify document whose own certificate is checked, "
+        "without solving anything (exit 2 lists its problems)",
     )
     p.add_argument("--no-witnesses", action="store_true")
     p.add_argument("-o", "--output", help="write here instead of stdout")

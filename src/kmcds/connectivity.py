@@ -11,8 +11,11 @@ max-flows on one network instead of one per node pair; k = 1 is a plain
 search and a node of degree below k is a witness without any flow. The
 literal all-pair loop it replaced is kept in the test suite
 (``tests/brutes.py``) as the reference the kernel is compared against.
-Certificates (:func:`build_certificate`) still check every member pair,
-since each pair carries its own path witness.
+Certificates (:func:`build_certificate`) follow the same schedule and keep
+its paths: a bundle for each pair among the first k members and a fan for
+each later one, C(k, 2) + (s - k) path systems for s members in place of
+one per member pair. :func:`check_certificate` re-checks them without a
+flow; the all-pair certificate they replaced is the test suite's reference.
 
 The subset-enumeration characterizations
 (:func:`check_cut_characterization`, :func:`check_subpartition_characterization`)
@@ -23,11 +26,11 @@ stay deliberately literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibleError
 from .flow import SplitFlowNetwork
-from .graph import Graph
+from .graph import Graph, Instance
 
 
 def local_connectivity(g: Graph, u: int, v: int, cap: int) -> int:
@@ -87,6 +90,26 @@ def _pair_violation(
     return ConnectivityViolation((u, v), tuple(cut), direct, f)
 
 
+def _even_schedule(
+    net: SplitFlowNetwork, nodes: Sequence[int], k: int
+) -> Iterator[tuple[int, int]]:
+    """The (source, sink) pairs of Even's schedule, ``net`` reset before each.
+
+    First the pairs among ``nodes[:k]``, then each later node v_j with the
+    super-source, which is joined to v_1..v_{j-1} by then.
+    """
+    for i in range(k):
+        for j in range(i + 1, k):
+            net.reset()
+            yield nodes[i], nodes[j]
+    for v in nodes[: k - 1]:
+        net.join_source(v)
+    for j in range(k, len(nodes)):
+        net.join_source(nodes[j - 1])
+        net.reset()
+        yield SplitFlowNetwork.SOURCE, nodes[j]
+
+
 def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | None:
     """None when g is k-connected, else a checkable witness.
 
@@ -130,22 +153,16 @@ def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | N
             )
 
     net = SplitFlowNetwork(g)
-    for i in range(k):
-        for j in range(i + 1, k):
-            found = _pair_violation(net, nodes[i], nodes[j], k)
-            if found is not None:
-                return found
-    source = SplitFlowNetwork.SOURCE
-    for v in nodes[: k - 1]:
-        net.join_source(v)
-    for j in range(k, g.n):
-        net.join_source(nodes[j - 1])
-        net.reset()
-        if net.max_flow(source, nodes[j], k) < k:
+    for s, t in _even_schedule(net, nodes, k):
+        f = net.max_flow(s, t, k)
+        if f >= k:
+            continue
+        if s == SplitFlowNetwork.SOURCE:
             # ids ascend with the index, so the least source-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            u = net.source_side(source)[0]
-            return _pair_violation(net, u, nodes[j], k)
+            return _pair_violation(net, net.source_side(s)[0], t, k)
+        cut, direct = net.min_cut_separator(s, t)
+        return ConnectivityViolation((s, t), tuple(cut), direct, f)
     return None
 
 
@@ -308,69 +325,188 @@ def check_subpartition_characterization(g: Graph, k: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """Verifiable evidence that a node set is a (k, m)-cds.
+    """Verifiable evidence that a node set is a (k, m)-cds, on Even's schedule.
 
-    ``domination_counts`` lists, for every node outside the set, how many
-    of its neighbors are members (each must reach m). ``witnesses`` maps
-    each checked member pair to k internally disjoint paths, given as node
-    sequences living inside the induced subgraph.
+    ``members`` lists the set in ascending id order, v_1..v_s.
+    ``domination_counts`` gives, for every node outside the set, how many
+    of its neighbors are members (each must reach m). ``pairs`` maps each
+    of the C(k, 2) pairs (v_a, v_b), a < b <= k, to k internally disjoint
+    v_a-v_b paths. ``fans`` maps each later member v_j, j > k, to k paths
+    that start at v_j, end at k distinct earlier members and share no node
+    but v_j. Paths are node sequences inside the induced subgraph.
+    :func:`check_certificate` says why these suffice. Both maps are empty
+    when the certificate was built without witnesses.
     """
 
     k: int
     m: int
     members: tuple[int, ...]
     domination_counts: Mapping[int, int]
-    witnesses: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+    pairs: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+    fans: Mapping[int, tuple[tuple[int, ...], ...]]
 
 
 def build_certificate(
     g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
 ) -> Certificate:
-    """Certificate for a feasible set; raises if the set is not one."""
+    """Certificate for a feasible set; raises :class:`InfeasibleError` if it is not one.
+
+    With witnesses, one network over G[S] runs the flows of Even's schedule
+    and keeps their paths: each pair among the first k members, then each
+    later member against the super-source joined to every earlier one (a
+    fan is such a flow with the super-source stripped). Without, only the
+    kernel of :func:`find_k_connectivity_violation` runs.
+    """
     inside = sorted(set(members))
     counts = domination_counts(g, inside)
     bad = [v for v, c in counts.items() if c < m]
     if bad:
         raise InfeasibleError(f"node {bad[0]} has only {counts[bad[0]]} member neighbors")
-    sub = g.induced(inside)
     if len(inside) <= k:
         raise InfeasibleError("a k-connected set needs more than k nodes")
-    witnesses: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-    net = SplitFlowNetwork(sub)
-    for i, u in enumerate(inside):
-        for v in inside[i + 1:]:
-            net.reset()
-            f = net.max_flow(u, v, k)
-            if f < k:
-                raise InfeasibleError(f"members {u} and {v} have only {f} disjoint paths")
-            if with_witnesses:
-                witnesses[(u, v)] = tuple(net.extract_paths(u, v))
-    return Certificate(k, m, tuple(inside), counts, witnesses)
-
-
-def certificate_is_sound(cert: Certificate, g: Graph) -> bool:
-    """Re-validate a certificate from scratch against the graph."""
-    inside = frozenset(cert.members)
-    if domination_counts(g, inside) != dict(cert.domination_counts):
-        return False
-    if any(c < cert.m for c in cert.domination_counts.values()):
-        return False
     sub = g.induced(inside)
-    for (u, v), paths in cert.witnesses.items():
-        if len(paths) != cert.k or len(set(paths)) != len(paths):
-            return False
-        interior_seen: set[int] = set()
-        for path in paths:
-            if path[0] != u or path[-1] != v:
-                return False
+    if not with_witnesses:
+        violation = find_k_connectivity_violation(sub, k)
+        if violation is not None:
+            u, v = violation.pair
+            extra = " plus their shared edge" if violation.direct_edge else ""
+            raise InfeasibleError(
+                f"removing members {list(violation.separator)}{extra} "
+                f"separates {u} from {v}"
+            )
+        return Certificate(k, m, tuple(inside), counts, {}, {})
+    net = SplitFlowNetwork(sub)
+    pairs: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    fans: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for s, t in _even_schedule(net, inside, k):
+        f = net.max_flow(s, t, k)
+        fan = s == SplitFlowNetwork.SOURCE
+        if f < k:
+            whom = f"member {t} and the members before it" if fan else f"members {s} and {t}"
+            raise InfeasibleError(f"{whom} have only {f} disjoint paths")
+        if fan:
+            # extracted paths run SOURCE, u, ..., t: drop SOURCE, start at t
+            fans[t] = tuple(p[:0:-1] for p in net.extract_paths(s, t))
+        else:
+            pairs[(s, t)] = tuple(net.extract_paths(s, t))
+    return Certificate(k, m, tuple(inside), counts, pairs, fans)
+
+
+def _path_problems(
+    name: str,
+    paths: tuple[tuple[int, ...], ...],
+    start: int,
+    k: int,
+    sub: Graph,
+) -> list[str]:
+    """Rules every path system shares: k simple paths from ``start`` inside ``sub``."""
+    problems = []
+    if len(paths) != k:
+        problems.append(f"{name}: {len(paths)} paths, need {k}")
+    for path in paths:
+        text = "-".join(map(str, path))
+        if len(path) < 2:
+            problems.append(f"{name}: path {text} has fewer than two nodes")
+        elif path[0] != start:
+            problems.append(f"{name}: path {text} does not start at {start}")
+        elif len(set(path)) != len(path):
+            problems.append(f"{name}: path {text} is not simple")
+        else:
             for a, b in zip(path, path[1:]):
                 if not sub.has_edge(a, b):
-                    return False
-            interior = set(path[1:-1])
-            # a simple path: no repeats, and endpoints only at the ends
-            if len(interior) != len(path) - 2 or interior & {u, v}:
-                return False
-            if interior & interior_seen or not interior <= inside:
-                return False
-            interior_seen |= interior
-    return True
+                    problems.append(f"{name}: path {text} uses edge {a}-{b} outside G[S]")
+                    break
+    return problems
+
+
+def _shared_node_problem(name: str, parts: Iterable[tuple[int, ...]]) -> str | None:
+    seen: set[int] = set()
+    for part in parts:
+        for x in part:
+            if x in seen:
+                return f"{name}: node {x} is on two paths"
+            seen.add(x)
+    return None
+
+
+def check_certificate(instance: Instance, cert: Certificate) -> list[str]:
+    """Every reason ``cert`` fails to prove a (k, m)-cds of ``instance``; [] when sound.
+
+    Runs no flow. It recomputes the domination counts from the graph and
+    checks that k and m are the instance's, that the members are sorted,
+    distinct nodes of the graph and more than k of them, that every pair
+    among v_1..v_k has a bundle and every later member a fan (and nothing
+    else does), that every path is simple with every edge in G[S], that the
+    paths of one system are internally disjoint (a bundle's paths distinct,
+    a fan's sharing nothing but its node), and that a fan's ends are
+    distinct members earlier than its node.
+
+    Why that proves G[S] k-connected (Even's lemma, Even 1975, SIAM J.
+    Comput. 4(3)): suppose X ⊂ S with |X| < k separates G[S]. Let v_a be
+    the first member outside X, C its component of G[S] - X, and v_b the
+    first member outside X ∪ C. If b <= k, each path of the (v_a, v_b)
+    bundle leaves C, so it has an interior node in X, and the k paths
+    have disjoint interiors: |X| >= k. Otherwise v_1..v_{b-1} all lie in
+    X ∪ C, so each of v_b's k fan paths, which runs from outside X ∪ C to
+    its end inside it, meets X at a node other than v_b, and the paths
+    share no such node: again |X| >= k. With |S| > k, no such X exists.
+    """
+    g = instance.graph
+    k, m = instance.k, instance.m
+    problems = []
+    if cert.k != k:
+        problems.append(f"certificate k is {cert.k}, the instance's is {k}")
+    if cert.m != m:
+        problems.append(f"certificate m is {cert.m}, the instance's is {m}")
+    members = tuple(cert.members)
+    missing = [v for v in members if not g.has_node(v)]
+    if missing:
+        return problems + [f"member {missing[0]} is not a node of the graph"]
+    if list(members) != sorted(set(members)):
+        return problems + ["members are not sorted and distinct"]
+    if len(members) <= k:
+        problems.append(f"{len(members)} members cannot be {k}-connected, need more than {k}")
+    counts = domination_counts(g, members)
+    if counts != dict(cert.domination_counts):
+        problems.append("domination counts disagree with the graph")
+    short = [v for v, c in counts.items() if c < m]
+    if short:
+        v = short[0]
+        problems.append(f"node {v} has {counts[v]} member neighbors, need {m}")
+
+    head = members[:k]
+    wanted_pairs = [(u, v) for i, u in enumerate(head) for v in head[i + 1:]]
+    for u, v in wanted_pairs:
+        if (u, v) not in cert.pairs:
+            problems.append(f"no pair bundle for members {u} and {v}")
+    for pair in sorted(set(cert.pairs) - set(wanted_pairs)):
+        problems.append(f"pair bundle for {pair}, which is not a pair of the first k members")
+    uncovered = [v for v in members[k:] if v not in cert.fans]
+    if uncovered:
+        problems.append(f"no fan for members {uncovered}")
+    rank = {v: i for i, v in enumerate(members)}
+    for v in sorted(set(cert.fans) - set(members[k:])):
+        problems.append(f"fan for {v}, which is not a member after the first k")
+
+    sub = g.induced(members)
+    for (u, v), paths in sorted(cert.pairs.items()):
+        name = f"pair {u}-{v}"
+        found = _path_problems(name, paths, u, k, sub)
+        if any(p[-1] != v for p in paths if p):
+            found.append(f"{name}: a path does not end at {v}")
+        if len(set(paths)) != len(paths):
+            found.append(f"{name}: a path appears twice")
+        shared = _shared_node_problem(name, (p[1:-1] for p in paths))
+        problems += found + ([shared] if shared else [])
+    for v, paths in sorted(cert.fans.items()):
+        name = f"fan of {v}"
+        found = _path_problems(name, paths, v, k, sub)
+        ends = [p[-1] for p in paths if p]
+        for end in sorted(set(ends)):
+            if ends.count(end) > 1:
+                found.append(f"{name}: {ends.count(end)} paths end at {end}")
+            if rank.get(end, len(members)) >= rank.get(v, -1):
+                found.append(f"{name}: a path ends at {end}, which is not an earlier member")
+        shared = _shared_node_problem(name, (p[1:] for p in paths))
+        problems += found + ([shared] if shared else [])
+    return problems

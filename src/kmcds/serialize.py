@@ -13,16 +13,18 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable, TYPE_CHECKING
 
+from .connectivity import Certificate
 from .errors import ParseError
 from .graph import Graph, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .connectivity import Certificate
     from .solver import SolutionReport, VerifyResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # instance files
+REPORT_SCHEMA_VERSION = 2  # reports and verify documents: Even-schedule certificates
 INSTANCE_KIND = "kmcds-instance"
 REPORT_KIND = "kmcds-report"
+VERIFY_KIND = "kmcds-verify"
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -166,23 +168,89 @@ def write_instance(path: str, instance: Instance) -> None:
         fh.write(dump_instance(instance))
 
 
-def certificate_to_dict(cert: "Certificate") -> dict:
+def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "k": cert.k,
         "m": cert.m,
         "members": list(cert.members),
         "domination": [[v, c] for v, c in sorted(cert.domination_counts.items())],
-        "witnesses": [
+        "pairs": [
             {"pair": [u, v], "paths": [list(p) for p in paths]}
-            for (u, v), paths in sorted(cert.witnesses.items())
+            for (u, v), paths in sorted(cert.pairs.items())
+        ],
+        "fans": [
+            {"member": v, "paths": [list(p) for p in paths]}
+            for v, paths in sorted(cert.fans.items())
         ],
     }
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ParseError(f"{what} must be a list of integers")
+    return value
+
+
+def _path_systems(doc: dict, field: str, key: str) -> list[tuple[Any, tuple]]:
+    entries = _require(doc, field, (list,))
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict) or key not in entry:
+            raise ParseError(f"each {field} entry must be an object with {key!r}")
+        paths = _require(entry, "paths", (list,))
+        out.append((entry[key], tuple(tuple(_int_list(p, "a path")) for p in paths)))
+    return out
+
+
+def certificate_from_dict(doc: Any) -> Certificate:
+    """Inverse of :func:`certificate_to_dict`; checks shape, not soundness."""
+    if not isinstance(doc, dict):
+        raise ParseError("certificate must be an object")
+    k = _require(doc, "k", (int,))
+    m = _require(doc, "m", (int,))
+    members = _int_list(_require(doc, "members", (list,)), "members")
+    counts: dict[int, int] = {}
+    for entry in _require(doc, "domination", (list,)):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ParseError(f"bad domination entry {entry!r}")
+        v, c = _int_list(entry, "a domination entry")
+        if v in counts:
+            raise ParseError(f"duplicate domination entry for node {v}")
+        counts[v] = c
+    pairs: dict[tuple[int, int], tuple] = {}
+    for pair, paths in _path_systems(doc, "pairs", "pair"):
+        if len(_int_list(pair, "a pair")) != 2:
+            raise ParseError(f"bad pair {pair!r}")
+        if tuple(pair) in pairs:
+            raise ParseError(f"duplicate pair bundle {pair!r}")
+        pairs[tuple(pair)] = paths
+    fans: dict[int, tuple] = {}
+    for v, paths in _path_systems(doc, "fans", "member"):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"bad fan member {v!r}")
+        if v in fans:
+            raise ParseError(f"duplicate fan for member {v}")
+        fans[v] = paths
+    return Certificate(k, m, tuple(members), counts, pairs, fans)
+
+
+def certificate_of_report(doc: Any) -> Certificate:
+    """The certificate carried by a report or verify document."""
+    if not isinstance(doc, dict) or doc.get("kind") not in (REPORT_KIND, VERIFY_KIND):
+        raise ParseError(f"kind must be {REPORT_KIND!r} or {VERIFY_KIND!r}")
+    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    if doc.get("certificate") is None:
+        raise ParseError("the document carries no certificate")
+    return certificate_from_dict(doc["certificate"])
 
 
 def report_to_dict(report: "SolutionReport", include_timings: bool = False) -> dict:
     doc: dict[str, Any] = {
         "kind": REPORT_KIND,
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "variant": report.variant,
         "config": report.config.to_dict(),
         "instance": {
@@ -232,8 +300,8 @@ def verify_result_to_dict(result: "VerifyResult", members: Iterable[int]) -> dic
             "too_small": v.too_small,
         }
     return {
-        "kind": "kmcds-verify",
-        "schema_version": SCHEMA_VERSION,
+        "kind": VERIFY_KIND,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "members": sorted(members),
         "feasible": result.feasible,
         "domination_ok": result.domination_ok,

@@ -8,7 +8,9 @@ The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
    paths (node-weighted flows in general, edge-cost flows on disk graphs);
 4. inclusion-minimal virtual forest J on R making G[T∪S] k-connected;
 5. k disjoint paths bought for each virtual edge;
-6. union, optional inclusion pruning, verification, certificate.
+6. union, optional inclusion pruning, then the certificate on Even's
+   schedule, whose construction is the final check: a set it refuses
+   raises :class:`InvariantViolationError`.
 
 Feasibility for m >= k: a (k, m)-cds exists iff the graph itself is
 k-connected, so a precheck rejects everything else with a witness.
@@ -322,11 +324,16 @@ def _final_prune(
             return dropped
 
 
-def _check_final(instance: Instance, members: set[int]) -> None:
-    if not is_m_dominating(instance.graph, members, instance.m).ok:
-        raise InvariantViolationError("final set lost m-domination")
-    if not is_k_connected(instance.graph.induced(members), instance.k):
-        raise InvariantViolationError("final set is not k-connected")
+def _certify_final(
+    instance: Instance, members: set[int], config: SolverConfig
+) -> Certificate:
+    """The final check: a set the certificate builder refuses is a solver bug."""
+    try:
+        return build_certificate(
+            instance.graph, members, instance.k, instance.m, config.collect_witnesses
+        )
+    except InfeasibleError as exc:
+        raise InvariantViolationError(f"final set is not a (k, m)-cds: {exc}") from None
 
 
 def _solve_pipeline(
@@ -368,8 +375,7 @@ def _solve_pipeline(
     times["prune"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _check_final(instance, members)
-    certificate = build_certificate(g, members, k, m, config.collect_witnesses)
+    certificate = _certify_final(instance, members, config)
     times["verify"] = time.perf_counter() - t0
     times["total"] = time.perf_counter() - t_start
 
@@ -565,8 +571,7 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     times["prune"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _check_final(instance, members)
-    certificate = build_certificate(g, members, k, m, config.collect_witnesses)
+    certificate = _certify_final(instance, members, config)
     times["verify"] = time.perf_counter() - t0
     times["total"] = time.perf_counter() - t_start
 

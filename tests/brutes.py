@@ -5,7 +5,9 @@ definitions, sharing no code with the flow machinery under test. Sizes
 must stay tiny (n around 10). The exceptions are literal slow routes
 the package replaced, kept as the references its fast routes are compared
 against: the all-pair k-connectivity loop (one max-flow per node pair)
-that the Even-schedule kernel replaced, the rooted stage and guess-root
+that the Even-schedule kernel replaced, the all-pair certificate (k paths
+per member pair) and its checker that the Even-schedule certificate
+replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
 feasibility check, in place of one masked network per solve, and the
 all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced.
@@ -13,11 +15,19 @@ all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from kmcds import ConnectivityViolation, Graph, GuaranteeInfo, Instance, RootedProblem
+from kmcds import (
+    ConnectivityViolation,
+    Graph,
+    GuaranteeInfo,
+    Instance,
+    RootedProblem,
+    domination_counts,
+)
 from kmcds._enum import iter_subsets_by_weight
 from kmcds.errors import InfeasibleError
 from kmcds.flow import SplitFlowNetwork, node_cost_map
@@ -160,6 +170,76 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
             cut, direct = net.min_cut_separator(u, v)
             return ConnectivityViolation((u, v), tuple(cut), direct, f)
     return None
+
+
+@dataclass(frozen=True, slots=True)
+class AllPairCertificate:
+    """Verifiable evidence that a node set is a (k, m)-cds.
+
+    ``domination_counts`` lists, for every node outside the set, how many
+    of its neighbors are members (each must reach m). ``witnesses`` maps
+    each checked member pair to k internally disjoint paths, given as node
+    sequences living inside the induced subgraph.
+    """
+
+    k: int
+    m: int
+    members: tuple[int, ...]
+    domination_counts: Mapping[int, int]
+    witnesses: Mapping[tuple[int, int], tuple[tuple[int, ...], ...]]
+
+
+def allpair_build_certificate(
+    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
+) -> AllPairCertificate:
+    """Certificate for a feasible set; raises if the set is not one."""
+    inside = sorted(set(members))
+    counts = domination_counts(g, inside)
+    bad = [v for v, c in counts.items() if c < m]
+    if bad:
+        raise InfeasibleError(f"node {bad[0]} has only {counts[bad[0]]} member neighbors")
+    sub = g.induced(inside)
+    if len(inside) <= k:
+        raise InfeasibleError("a k-connected set needs more than k nodes")
+    witnesses: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    net = SplitFlowNetwork(sub)
+    for i, u in enumerate(inside):
+        for v in inside[i + 1:]:
+            net.reset()
+            f = net.max_flow(u, v, k)
+            if f < k:
+                raise InfeasibleError(f"members {u} and {v} have only {f} disjoint paths")
+            if with_witnesses:
+                witnesses[(u, v)] = tuple(net.extract_paths(u, v))
+    return AllPairCertificate(k, m, tuple(inside), counts, witnesses)
+
+
+def allpair_certificate_is_sound(cert: AllPairCertificate, g: Graph) -> bool:
+    """Re-validate a certificate from scratch against the graph."""
+    inside = frozenset(cert.members)
+    if domination_counts(g, inside) != dict(cert.domination_counts):
+        return False
+    if any(c < cert.m for c in cert.domination_counts.values()):
+        return False
+    sub = g.induced(inside)
+    for (u, v), paths in cert.witnesses.items():
+        if len(paths) != cert.k or len(set(paths)) != len(paths):
+            return False
+        interior_seen: set[int] = set()
+        for path in paths:
+            if path[0] != u or path[-1] != v:
+                return False
+            for a, b in zip(path, path[1:]):
+                if not sub.has_edge(a, b):
+                    return False
+            interior = set(path[1:-1])
+            # a simple path: no repeats, and endpoints only at the ends
+            if len(interior) != len(path) - 2 or interior & {u, v}:
+                return False
+            if interior & interior_seen or not interior <= inside:
+                return False
+            interior_seen |= interior
+    return True
 
 
 def induced_find_infeasible_terminal(problem: RootedProblem, selected: Iterable[int]) -> int | None:

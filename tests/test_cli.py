@@ -7,10 +7,12 @@ import re
 
 import pytest
 
+import kmcds.solver as solver_mod
 from kmcds import Instance, dump_instance
 from kmcds.cli import main
 
 from brutes import brute_pair_connectivity
+from toolbox import breaking_prune, cycle_graph, inst
 
 
 def _run(capsys, *argv):
@@ -48,6 +50,73 @@ def test_verify_flags_missing_domination(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["feasible"] is False
     assert [v for v, _ in doc["domination_violations"]] == [0, 1, 2, 3, 4]
+
+
+def test_verify_checks_the_certificate_in_a_report(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    report = tmp_path / "report.json"
+    _run(
+        capsys, "gen", "--kind", "gnp", "--n", "12", "--p", "0.6",
+        "--seed", "5", "--k", "2", "--m", "2", "-o", str(inst_path),
+    )
+    assert _run(capsys, "solve", str(inst_path), "-o", str(report))[0] == 0
+    code, out, _ = _run(capsys, "verify", str(inst_path), "--certificate", str(report))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sound"] is True and doc["problems"] == []
+
+    # a tampered file: one fan path dropped
+    tampered = json.loads(report.read_text())
+    fan = tampered["certificate"]["fans"][0]
+    fan["paths"].pop()
+    report.write_text(json.dumps(tampered))
+    code, out, _ = _run(capsys, "verify", str(inst_path), "--certificate", str(report))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["sound"] is False
+    assert f"fan of {fan['member']}: 1 paths, need 2" in doc["problems"]
+
+    # a report without witnesses proves nothing by itself
+    assert _run(capsys, "solve", str(inst_path), "--no-witnesses", "-o", str(report))[0] == 0
+    code, out, _ = _run(capsys, "verify", str(inst_path), "--certificate", str(report))
+    assert code == 2
+    assert json.loads(out)["problems"][0].startswith("no pair bundle")
+
+    # malformed certificates and documents are errors
+    for broken in (
+        {**tampered, "certificate": {**tampered["certificate"], "fans": {}}},
+        {**tampered, "schema_version": 1},
+        {**tampered, "certificate": None},
+    ):
+        report.write_text(json.dumps(broken))
+        code, _, err = _run(capsys, "verify", str(inst_path), "--certificate", str(report))
+        assert code == 1 and err.startswith("error: ")
+    report.write_text("{")
+    code, _, err = _run(capsys, "verify", str(inst_path), "--certificate", str(report))
+    assert code == 1 and "line 1" in err
+
+
+def test_verify_needs_one_node_set_source(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(inst(cycle_graph(5), 1, 1)))
+    for extra, message in (
+        ([], "one of the arguments"),
+        (["--members", "0,1", "--certificate", "x.json"], "not allowed with"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(inst_path), *extra])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_solve_exits_one_on_a_bad_final_set(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "c6.json"
+    inst_path.write_text(dump_instance(inst(cycle_graph(6), 2, 2)))
+    monkeypatch.setattr(solver_mod, "_final_prune", breaking_prune)
+    for variant in ("general", "guess-root"):
+        code, out, err = _run(capsys, "solve", str(inst_path), "--variant", variant)
+        assert code == 1 and out == ""
+        assert err.startswith("error: final set is not a (k, m)-cds")
 
 
 def test_solve_reports_infeasible(tmp_path, capsys):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmcds import (
+    Certificate,
     ConnectivityViolation,
     Graph,
     attach_root,
     build_certificate,
-    certificate_is_sound,
+    check_certificate,
     check_cut_characterization,
     check_subpartition_characterization,
     find_k_connectivity_violation,
@@ -28,6 +29,9 @@ from kmcds.connectivity import find_root_connectivity_violation
 from kmcds.errors import InfeasibleError
 
 from brutes import (
+    AllPairCertificate,
+    allpair_build_certificate,
+    allpair_certificate_is_sound,
     allpair_find_k_connectivity_violation,
     allpair_is_k_connected,
     brute_is_k_connected,
@@ -36,6 +40,7 @@ from brutes import (
 from toolbox import (
     complete_graph,
     cycle_graph,
+    inst,
     path_graph,
     petersen,
     random_graph,
@@ -268,9 +273,10 @@ def test_subpartition_agrees_with_is_k_connected(seed, k):
 
 
 def test_certificate_round_trip_and_tamper_detection():
+    # the all-pair reference certificate: k paths for each of C(10, 2) pairs
     g = petersen()
-    cert = build_certificate(g, g.nodes, 3, 3)
-    assert certificate_is_sound(cert, g)
+    cert = allpair_build_certificate(g, g.nodes, 3, 3)
+    assert allpair_certificate_is_sound(cert, g)
     assert cert.domination_counts == {}
     assert len(cert.witnesses) == 45
 
@@ -278,10 +284,8 @@ def test_certificate_round_trip_and_tamper_detection():
     (pair, paths), *_ = list(cert.witnesses.items())
     broken = dict(cert.witnesses)
     broken[pair] = paths[:-1] + ((paths[-1][0], paths[-1][-1]),)
-    from kmcds import Certificate
-
-    bad = Certificate(cert.k, cert.m, cert.members, cert.domination_counts, broken)
-    assert not certificate_is_sound(bad, g)
+    bad = AllPairCertificate(cert.k, cert.m, cert.members, cert.domination_counts, broken)
+    assert not allpair_certificate_is_sound(bad, g)
 
 
 def test_certificate_refuses_infeasible_sets():
@@ -293,6 +297,168 @@ def test_certificate_refuses_infeasible_sets():
 
 
 def test_certificate_without_witnesses():
+    # the kernel alone decides; the empty certificate proves nothing by itself
     cert = build_certificate(cycle_graph(5), [0, 1, 2], 1, 1, with_witnesses=False)
-    assert cert.witnesses == {}
-    assert certificate_is_sound(cert, cycle_graph(5))
+    assert cert.pairs == {} and cert.fans == {}
+    assert check_certificate(inst(cycle_graph(5), 1, 1), cert) == [
+        "no fan for members [1, 2]"
+    ]
+    with pytest.raises(InfeasibleError, match="separates 0 from 2"):
+        build_certificate(cycle_graph(5), [0, 1, 2], 2, 1, with_witnesses=False)
+
+
+def test_petersen_certificate_is_on_even_schedule():
+    g = petersen()
+    cert = build_certificate(g, g.nodes, 3, 3)
+    assert sorted(cert.pairs) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(cert.fans) == [3, 4, 5, 6, 7, 8, 9]
+    for v, paths in cert.fans.items():
+        assert all(p[0] == v and p[-1] < v for p in paths)
+    assert check_certificate(inst(g, 3, 3), cert) == []
+
+
+def _certificate_case(rng: random.Random, k: int, shape: str):
+    """An instance on at most 12 nodes and a member set with non-contiguous ids.
+
+    Members are a random sample of the nodes; outside nodes see most
+    members, so m-domination often holds and connectivity decides.
+    """
+    n = rng.randint(1, 12) if rng.random() < 0.2 else rng.randint(k + 2, 12)
+    members = sorted(rng.sample(range(n), rng.randint(max(1, n - 4), n)))
+    outside = [v for v in range(n) if v not in members]
+    p = rng.choice((0.5, 0.8, 0.95, 1.0))
+    inner = [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+    if shape == "glued" and len(members) > 1:
+        # two blocks joined by fewer than k cross edges
+        left = set(members[: len(members) // 2])
+        cross = [(u, v) for u, v in inner if (u in left) != (v in left)]
+        inner = [e for e in inner if e not in cross] + rng.sample(
+            cross, min(len(cross), rng.randint(0, k - 1))
+        )
+        p = 1.0
+    edges = [e for e in inner if rng.random() < p]
+    if shape == "low-degree" and members:
+        v = rng.choice(members)
+        touching = [e for e in edges if v in e]
+        keep = set(rng.sample(touching, min(len(touching), rng.randint(0, k - 1))))
+        edges = [e for e in edges if v not in e or e in keep]
+    edges += [(min(u, w), max(u, w)) for u in outside for w in members if rng.random() < 0.97]
+    return inst(Graph(range(n), edges), k, k), members
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from(("random", "glued", "low-degree")),
+)
+def test_fan_certificate_matches_allpair_reference(seed, k, shape):
+    instance, members = _certificate_case(random.Random(seed), k, shape)
+    g, m = instance.graph, instance.m
+
+    def built(builder, *extra):
+        try:
+            return builder(g, members, k, m, *extra)
+        except InfeasibleError:
+            return None
+
+    reference = built(allpair_build_certificate)
+    cert = built(build_certificate)
+    assert (cert is None) == (reference is None)
+    assert (built(build_certificate, False) is None) == (reference is None)
+    if cert is None:
+        return
+    assert check_certificate(instance, cert) == []
+    assert len(cert.pairs) == k * (k - 1) // 2
+    assert len(cert.fans) == len(members) - k
+    # dropping any one path is caught
+    for v, paths in cert.fans.items():
+        fewer = Certificate(k, m, cert.members, cert.domination_counts, cert.pairs,
+                            {**cert.fans, v: paths[1:]})
+        assert f"fan of {v}: {k - 1} paths, need {k}" in check_certificate(instance, fewer)
+
+
+def _k6_case():
+    """K6 on nodes 1..6 plus node 0, adjacent to all of them, outside the set.
+
+    Every sequence of distinct nodes in 1..6 is a path of G[S], so a tamper
+    breaks exactly the rule it aims at.
+    """
+    members = range(1, 7)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    instance = inst(Graph(range(7), edges), 3, 3)
+    return instance, build_certificate(instance.graph, members, 3, 3)
+
+
+def _with(cert: Certificate, pairs=None, fans=None, members=None) -> Certificate:
+    return Certificate(
+        cert.k, cert.m, cert.members if members is None else members,
+        cert.domination_counts, {**cert.pairs, **(pairs or {})}, {**cert.fans, **(fans or {})},
+    )
+
+
+_TAMPERS = {
+    # name: (tamper, a problem the checker must name)
+    "a path dropped": (
+        lambda c: _with(c, fans={6: c.fans[6][:2]}),
+        "fan of 6: 2 paths, need 3",
+    ),
+    "an interior node reused": (
+        lambda c: _with(c, pairs={(1, 2): ((1, 2), (1, 3, 2), (1, 4, 3, 2))}),
+        "pair 1-2: node 3 is on two paths",
+    ),
+    "two fan paths through one node": (
+        lambda c: _with(c, fans={6: ((6, 1), (6, 3, 2), (6, 3, 4))}),
+        "fan of 6: node 3 is on two paths",
+    ),
+    "two fan paths ending at one node": (
+        lambda c: _with(c, fans={6: ((6, 1), (6, 2), (6, 5, 2))}),
+        "fan of 6: 2 paths end at 2",
+    ),
+    "a fan ending at a later member": (
+        lambda c: _with(c, fans={4: ((4, 1), (4, 2), (4, 5))}),
+        "fan of 4: a path ends at 5, which is not an earlier member",
+    ),
+    "an edge outside G[S]": (
+        lambda c: _with(c, fans={6: ((6, 1), (6, 2), (6, 0, 3))}),
+        "fan of 6: path 6-0-3 uses edge 6-0 outside G[S]",
+    ),
+    "a member missing from the order": (
+        lambda c: _with(c, members=(1, 2, 3, 4, 6)),
+        "fan for 5, which is not a member after the first k",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERS))
+def test_checker_rejects_each_tamper(name):
+    instance, cert = _k6_case()
+    assert check_certificate(instance, cert) == []
+    tamper, problem = _TAMPERS[name]
+    assert problem in check_certificate(instance, tamper(cert))
+
+
+def test_checker_closes_the_soundness_gaps():
+    # the path 0-1-2 with k = 2 and no witnesses at all
+    path = inst(path_graph(3), 2, 2)
+    empty = Certificate(2, 2, (0, 1, 2), {}, {}, {})
+    assert check_certificate(path, empty) == [
+        "no pair bundle for members 0 and 1",
+        "no fan for members [2]",
+    ]
+    g = complete_graph(5)
+    cert = build_certificate(g, g.nodes, 2, 2)
+    assert check_certificate(inst(g, 2, 2), cert) == []
+    # k and m must be the instance's
+    assert "certificate k is 2, the instance's is 3" in check_certificate(inst(g, 3, 3), cert)
+    assert "certificate m is 2, the instance's is 3" in check_certificate(inst(g, 2, 3), cert)
+    # |S| <= k
+    small = Certificate(2, 2, (0, 1), {2: 2, 3: 2, 4: 2}, {(0, 1): ((0, 1),)}, {})
+    assert "2 members cannot be 2-connected, need more than 2" in check_certificate(
+        inst(g, 2, 2), small
+    )
+    # a member id the graph does not have
+    ghost = Certificate(2, 2, (0, 1, 2, 3, 4, 99), {}, cert.pairs, cert.fans)
+    assert check_certificate(inst(g, 2, 2), ghost) == [
+        "member 99 is not a node of the graph"
+    ]

@@ -17,9 +17,14 @@ from kmcds import (
     verify_solution,
 )
 from kmcds.errors import ParseError
-from kmcds.serialize import verify_result_to_dict
+from kmcds.serialize import (
+    certificate_from_dict,
+    certificate_of_report,
+    certificate_to_dict,
+    verify_result_to_dict,
+)
 
-from toolbox import cycle_graph, inst
+from toolbox import cycle_graph, inst, petersen
 
 
 def _doc(**overrides):
@@ -138,7 +143,7 @@ def test_report_document_shape():
     report = solve_general(instance)
     doc = json.loads(dump_report(report))
     assert doc["kind"] == "kmcds-report"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["sets"]["solution"] == [0, 1, 2, 3, 4]
     assert doc["weights"]["total"] == 5
     assert doc["instance"] == {
@@ -164,3 +169,52 @@ def test_verify_document_shape():
     assert bad["feasible"] is False
     assert bad["connectivity_violation"]["separator"] == []
     assert bad["certificate"] is None
+
+
+def test_certificate_round_trip():
+    instance = inst(petersen(), 3, 3)
+    report = solve_general(instance)
+    doc = json.loads(dump_report(report))
+    assert [e["pair"] for e in doc["certificate"]["pairs"]] == [[0, 1], [0, 2], [1, 2]]
+    assert [e["member"] for e in doc["certificate"]["fans"]] == list(range(3, 10))
+    assert certificate_from_dict(doc["certificate"]) == report.certificate
+    assert certificate_of_report(doc) == report.certificate
+    verify_doc = json.loads(json.dumps(
+        verify_result_to_dict(verify_solution(instance, report.solution), report.solution)
+    ))
+    assert verify_doc["schema_version"] == 2
+    assert certificate_of_report(verify_doc) == report.certificate
+
+
+def test_malformed_certificates_are_rejected():
+    report = solve_general(inst(petersen(), 3, 3))
+    good = certificate_to_dict(report.certificate)
+
+    def cert(**overrides):
+        return {**good, **overrides}
+
+    cases = [
+        ([], "object"),
+        (cert(k="3"), "wrong type"),
+        (cert(members=[0, "1"]), "list of integers"),
+        (cert(domination=[[0]]), "domination entry"),
+        (cert(domination=[[0, 1], [0, 2]]), "duplicate domination"),
+        (cert(pairs={}), "wrong type"),
+        (cert(pairs=[{"paths": []}]), "'pair'"),
+        (cert(pairs=[{"pair": [0, 1, 2], "paths": []}]), "bad pair"),
+        (cert(pairs=good["pairs"] + good["pairs"][:1]), "duplicate pair"),
+        (cert(fans=[{"member": 3, "paths": [[3, "x"]]}]), "a path"),
+        (cert(fans=[{"member": True, "paths": []}]), "bad fan member"),
+        (cert(fans=good["fans"] + good["fans"][:1]), "duplicate fan"),
+    ]
+    for doc, fragment in cases:
+        with pytest.raises(ParseError, match=fragment):
+            certificate_from_dict(doc)
+    report_doc = json.loads(dump_report(report))
+    for doc, fragment in [
+        ({**report_doc, "kind": "kmcds-instance"}, "kind"),
+        ({**report_doc, "schema_version": 1}, "schema_version"),
+        ({**report_doc, "certificate": None}, "no certificate"),
+    ]:
+        with pytest.raises(ParseError, match=fragment):
+            certificate_of_report(doc)

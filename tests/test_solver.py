@@ -13,7 +13,7 @@ from kmcds import (
     Instance,
     RootedProblem,
     SolverConfig,
-    certificate_is_sound,
+    check_certificate,
     dump_report,
     opt_kmcds,
     precheck,
@@ -24,10 +24,10 @@ from kmcds import (
     verify_solution,
 )
 from kmcds.domset import greedy_mds
-from kmcds.errors import InfeasibleError
+from kmcds.errors import InfeasibleError, InvariantViolationError
 
 from brutes import induced_best_guess
-from toolbox import complete_graph, cycle_graph, inst, petersen, random_graph
+from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
 
 
 def _guess_root_instances(count, n_range, k_values):
@@ -48,7 +48,7 @@ def _guess_root_instances(count, n_range, k_values):
 def _verified(instance, report):
     res = verify_solution(instance, report.solution)
     assert res.feasible
-    assert certificate_is_sound(res.certificate, instance.graph)
+    assert check_certificate(instance, res.certificate) == []
     return res
 
 
@@ -282,7 +282,16 @@ def test_witnesses_can_be_skipped():
     instance = inst(cycle_graph(5), 2, 2)
     report = solve_general(instance, SolverConfig(collect_witnesses=False))
     assert report.certificate is not None
-    assert report.certificate.witnesses == {}
+    assert report.certificate.pairs == {} and report.certificate.fans == {}
+
+
+@pytest.mark.parametrize("solve", [solve_general, solve_guess_root])
+def test_a_bad_final_set_is_an_invariant_violation(monkeypatch, solve):
+    instance = inst(cycle_graph(6), 2, 2)
+    assert check_certificate(instance, solve(instance).certificate) == []
+    monkeypatch.setattr(solver_mod, "_final_prune", breaking_prune)
+    with pytest.raises(InvariantViolationError, match="not a \\(k, m\\)-cds"):
+        solve(instance)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from kmcds import Graph, Instance
+from kmcds import Graph, Instance, is_k_connected, is_m_dominating
 
 
 def path_graph(n: int, weights=None) -> Graph:
@@ -89,3 +89,16 @@ def coprime_disk_points(n: int, seed: int = 0) -> list[tuple[Fraction, Fraction]
          Fraction(rng.randrange(1, ps[2 * i + 1]), ps[2 * i + 1]))
         for i in range(n)
     ]
+
+
+def breaking_prune(instance, members, protected):
+    """A faulty final prune: drops a node whose loss breaks k-connectivity only."""
+    g = instance.graph
+    for v in sorted(members):
+        trial = members - {v}
+        if is_m_dominating(g, trial, instance.m).ok and not is_k_connected(
+            g.induced(trial), instance.k
+        ):
+            members.discard(v)
+            return [v]
+    raise AssertionError("every node is either needed for domination or removable")
