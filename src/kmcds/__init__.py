@@ -42,7 +42,6 @@ from .rooted import (
     RootedProblem,
     exact_backend,
     flow_union_backend,
-    solve_rooted_edgecost,
     solve_rooted_nodeweight,
 )
 from .serialize import (
@@ -117,7 +116,6 @@ __all__ = [
     "read_instance",
     "solve_general",
     "solve_guess_root",
-    "solve_rooted_edgecost",
     "solve_rooted_nodeweight",
     "solve_unit_disk",
     "verify_solution",

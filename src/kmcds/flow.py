@@ -3,8 +3,8 @@
 Every graph node v becomes an arc v_in -> v_out of capacity one, every
 undirected edge uv becomes the two arcs u_out -> v_in and v_out -> u_in of
 capacity one, so an integral s-t flow of value f decomposes into f paths of
-the underlying graph that share no interior node. Costs sit either on the
-node arcs (node-weighted mode) or on the edge arcs (edge-cost mode).
+the underlying graph that share no interior node. Costs sit on the node
+arcs; edge arcs cost nothing.
 
 Queries run from s_out to t_in. Augmenting paths are simple, so they never
 traverse the internal arc of s or t; the endpoints are effectively
@@ -52,12 +52,7 @@ class SplitFlowNetwork:
         "_seen", "_token", "_parent",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        node_cost: Mapping[int, int] | None = None,
-        edge_cost: Mapping[tuple[int, int], int] | None = None,
-    ) -> None:
+    def __init__(self, graph: Graph, node_cost: Mapping[int, int] | None = None) -> None:
         self.graph = graph
         self.ids = graph.nodes
         self.slot = {v: i for i, v in enumerate(self.ids)}
@@ -83,13 +78,11 @@ class SplitFlowNetwork:
             s = self.slot[v]
             self._internal_arc[v] = add_arc(2 * s, 2 * s + 1, node_cost.get(v, 0), 1)
 
-        edge_cost = edge_cost or {}
         self._edge_arcs = {}
         for u, v in graph.edges:
-            c = edge_cost.get((u, v), 0)
             su, sv = self.slot[u], self.slot[v]
-            a1 = add_arc(2 * su + 1, 2 * sv, c, 1)
-            a2 = add_arc(2 * sv + 1, 2 * su, c, 1)
+            a1 = add_arc(2 * su + 1, 2 * sv, 0, 1)
+            a2 = add_arc(2 * sv + 1, 2 * su, 0, 1)
             self._edge_arcs[(u, v)] = (a1, a2)
 
         self._to = to
@@ -145,12 +138,6 @@ class SplitFlowNetwork:
         a = self._internal_arc[v]
         self._cost[a] = c
         self._cost[a + 1] = -c
-
-    def set_edge_cost(self, u: int, v: int, c: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        for a in self._edge_arcs[e]:
-            self._cost[a] = c
-            self._cost[a + 1] = -c
 
     def _apply_path(self, t_in: int, s_out: int) -> None:
         res = self._res
@@ -240,14 +227,6 @@ class SplitFlowNetwork:
         """Node ids whose internal arc is used by the current flow."""
         res, cap0 = self._res, self._cap0
         return [v for v, a in self._internal_arc.items() if res[a] < cap0[a]]
-
-    def edges_carrying_flow(self) -> list[tuple[int, int]]:
-        res, cap0 = self._res, self._cap0
-        out = []
-        for e, (a1, a2) in self._edge_arcs.items():
-            if res[a1] < cap0[a1] or res[a2] < cap0[a2]:
-                out.append(e)
-        return out
 
     def extract_paths(self, s: int, t: int) -> list[tuple[int, ...]]:
         """Decompose the current flow into s-t node paths (consumes it)."""
@@ -343,11 +322,3 @@ def node_cost_map(g: Graph, free: Iterable[int]) -> dict[int, int]:
     free_set = frozenset(free)
     return {v: (0 if v in free_set else g.weights[v]) for v in g.nodes}
 
-
-def edge_cost_map(g: Graph, priced: Iterable[int]) -> dict[tuple[int, int], int]:
-    """Edge costs w_u + w_v counting only endpoints in ``priced``."""
-    p = frozenset(priced)
-    return {
-        (u, v): (g.weights[u] if u in p else 0) + (g.weights[v] if v in p else 0)
-        for u, v in g.edges
-    }

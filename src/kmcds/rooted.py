@@ -24,11 +24,11 @@ without it, so every verdict is the one a full check would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._enum import iter_subsets_by_weight
 from .errors import InfeasibleError
-from .flow import SplitFlowNetwork, edge_cost_map
+from .flow import SplitFlowNetwork
 from .graph import Graph
 
 _EXACT_POOL_CAP = 20
@@ -235,45 +235,3 @@ def solve_rooted_nodeweight(
     net = _network(problem, net)
     return prune_selection(problem, select(problem, net), net), info
 
-
-def solve_rooted_edgecost(
-    problem: RootedProblem,
-    edge_costs: Mapping[tuple[int, int], int] | None = None,
-) -> tuple[frozenset[int], GuaranteeInfo]:
-    """Flow-union variant pricing edges at the weight of priced endpoints.
-
-    Default costs are w_u + w_v restricted to pool endpoints; nodes joining
-    the selection stop contributing to the edges around them.
-    """
-    g = problem.graph_r
-    pool = frozenset(problem.pool)
-    if edge_costs is None:
-        edge_costs = edge_cost_map(g, pool)
-    net = SplitFlowNetwork(g, edge_cost=dict(edge_costs))
-    selected: set[int] = set()
-
-    def _refresh_costs_around(v: int) -> None:
-        priced = pool - selected
-        for w in g.adj[v]:
-            e = (v, w) if v < w else (w, v)
-            c = (g.weights[e[0]] if e[0] in priced else 0) + (
-                g.weights[e[1]] if e[1] in priced else 0
-            )
-            net.set_edge_cost(*e, c)
-
-    for t in _terminal_order(problem):
-        net.reset()
-        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
-        if units < problem.k:
-            raise InfeasibleError(
-                f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"
-            )
-        touched: set[int] = set()
-        for u, v in net.edges_carrying_flow():
-            touched.update((u, v))
-        for v in sorted(touched):
-            if v in pool and v not in selected:
-                selected.add(v)
-                _refresh_costs_around(v)
-    info = GuaranteeInfo("flow-union-edgecost", "2|T|", 2 * len(problem.terminals))
-    return prune_selection(problem, frozenset(selected), net), info

@@ -5,12 +5,17 @@ The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
 1. greedy m-dominating set T (padded with minimum-weight nodes to |T| >= k);
 2. virtual zero-weight root attached to k terminals R;
 3. rooted augmentation buying S so every terminal keeps k disjoint root
-   paths (node-weighted flows in general, edge-cost flows on disk graphs);
+   paths (node-weighted min-cost flows, or exhaustive search under the
+   exact backend);
 4. inclusion-minimal virtual forest J on R making G[T∪S] k-connected;
 5. k disjoint paths bought for each virtual edge;
 6. union, optional inclusion pruning, then the certificate on Even's
    schedule, whose construction is the final check: a set it refuses
    raises :class:`InvariantViolationError`.
+
+:func:`solve_unit_disk` is this pipeline under the ``unit-disk`` label: it
+requires geometry and adds the cited edge-cost conversion factors to the
+report, and computes nothing else differently.
 
 Feasibility for m >= k: a (k, m)-cds exists iff the graph itself is
 k-connected, so a precheck rejects everything else with a witness.
@@ -22,6 +27,9 @@ best candidate; the k-in-connected outcome with a degree-k root is already
 k-connected, so no forest stage is needed. A candidate whose neighbour
 lower bound (see :func:`_neighbour_bound`) cannot beat the best weight so
 far is skipped before any flow runs, which never changes the answer.
+
+Both pipelines hand their stage sets to :func:`_build_report`, which runs
+step 6 and assembles the report.
 """
 
 from __future__ import annotations
@@ -45,12 +53,7 @@ from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph, Instance, attach_root, degree_stats
-from .rooted import (
-    GuaranteeInfo,
-    RootedProblem,
-    solve_rooted_edgecost,
-    solve_rooted_nodeweight,
-)
+from .rooted import GuaranteeInfo, RootedProblem, solve_rooted_nodeweight
 
 ATTACHMENT_RULES = ("min-weight", "enumerate")
 VARIANTS = ("general", "unit-disk", "guess-root")
@@ -60,7 +63,8 @@ VARIANTS = ("general", "unit-disk", "guess-root")
 class SolverConfig:
     """Knobs that change solver behavior (all deterministic).
 
-    ``backend`` picks the rooted stage ("flow-union" or "exact");
+    ``backend`` picks the rooted stage ("flow-union" or "exact") of every
+    variant, unit-disk included;
     ``attachment_rule`` picks R ("min-weight" or "enumerate" over all
     C(|T|, k) choices while |T| <= attachment_enum_cap, falling back to
     min-weight above it); ``final_prune`` drops removable non-dominating
@@ -161,13 +165,20 @@ def verify_solution(
             raise ValueError(f"node {v} not in instance")
     counts = domination_counts(g, inside)
     dom_bad = {v: c for v, c in counts.items() if c < instance.m}
-    conn_violation = find_k_connectivity_violation(g.induced(inside), instance.k)
-    feasible = not dom_bad and conn_violation is None
-    cert = None
-    if feasible:
-        cert = build_certificate(g, inside, instance.k, instance.m, with_witnesses)
+    cert = conn_violation = None
+    # the certificate runs the connectivity kernel's schedule itself, so the
+    # kernel runs again only for the witness of a set it refuses
+    if not dom_bad:
+        try:
+            cert = build_certificate(g, inside, instance.k, instance.m, with_witnesses)
+        except InfeasibleError:
+            conn_violation = find_k_connectivity_violation(g.induced(inside), instance.k)
+            if conn_violation is None:
+                raise
+    else:
+        conn_violation = find_k_connectivity_violation(g.induced(inside), instance.k)
     return VerifyResult(
-        feasible, not dom_bad, dom_bad, conn_violation is None, conn_violation, cert
+        cert is not None, not dom_bad, dom_bad, conn_violation is None, conn_violation, cert
     )
 
 
@@ -214,7 +225,7 @@ def _attachment_candidates(
     return [tuple(c) for c in combinations(sorted(terminals), k)], False
 
 
-def _cited_targets(edge_mode: bool) -> dict[str, str]:
+def _cited_targets(variant: str) -> dict[str, str]:
     targets = {
         "rooted_node_weighted": (
             "an O(k^2 log n) factor is known for the rooted node-weighted "
@@ -225,7 +236,7 @@ def _cited_targets(edge_mode: bool) -> dict[str, str]:
             "cheapest purchase (the flow may in fact be exact; only 2 is claimed)"
         ),
     }
-    if edge_mode:
+    if variant == "unit-disk":
         targets["rooted_edge_costs"] = (
             "O(k log k) edge-cost factors are known for the rooted subproblem "
             "(2 when k=2, 20/3 when k=3); this package uses the 2|T| flow union"
@@ -256,7 +267,6 @@ def _run_attempt(
     terminals: frozenset[int],
     attachment: tuple[int, ...],
     config: SolverConfig,
-    edge_mode: bool,
 ) -> _Attempt:
     g = instance.graph
     k = instance.k
@@ -265,10 +275,7 @@ def _run_attempt(
     problem = RootedProblem(
         graph_r=g_r, root=root, terminals=tuple(sorted(terminals)), pool=pool, k=k
     )
-    if edge_mode:
-        connectors, info = solve_rooted_edgecost(problem)
-    else:
-        connectors, info = solve_rooted_nodeweight(problem, config.backend)
+    connectors, info = solve_rooted_nodeweight(problem, config.backend)
 
     # no graph on <= k nodes is k-connected; grow the selection with the
     # cheapest spare nodes (supersets keep every property needed later)
@@ -324,28 +331,111 @@ def _final_prune(
             return dropped
 
 
-def _certify_final(
-    instance: Instance, members: set[int], config: SolverConfig
-) -> Certificate:
-    """The final check: a set the certificate builder refuses is a solver bug."""
+def _build_report(
+    instance: Instance,
+    config: SolverConfig,
+    variant: str,
+    *,
+    terminals: frozenset[int],
+    connectors: frozenset[int],
+    pair_connectors: frozenset[int],
+    attachment_extra: frozenset[int],
+    attachment: tuple[int, ...],
+    forest: tuple[tuple[int, int], ...],
+    guess_root: int | None,
+    info: GuaranteeInfo,
+    stage_bounds: dict[str, object],
+    times: dict[str, float],
+    t_start: float,
+    padding: Iterable[int] = (),
+    grown: Iterable[int] = (),
+    enum_truncated: bool = False,
+) -> SolutionReport:
+    """Prune, certify and report the union of ``terminals`` and the stage sets.
+
+    The prune keeps every terminal, and the nodes it drops leave the stage
+    sets they came from. The certificate is the final check: a set the
+    builder refuses is a solver bug, raised as :class:`InvariantViolationError`.
+    ``stage_bounds`` holds the pipeline's own guarantee entries
+    (``pair_stage_expr``, ``pair_stage_value`` and ``total_bound_expr``).
+    """
+    g = instance.graph
+    k, m = instance.k, instance.m
+    members = set(terminals) | connectors | pair_connectors | attachment_extra
+
+    t0 = time.perf_counter()
+    pruned: list[int] = []
+    if config.final_prune:
+        pruned = _final_prune(instance, members, terminals)
+    times["prune"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     try:
-        return build_certificate(
-            instance.graph, members, instance.k, instance.m, config.collect_witnesses
-        )
+        certificate = build_certificate(g, members, k, m, config.collect_witnesses)
     except InfeasibleError as exc:
         raise InvariantViolationError(f"final set is not a (k, m)-cds: {exc}") from None
+    times["verify"] = time.perf_counter() - t0
+    times["total"] = time.perf_counter() - t_start
+
+    dropped = set(pruned)
+    connectors -= dropped
+    pair_connectors -= dropped
+    attachment_extra -= dropped
+    weights = {
+        "dominating": g.total_weight(terminals),
+        "connectors": g.total_weight(connectors),
+        "pair_connectors": g.total_weight(pair_connectors),
+        "attachment_extra": g.total_weight(attachment_extra),
+        "total": g.total_weight(members),
+    }
+    _, max_deg = degree_stats(g)
+    guarantee = {
+        "backend": info.backend,
+        "backend_factor_expr": info.factor_expr,
+        "backend_factor_value": info.factor_value,
+        "dominating_bound_expr": "ln(max_degree + m) + 1",
+        "dominating_bound_args": {"max_degree": max_deg, "m": m},
+        **stage_bounds,
+        "cited_targets": _cited_targets(variant),
+    }
+    flags: dict[str, object] = {
+        "dominating_padding": list(padding),
+        "grown_for_min_size": list(grown),
+        "attachment_enum_truncated": enum_truncated,
+        "fallback_to_general": False,
+    }
+    return SolutionReport(
+        variant=variant,
+        config=config,
+        n=g.n,
+        edge_count=len(g.edges),
+        k=k,
+        m=m,
+        weight_denominator=instance.weight_denominator,
+        dominating=tuple(sorted(terminals)),
+        connectors=tuple(sorted(connectors)),
+        pair_connectors=tuple(sorted(pair_connectors)),
+        attachment=attachment,
+        forest=forest,
+        guess_root=guess_root,
+        pruned=tuple(pruned),
+        solution=tuple(sorted(members)),
+        weights=weights,
+        guarantee=guarantee,
+        flags=flags,
+        certificate=certificate,
+        stage_seconds=times,
+    )
 
 
 def _solve_pipeline(
     instance: Instance,
     config: SolverConfig,
-    edge_mode: bool,
     variant: str,
     prechecked: bool = False,
 ) -> SolutionReport:
     """The shared pipeline; ``prechecked`` skips a precheck the caller ran."""
-    g = instance.graph
-    k, m = instance.k, instance.m
+    k = instance.k
     times: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -362,84 +452,52 @@ def _solve_pipeline(
     candidates, enum_truncated = _attachment_candidates(terminals, instance, config)
     best: _Attempt | None = None
     for attachment in candidates:
-        attempt = _run_attempt(instance, terminals, attachment, config, edge_mode)
+        attempt = _run_attempt(instance, terminals, attachment, config)
         if best is None or attempt.weight < best.weight:
             best = attempt
     times["augment"] = time.perf_counter() - t0
 
-    members = set(terminals) | set(best.connectors) | set(best.pair_connectors)
-    t0 = time.perf_counter()
-    pruned: list[int] = []
-    if config.final_prune:
-        pruned = _final_prune(instance, members, terminals)
-    times["prune"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    certificate = _certify_final(instance, members, config)
-    times["verify"] = time.perf_counter() - t0
-    times["total"] = time.perf_counter() - t_start
-
-    connectors = frozenset(best.connectors) - set(pruned)
-    pairs = frozenset(best.pair_connectors) - set(pruned)
-    weights = {
-        "dominating": g.total_weight(terminals),
-        "connectors": g.total_weight(connectors),
-        "pair_connectors": g.total_weight(pairs),
-        "attachment_extra": 0,
-        "total": g.total_weight(members),
-    }
-    _, max_deg = degree_stats(g)
-    guarantee = {
-        "backend": best.guarantee.backend,
-        "backend_factor_expr": best.guarantee.factor_expr,
-        "backend_factor_value": best.guarantee.factor_value,
-        "dominating_bound_expr": "ln(max_degree + m) + 1",
-        "dominating_bound_args": {"max_degree": max_deg, "m": m},
-        "pair_stage_expr": "2(k-1)",
-        "pair_stage_value": 2 * (k - 1),
-        "total_bound_expr": "ln(max_degree + m) + 1 + backend_factor + 2(k-1)",
-        "cited_targets": _cited_targets(edge_mode),
-    }
-    flags: dict[str, object] = {
-        "dominating_padding": list(padding),
-        "grown_for_min_size": list(best.grown),
-        "attachment_enum_truncated": enum_truncated,
-        "fallback_to_general": False,
-    }
-    return SolutionReport(
-        variant=variant,
-        config=config,
-        n=g.n,
-        edge_count=len(g.edges),
-        k=k,
-        m=m,
-        weight_denominator=instance.weight_denominator,
-        dominating=tuple(sorted(terminals)),
-        connectors=tuple(sorted(connectors)),
-        pair_connectors=tuple(sorted(pairs)),
+    return _build_report(
+        instance,
+        config,
+        variant,
+        terminals=terminals,
+        connectors=best.connectors,
+        pair_connectors=best.pair_connectors,
+        attachment_extra=frozenset(),
         attachment=best.attachment,
         forest=best.forest,
         guess_root=None,
-        pruned=tuple(pruned),
-        solution=tuple(sorted(members)),
-        weights=weights,
-        guarantee=guarantee,
-        flags=flags,
-        certificate=certificate,
-        stage_seconds=times,
+        info=best.guarantee,
+        stage_bounds={
+            "pair_stage_expr": "2(k-1)",
+            "pair_stage_value": 2 * (k - 1),
+            "total_bound_expr": "ln(max_degree + m) + 1 + backend_factor + 2(k-1)",
+        },
+        times=times,
+        t_start=t_start,
+        padding=padding,
+        grown=best.grown,
+        enum_truncated=enum_truncated,
     )
 
 
 def solve_general(instance: Instance, config: SolverConfig | None = None) -> SolutionReport:
     """Approximate solver for arbitrary node-weighted graphs."""
-    return _solve_pipeline(instance, config or SolverConfig(), False, "general")
+    return _solve_pipeline(instance, config or SolverConfig(), "general")
 
 
 def solve_unit_disk(instance: Instance, config: SolverConfig | None = None) -> SolutionReport:
-    """Pipeline variant pricing the rooted stage by edges (disk graphs only)."""
+    """The general pipeline on a disk graph, reported under the unit-disk label.
+
+    It solves exactly as :func:`solve_general` does, ``config.backend``
+    included. The report adds the cited edge-cost targets and the factor
+    (5/2 when k = 2, 5 when k >= 3) that converting node weights to edge
+    costs loses on a disk graph; no edge-cost algorithm runs.
+    """
     if not instance.is_geometric:
         raise ValueError("unit-disk solver needs coordinates and a radius")
-    return _solve_pipeline(instance, config or SolverConfig(), True, "unit-disk")
+    return _solve_pipeline(instance, config or SolverConfig(), "unit-disk")
 
 
 def _neighbour_bound(
@@ -536,8 +594,6 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     config = config or SolverConfig()
     if instance.k not in (2, 3):
         raise ValueError("root guessing applies to k = 2 or 3 only")
-    g = instance.graph
-    k, m = instance.k, instance.m
     times: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -554,7 +610,7 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     times["candidates"] = time.perf_counter() - t0
 
     if best is None:
-        report = _solve_pipeline(instance, config, False, "guess-root", prechecked=True)
+        report = _solve_pipeline(instance, config, "guess-root", prechecked=True)
         report.flags["fallback_to_general"] = True
         report.stage_seconds.update(
             {"precheck": times["precheck"], "candidates": times["candidates"]}
@@ -562,66 +618,24 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
         return report
 
     root, attachment, connectors, info = best
-    members = set(terminals) | set(attachment) | {root} | set(connectors)
-
-    t0 = time.perf_counter()
-    pruned: list[int] = []
-    if config.final_prune:
-        pruned = _final_prune(instance, members, terminals)
-    times["prune"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    certificate = _certify_final(instance, members, config)
-    times["verify"] = time.perf_counter() - t0
-    times["total"] = time.perf_counter() - t_start
-
-    kept_connectors = frozenset(connectors) - set(pruned)
-    extra = (frozenset(attachment) | {root}) - terminals - set(pruned)
-    weights = {
-        "dominating": g.total_weight(terminals),
-        "connectors": g.total_weight(kept_connectors),
-        "pair_connectors": 0,
-        "attachment_extra": g.total_weight(extra),
-        "total": g.total_weight(members),
-    }
-    _, max_deg = degree_stats(g)
-    guarantee = {
-        "backend": info.backend,
-        "backend_factor_expr": info.factor_expr,
-        "backend_factor_value": info.factor_value,
-        "dominating_bound_expr": "ln(max_degree + m) + 1",
-        "dominating_bound_args": {"max_degree": max_deg, "m": m},
-        "pair_stage_expr": "0 (no virtual edges: a degree-k root in a "
-        "k-in-connected graph already yields k-connectivity for k in {2, 3})",
-        "pair_stage_value": 0,
-        "total_bound_expr": "candidate enumeration keeps the lightest feasible outcome",
-        "cited_targets": _cited_targets(False),
-    }
-    flags: dict[str, object] = {
-        "dominating_padding": [],
-        "grown_for_min_size": [],
-        "attachment_enum_truncated": False,
-        "fallback_to_general": False,
-    }
-    return SolutionReport(
-        variant="guess-root",
-        config=config,
-        n=g.n,
-        edge_count=len(g.edges),
-        k=k,
-        m=m,
-        weight_denominator=instance.weight_denominator,
-        dominating=tuple(sorted(terminals)),
-        connectors=tuple(sorted(kept_connectors)),
-        pair_connectors=(),
+    return _build_report(
+        instance,
+        config,
+        "guess-root",
+        terminals=terminals,
+        connectors=connectors,
+        pair_connectors=frozenset(),
+        attachment_extra=(frozenset(attachment) | {root}) - terminals,
         attachment=attachment,
         forest=(),
         guess_root=root,
-        pruned=tuple(pruned),
-        solution=tuple(sorted(members)),
-        weights=weights,
-        guarantee=guarantee,
-        flags=flags,
-        certificate=certificate,
-        stage_seconds=times,
+        info=info,
+        stage_bounds={
+            "pair_stage_expr": "0 (no virtual edges: a degree-k root in a "
+            "k-in-connected graph already yields k-connectivity for k in {2, 3})",
+            "pair_stage_value": 0,
+            "total_bound_expr": "candidate enumeration keeps the lightest feasible outcome",
+        },
+        times=times,
+        t_start=t_start,
     )

@@ -9,8 +9,10 @@ that the Even-schedule kernel replaced, the all-pair certificate (k paths
 per member pair) and its checker that the Even-schedule certificate
 replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
-feasibility check, in place of one masked network per solve, and the
-all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced.
+feasibility check, in place of one masked network per solve, the
+all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
+and the edge-cost rooted stage that unit-disk solves ran until the
+node-weighted stage was shown to select the same sets.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from kmcds import (
 from kmcds._enum import iter_subsets_by_weight
 from kmcds.errors import InfeasibleError
 from kmcds.flow import SplitFlowNetwork, node_cost_map
+from kmcds.rooted import _terminal_order, prune_selection
 
 
 def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
@@ -348,6 +351,76 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
                 best_weight = weight
                 best = (r, tuple(picked), connectors, info)
     return best
+
+
+def edge_cost_map(g: Graph, priced: Iterable[int]) -> dict[tuple[int, int], int]:
+    """Edge costs w_u + w_v counting only endpoints in ``priced``."""
+    p = frozenset(priced)
+    return {
+        (u, v): (g.weights[u] if u in p else 0) + (g.weights[v] if v in p else 0)
+        for u, v in g.edges
+    }
+
+
+def set_edge_cost(net: SplitFlowNetwork, u: int, v: int, c: int) -> None:
+    """Price both arcs of edge uv at ``c`` (their reverse arcs at -c)."""
+    e = (u, v) if u < v else (v, u)
+    for a in net._edge_arcs[e]:
+        net._cost[a] = c
+        net._cost[a + 1] = -c
+
+
+def edges_carrying_flow(net: SplitFlowNetwork) -> list[tuple[int, int]]:
+    """Edges one of whose arcs the current flow uses."""
+    res, cap0 = net._res, net._cap0
+    return [
+        e for e, (a1, a2) in net._edge_arcs.items() if res[a1] < cap0[a1] or res[a2] < cap0[a2]
+    ]
+
+
+def edgecost_flow_union(
+    problem: RootedProblem,
+    edge_costs: Mapping[tuple[int, int], int] | None = None,
+) -> tuple[frozenset[int], GuaranteeInfo]:
+    """Flow-union variant pricing edges at the weight of priced endpoints.
+
+    Default costs are w_u + w_v restricted to pool endpoints; nodes joining
+    the selection stop contributing to the edges around them.
+    """
+    g = problem.graph_r
+    pool = frozenset(problem.pool)
+    if edge_costs is None:
+        edge_costs = edge_cost_map(g, pool)
+    net = SplitFlowNetwork(g)
+    for e, c in edge_costs.items():
+        set_edge_cost(net, *e, c)
+    selected: set[int] = set()
+
+    def _refresh_costs_around(v: int) -> None:
+        priced = pool - selected
+        for w in g.adj[v]:
+            e = (v, w) if v < w else (w, v)
+            c = (g.weights[e[0]] if e[0] in priced else 0) + (
+                g.weights[e[1]] if e[1] in priced else 0
+            )
+            set_edge_cost(net, *e, c)
+
+    for t in _terminal_order(problem):
+        net.reset()
+        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+        if units < problem.k:
+            raise InfeasibleError(
+                f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"
+            )
+        touched: set[int] = set()
+        for u, v in edges_carrying_flow(net):
+            touched.update((u, v))
+        for v in sorted(touched):
+            if v in pool and v not in selected:
+                selected.add(v)
+                _refresh_costs_around(v)
+    info = GuaranteeInfo("flow-union-edgecost", "2|T|", 2 * len(problem.terminals))
+    return prune_selection(problem, frozenset(selected), net), info
 
 
 def brute_disk_edges(

@@ -5,9 +5,9 @@ import random
 from hypothesis import given, strategies as st
 
 from kmcds import SplitFlowNetwork
-from kmcds.flow import edge_cost_map, node_cost_map
+from kmcds.flow import node_cost_map
 
-from brutes import brute_min_pair_pathset, brute_pair_connectivity
+from brutes import brute_min_pair_pathset, brute_pair_connectivity, edge_cost_map
 from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph
 
 
@@ -124,7 +124,6 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
     value = net.max_flow(s, t, n)
     assert value == SplitFlowNetwork(sub).max_flow(s, t, n)
     assert not gone & set(net.nodes_carrying_flow())
-    assert not set(cut_edges) & set(net.edges_carrying_flow())
     separator, direct = net.min_cut_separator(s, t)
     assert not gone & set(separator)
     assert len(separator) + direct == value
@@ -132,6 +131,10 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
     if direct:
         rest = rest.without_edges([(s, t)])
     assert brute_pair_connectivity(rest, s, t) == 0
+    closed = {frozenset(e) for e in cut_edges}
+    paths = net.extract_paths(s, t)  # consumes the flow, so after the cut reads
+    assert len(paths) == value
+    assert not any(frozenset(step) in closed for p in paths for step in zip(p, p[1:]))
 
     # a masked min-cost flow walks the paths a flow on the subgraph walks
     net.reset()
@@ -150,7 +153,7 @@ def test_reset_keeps_masks_until_reopened():
         net.reset()
         assert net.max_flow(0, 4, 5) == 2  # 0-1-4 and 0-3-4
         assert 2 not in net.nodes_carrying_flow()
-        assert (0, 4) not in net.edges_carrying_flow()
+        assert all((0, 4) != step for p in net.extract_paths(0, 4) for step in zip(p, p[1:]))
     net.set_node_open(2, True)
     net.set_edge_open(0, 4, True)
     net.reset()

@@ -1,6 +1,7 @@
 """Rooted augmentation backends against enumeration and each other."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from kmcds import (
     RootedProblem,
     SplitFlowNetwork,
     attach_root,
-    solve_rooted_edgecost,
+    gen_unit_disk,
     solve_rooted_nodeweight,
 )
 from kmcds.errors import InfeasibleError
@@ -24,6 +25,7 @@ from kmcds.rooted import (
 
 from brutes import (
     brute_rooted_opt,
+    edgecost_flow_union,
     induced_find_infeasible_terminal,
     induced_prune_selection,
     induced_solve_rooted,
@@ -52,13 +54,6 @@ def test_p3_buys_the_middle_node():
     for backend in ("flow-union", "exact"):
         s, _ = solve_rooted_nodeweight(p, backend)
         assert s == {1}
-
-
-def test_p3_under_edge_costs():
-    p = _problem(path_graph(3), [0, 2], [0], 1)
-    s, info = solve_rooted_edgecost(p)
-    assert s == {1}
-    assert info.backend == "flow-union-edgecost"
 
 
 def test_all_terminals_means_empty_pool():
@@ -167,19 +162,31 @@ def test_flow_union_feasible_and_bounded_when_exact_is(seed):
     assert sum(w[v] for v in s_fu) <= len(p.terminals) * sum(w[v] for v in s_ex)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_edgecost_backend_is_feasible(seed):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_nodeweight_stage_selects_what_the_edgecost_stage_did(seed, disk):
+    # pricing edge uv at w_u + w_v over pool endpoints charges each interior
+    # pool node twice, once per path edge at it, and free nodes nothing:
+    # every path costs twice its node weight
     rng = random.Random(seed)
-    k = rng.randint(1, 2)
-    g = random_graph(rng, rng.randint(k + 2, 8), 0.7)
-    nodes = list(g.nodes)
-    terminals = nodes[: k + 1]
+    k = rng.randint(1, 3)
+    weights = (0, rng.choice((0, 3, 9)))
+    n = rng.randint(k + 2, 11)
+    if disk:
+        radius = Fraction(rng.randint(3, 7), 10)
+        g = gen_unit_disk(n, radius, weights, seed % 10_000).graph
+    else:
+        g = random_graph(rng, n, rng.uniform(0.3, 0.8), max_weight=weights[1])
+    terminals = rng.sample(list(g.nodes), rng.randint(k, min(n, k + 3)))
     p = _problem(g, terminals, terminals[:k], k)
     try:
-        s, _ = solve_rooted_edgecost(p)
+        expected, _ = edgecost_flow_union(p)
     except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_rooted_nodeweight(p)
         return
-    assert selection_is_feasible(p, s)
+    selected, _ = solve_rooted_nodeweight(p)
+    assert selected == expected
+    assert selection_is_feasible(p, selected)
 
 
 def test_zero_weights_cost_nothing():

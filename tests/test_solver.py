@@ -1,12 +1,14 @@
 """End-to-end solver pipelines: general, unit-disk, and root-guessing."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kmcds
 import kmcds.solver as solver_mod
 from kmcds import (
     Graph,
@@ -15,6 +17,7 @@ from kmcds import (
     SolverConfig,
     check_certificate,
     dump_report,
+    gen_unit_disk,
     opt_kmcds,
     precheck,
     solve_general,
@@ -25,8 +28,9 @@ from kmcds import (
 )
 from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError, InvariantViolationError
+from kmcds.serialize import report_to_dict
 
-from brutes import induced_best_guess
+from brutes import edgecost_flow_union, induced_best_guess
 from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
 
 
@@ -227,6 +231,52 @@ def test_unit_disk_grid():
     _verified(instance, report)
 
 
+def _label_free(report):
+    doc = report_to_dict(report)
+    doc["guarantee"] = {k: v for k, v in doc["guarantee"].items() if k != "cited_targets"}
+    del doc["variant"]
+    return doc
+
+
+def test_unit_disk_is_the_general_pipeline_under_its_label(monkeypatch):
+    solved = refused = 0
+    for seed in range(18):
+        k = 1 + seed % 3
+        instance = gen_unit_disk(
+            20 + seed % 4 * 6, Fraction(12 + k * 2, 40), (seed % 2, 9), seed, k, k + seed % 2
+        )
+        for config in (SolverConfig(), SolverConfig(final_prune=False)):
+            try:
+                disk = solve_unit_disk(instance, config)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError, match=f"^{re.escape(str(exc))}$"):
+                    solve_general(instance, config)
+                refused += 1
+                continue
+            assert _label_free(disk) == _label_free(solve_general(instance, config))
+            # the edge-cost stage unit-disk solves used to run gives the
+            # same report but for the name of its backend
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    solver_mod, "solve_rooted_nodeweight",
+                    lambda problem, backend, net=None: edgecost_flow_union(problem),
+                )
+                old = dump_report(solve_unit_disk(instance, config))
+            assert old.replace('"flow-union-edgecost"', '"flow-union"') == dump_report(disk)
+            assert disk.guarantee["backend"] == "flow-union"
+            solved += 1
+    assert solved >= 20 and refused
+
+
+def test_unit_disk_runs_the_configured_backend():
+    instance = gen_unit_disk(12, Fraction(1, 2), (1, 9), 1, 2, 2)
+    config = SolverConfig(backend="exact")
+    disk = solve_unit_disk(instance, config)
+    assert disk.guarantee["backend"] == "exact"
+    assert disk.solution == solve_general(instance, config).solution
+    _verified(instance, disk)
+
+
 def test_edgeless_graph_is_infeasible():
     instance = Instance.general(3, [], [1, 1, 1], 1, 1)
     with pytest.raises(InfeasibleError, match="not 1-connected"):
@@ -276,6 +326,30 @@ def test_verify_rejects_bad_sets():
 
     with pytest.raises(ValueError):
         verify_solution(instance, [99])
+
+
+@pytest.mark.parametrize("with_witnesses", [True, False])
+def test_feasible_verify_leaves_connectivity_to_the_certificate(monkeypatch, with_witnesses):
+    calls = []
+    kernel = solver_mod.find_k_connectivity_violation
+
+    def counting(g, k):
+        calls.append(g.n)
+        return kernel(g, k)
+
+    monkeypatch.setattr(solver_mod, "find_k_connectivity_violation", counting)
+    instance = inst(petersen(), 3, 3)
+    res = verify_solution(instance, range(10), with_witnesses)
+    assert res.feasible and res.connectivity_violation is None and calls == []
+    # a set the certificate refuses still gets the kernel's witness
+    res = verify_solution(instance, range(9), with_witnesses)
+    assert not res.feasible and res.domination_ok
+    assert res.connectivity_violation is not None and calls == [9]
+
+
+def test_public_names_resolve():
+    assert all(hasattr(kmcds, name) for name in kmcds.__all__)
+    assert "solve_rooted_edgecost" not in kmcds.__all__
 
 
 def test_witnesses_can_be_skipped():
