@@ -56,6 +56,15 @@ def test_p3_buys_the_middle_node():
         assert s == {1}
 
 
+def test_p3_under_edge_costs():
+    # the edge-cost pricing and the node-weighted stage both buy the middle
+    p = _problem(path_graph(3), [0, 2], [0], 1)
+    expected, _ = edgecost_flow_union(p)
+    s, info = solve_rooted_nodeweight(p)
+    assert expected == s == {1}
+    assert info.backend == "flow-union"
+
+
 def test_all_terminals_means_empty_pool():
     g = complete_graph(4)
     p = _problem(g, list(g.nodes), [0, 1], 2)
@@ -187,6 +196,24 @@ def test_nodeweight_stage_selects_what_the_edgecost_stage_did(seed, disk):
     selected, _ = solve_rooted_nodeweight(p)
     assert selected == expected
     assert selection_is_feasible(p, selected)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_edgecost_backend_is_feasible(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 2)
+    g = random_graph(rng, rng.randint(k + 2, 8), 0.7)
+    nodes = list(g.nodes)
+    terminals = nodes[: k + 1]
+    p = _problem(g, terminals, terminals[:k], k)
+    try:
+        s, _ = solve_rooted_nodeweight(p)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            edgecost_flow_union(p)
+        return
+    assert selection_is_feasible(p, s)
+    assert edgecost_flow_union(p)[0] == s
 
 
 def test_zero_weights_cost_nothing():
