@@ -9,22 +9,33 @@ Two backends: ``flow-union`` runs one min-cost flow per terminal (pool
 nodes priced at their weight, already-selected or free nodes at zero) and
 unions the nodes the flows traverse; ``exact`` enumerates pool subsets in
 nondecreasing weight order. Both finish with an inclusion pruning pass.
+When every pool node weighs more than 0, ``flow-union`` first runs one
+max-flow with the unselected pool closed: a terminal that already has k
+paths through free and selected nodes has a zero-cost k-flow, so its
+min-cost flow would buy nothing and is skipped. A zero-weight pool node
+can be bought at cost 0, so with one in the pool every terminal runs its
+min-cost flow.
 
 A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`, the
-caller's or one built over ``graph_r``. Its open arcs must be exactly the
-edges of ``graph_r``; a caller may pass a network over a supergraph with
-the extra edges closed. A feasibility check for a selection closes the
-pool nodes outside it and reopens them afterwards, so no subgraph is ever
-built. The prune keeps one k-path witness per terminal, the nodes its
-flow uses, and when it tries to drop a node it re-runs only the terminals
-whose witness uses that node: a witness that avoids the node still holds
-without it, so every verdict is the one a full check would give.
+caller's or one built over ``graph_r`` with the edges from the root to
+its closed neighbours closed. Its open arcs must be exactly the edges of
+``graph_r`` less those root edges; a caller may pass a network over a
+supergraph with the extra edges closed. A feasibility check for a
+selection closes the pool nodes outside it and reopens them afterwards,
+so no subgraph is ever built. The prune keeps one k-path witness per
+terminal, the nodes its flow uses, and when it tries to drop a node it
+re-runs only the terminals whose witness uses that node: a witness that
+avoids the node still holds without it, so every verdict is the one a
+full check would give. After ``flow-union`` the prune starts from the
+witnesses the backend's own flows left, every one inside free and
+selected nodes, and runs no opening flows; called without witnesses it
+finds one per terminal first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ._enum import iter_subsets_by_weight
 from .errors import InfeasibleError
@@ -43,6 +54,10 @@ class RootedProblem:
     ``graph_r`` already contains the root. ``pool`` nodes are optional and
     priced; every other node is free and fixed. ``terminals`` is the set
     whose root connectivity must reach ``k`` (a subset of the free nodes).
+    ``closed_neighbours`` are neighbours of the root in ``graph_r`` whose
+    edge to the root does not count: the problem is solved on ``graph_r``
+    without those edges, so a caller can close them on a shared network
+    instead of building a trimmed graph.
     """
 
     graph_r: Graph
@@ -50,6 +65,7 @@ class RootedProblem:
     terminals: tuple[int, ...]
     pool: tuple[int, ...]
     k: int
+    closed_neighbours: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         g = self.graph_r
@@ -66,6 +82,10 @@ class RootedProblem:
                 raise ValueError(f"node {v} not in graph")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        closed = frozenset(self.closed_neighbours)
+        if not all(g.has_edge(self.root, x) for x in closed):
+            raise ValueError("closed neighbours must be neighbours of the root")
+        object.__setattr__(self, "closed_neighbours", closed)
         object.__setattr__(self, "terminals", tuple(sorted(ts)))
         object.__setattr__(self, "pool", tuple(sorted(ps)))
 
@@ -84,7 +104,11 @@ class GuaranteeInfo:
 
 
 def _network(problem: RootedProblem, net: SplitFlowNetwork | None) -> SplitFlowNetwork:
-    return SplitFlowNetwork(problem.graph_r) if net is None else net
+    if net is None:
+        net = SplitFlowNetwork(problem.graph_r)
+        for x in problem.closed_neighbours:
+            net.set_edge_open(problem.root, x, False)
+    return net
 
 
 def _open_pool(net: SplitFlowNetwork, problem: RootedProblem, keep: Iterable[int]) -> None:
@@ -125,11 +149,65 @@ def selection_is_feasible(
 
 
 def _terminal_order(problem: RootedProblem) -> list[int]:
+    """Terminals by neighbour weight, heaviest first, closed root edges left out."""
     g = problem.graph_r
-    return sorted(
-        problem.terminals,
-        key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t),
-    )
+    w_root = g.weights[problem.root]
+    closed = problem.closed_neighbours
+
+    def key(t: int) -> tuple[int, int]:
+        around = sum(g.weights[u] for u in g.adj[t]) - (w_root if t in closed else 0)
+        return -around, t
+
+    return sorted(problem.terminals, key=key)
+
+
+def flow_union_witnessed(
+    problem: RootedProblem, net: SplitFlowNetwork | None = None
+) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
+    """:func:`flow_union_backend`'s selection and one k-path witness per terminal.
+
+    Each witness is the node set of the terminal's own flow, inside free
+    and selected nodes, ready to hand to :func:`prune_selection`.
+    """
+    g = problem.graph_r
+    pool = frozenset(problem.pool)
+    net = _network(problem, net)
+    for v in g.nodes:
+        net.set_node_cost(v, g.weights[v] if v in pool else 0)
+    # a zero-weight pool node may join a cheapest flow at no cost, so a
+    # zero-cost flow through selected nodes only need not be the one bought
+    may_skip = all(g.weights[v] > 0 for v in pool)
+    selected: set[int] = set()
+    witnesses: dict[int, frozenset[int]] = {}
+    pool_closed = False  # whether the pool outside ``selected`` is closed
+    try:
+        for t in _terminal_order(problem):
+            if may_skip:
+                if not pool_closed:
+                    _open_pool(net, problem, selected)
+                    pool_closed = True
+                found = _witness(net, problem, t)
+                if found is not None:
+                    witnesses[t] = found
+                    continue
+            if pool_closed:
+                _open_pool(net, problem, pool)
+                pool_closed = False
+            net.reset()
+            units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+            if units < problem.k:
+                raise InfeasibleError(
+                    f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"
+                )
+            witnesses[t] = frozenset(net.nodes_carrying_flow())
+            for v in witnesses[t]:
+                if v in pool and v not in selected:
+                    selected.add(v)
+                    net.set_node_cost(v, 0)
+    finally:
+        if pool_closed:
+            _open_pool(net, problem, pool)
+    return frozenset(selected), witnesses
 
 
 def flow_union_backend(
@@ -137,28 +215,16 @@ def flow_union_backend(
 ) -> frozenset[int]:
     """Union of one min-cost path bundle per terminal.
 
-    Each flow is exact for its own terminal, so the union costs at most
-    |terminals| times the optimum; the reported guarantee stays at the
-    conservative 2|terminals|.
+    Terminals go in :func:`_terminal_order`. Each flow is exact for its own
+    terminal, so the union costs at most |terminals| times the optimum;
+    the reported guarantee stays at the conservative 2|terminals|. When
+    no pool node weighs 0, a terminal whose k paths already exist with
+    the unselected pool closed (one max-flow decides) skips its min-cost
+    flow: a zero-cost k-flow exists, so the cheapest flow would buy
+    nothing. With a zero-weight pool node every terminal runs its
+    min-cost flow.
     """
-    g = problem.graph_r
-    pool = frozenset(problem.pool)
-    net = _network(problem, net)
-    for v in g.nodes:
-        net.set_node_cost(v, g.weights[v] if v in pool else 0)
-    selected: set[int] = set()
-    for t in _terminal_order(problem):
-        net.reset()
-        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
-        if units < problem.k:
-            raise InfeasibleError(
-                f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"
-            )
-        for v in net.nodes_carrying_flow():
-            if v in pool and v not in selected:
-                selected.add(v)
-                net.set_node_cost(v, 0)
-    return frozenset(selected)
+    return flow_union_witnessed(problem, net)[0]
 
 
 def exact_backend(
@@ -179,24 +245,35 @@ def exact_backend(
 
 
 def prune_selection(
-    problem: RootedProblem, selected: frozenset[int], net: SplitFlowNetwork | None = None
+    problem: RootedProblem,
+    selected: frozenset[int],
+    net: SplitFlowNetwork | None = None,
+    witnesses: Mapping[int, frozenset[int]] | None = None,
 ) -> frozenset[int]:
     """Drop nodes of ``selected``, a pool subset, whose removal keeps feasibility.
 
     Heaviest first. A single pass suffices for inclusion minimality:
     feasibility is monotone, so a node kept against a larger set stays
     unremovable. An infeasible ``selected`` comes back whole.
+    ``witnesses``, when given, holds for every terminal a node set inside
+    free∪selected carrying k disjoint paths to the root; the prune starts
+    from them instead of running one flow per terminal. A verdict only
+    asks whether a k-flow exists without a node, so it does not depend on
+    which witness was held.
     """
     net = _network(problem, net)
     weights = problem.graph_r.weights
     current = set(selected)
     _open_pool(net, problem, current)
     try:
-        witness = {}
-        for t in problem.terminals:
-            witness[t] = _witness(net, problem, t)
-            if witness[t] is None:
-                return frozenset(selected)
+        if witnesses is not None:
+            witness = dict(witnesses)
+        else:
+            witness = {}
+            for t in problem.terminals:
+                witness[t] = _witness(net, problem, t)
+                if witness[t] is None:
+                    return frozenset(selected)
         for v in sorted(selected, key=lambda v: (-weights[v], v)):
             net.set_node_open(v, False)
             for t in problem.terminals:
@@ -221,17 +298,19 @@ def solve_rooted_nodeweight(
 ) -> tuple[frozenset[int], GuaranteeInfo]:
     """Dispatch to a backend, then prune. Node weights price the pool.
 
-    Every flow runs on ``net`` when one is given (see the module notes on
-    what it must hold); its node costs are overwritten, its masks kept.
+    ``flow-union`` hands the prune its per-terminal witnesses, so the
+    prune runs no opening flows. Every flow runs on ``net`` when one is
+    given (see the module notes on what it must hold); its node costs are
+    overwritten, its masks kept.
     """
-    if backend == "flow-union":
-        info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
-        select = flow_union_backend
-    elif backend == "exact":
-        info = GuaranteeInfo("exact", "1", 1)
-        select = exact_backend
-    else:
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     net = _network(problem, net)
-    return prune_selection(problem, select(problem, net), net), info
+    if backend == "flow-union":
+        info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
+        selected, witnesses = flow_union_witnessed(problem, net)
+    else:
+        info = GuaranteeInfo("exact", "1", 1)
+        selected, witnesses = exact_backend(problem, net), None
+    return prune_selection(problem, selected, net, witnesses), info
 

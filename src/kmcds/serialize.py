@@ -9,6 +9,7 @@ exact fraction strings ("3/10"), never floats.
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 from typing import Any, Iterable, TYPE_CHECKING
@@ -271,8 +272,9 @@ def report_to_dict(report: "SolutionReport", include_timings: bool = False) -> d
             "solution": list(report.solution),
         },
         "weights": dict(report.weights),
-        "guarantee": report.guarantee,
-        "flags": report.flags,
+        # deep copies: editing the document must not edit the report
+        "guarantee": copy.deepcopy(report.guarantee),
+        "flags": copy.deepcopy(report.flags),
         "certificate": (
             certificate_to_dict(report.certificate)
             if report.certificate is not None

@@ -22,8 +22,10 @@ k-connected, so a precheck rejects everything else with a witness.
 
 :func:`solve_guess_root` (k in {2, 3}) instead enumerates a real root and
 k of its incident edges, reruns the rooted stage with the root's other
-edges closed on one flow network shared by every candidate, and keeps the
-best candidate; the k-in-connected outcome with a degree-k root is already
+edges closed on one flow network shared by every candidate (the rooted
+problem is posed over the graph itself and names those closed
+neighbours, so no trimmed graph is built), and keeps the best
+candidate; the k-in-connected outcome with a degree-k root is already
 k-connected, so no forest stage is needed. A candidate whose neighbour
 lower bound (see :func:`_neighbour_bound`) cannot beat the best weight so
 far is skipped before any flow runs, which never changes the answer.
@@ -553,13 +555,14 @@ def _best_guess(
                 best_weight is not None and g.total_weight(forced) + bound >= best_weight
             ):
                 continue
-            closed = [x for x in g.adj[r] if x not in picked]
+            closed = frozenset(x for x in g.adj[r] if x not in picked)
             problem = RootedProblem(
-                graph_r=g.without_edges((r, x) for x in closed),
+                graph_r=g,
                 root=r,
                 terminals=tuple(sorted(terminals - {r})),
                 pool=tuple(v for v in g.nodes if v not in forced),
                 k=k,
+                closed_neighbours=closed,
             )
             for x in closed:
                 net.set_edge_open(r, x, False)

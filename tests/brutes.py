@@ -273,7 +273,10 @@ def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) ->
 
 
 def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
-    """The flow-union backend on a network of its own, costs set at build."""
+    """The flow-union backend on a network of its own, costs set at build.
+
+    Every terminal runs its min-cost flow: there is no skip check.
+    """
     g = problem.graph_r
     pool = frozenset(problem.pool)
     net = SplitFlowNetwork(g, node_cost=node_cost_map(g, frozenset(g.nodes) - pool))

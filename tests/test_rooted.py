@@ -8,29 +8,41 @@ from hypothesis import given, strategies as st
 
 from kmcds import (
     GuaranteeInfo,
+    Graph,
     RootedProblem,
     SplitFlowNetwork,
     attach_root,
     gen_unit_disk,
     solve_rooted_nodeweight,
 )
+from kmcds import rooted as rooted_mod
 from kmcds.errors import InfeasibleError
 from kmcds.rooted import (
+    _terminal_order,
     exact_backend,
     find_infeasible_terminal,
     flow_union_backend,
+    flow_union_witnessed,
     prune_selection,
     selection_is_feasible,
 )
 
 from brutes import (
+    _unmasked_flow_union,
     brute_rooted_opt,
     edgecost_flow_union,
     induced_find_infeasible_terminal,
     induced_prune_selection,
     induced_solve_rooted,
 )
-from toolbox import complete_graph, path_graph, random_graph, star_graph, wheel_graph
+from toolbox import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+    wheel_graph,
+)
 
 
 def _problem(g, terminals, attachment, k):
@@ -230,7 +242,8 @@ def test_zero_weights_cost_nothing():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_masked_network_matches_induced_subgraph_reference(seed, k):
     # a root whose closed edges are the guess-root shape: one network over g
-    # serves the root-trimmed problem
+    # serves the root-trimmed problem, whether the problem is built over the
+    # trimmed graph or over g with the root's closed neighbours
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(k + 2, 12), rng.uniform(0.3, 0.8))
     root = rng.choice(g.nodes)
@@ -240,36 +253,201 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
     n_terminals = rng.randint(1, min(4, len(rest)))
     terminals = rest[:n_terminals]
     pool = [v for v in rest[n_terminals:] if rng.random() < 0.8]
-    p = RootedProblem(
+    trimmed = RootedProblem(
         graph_r=g.without_edges(closed), root=root,
         terminals=tuple(terminals), pool=tuple(pool), k=k,
     )
+    over_g = RootedProblem(
+        graph_r=g, root=root, terminals=tuple(terminals), pool=tuple(pool), k=k,
+        closed_neighbours=frozenset(x for _, x in closed),
+    )
+    assert _terminal_order(over_g) == _terminal_order(trimmed)
     net = SplitFlowNetwork(g)
     for e in closed:
         net.set_edge_open(*e, False)
     masks = list(net._cap0)
-
-    for _ in range(4):
-        chosen = [v for v in pool if rng.random() < 0.5]
-        assert find_infeasible_terminal(p, chosen, net) == (
-            induced_find_infeasible_terminal(p, chosen)
-        )
-        assert net._cap0 == masks  # the check reopened the pool it closed
+    draws = [[v for v in pool if rng.random() < 0.5] for _ in range(4)]
     full = frozenset(pool)
-    assert prune_selection(p, full, net) == induced_prune_selection(p, full)
-    assert net._cap0 == masks
-
-    for backend, select in (("flow-union", flow_union_backend), ("exact", exact_backend)):
+    expected_prune = induced_prune_selection(trimmed, full)
+    expected = {}
+    for backend in ("flow-union", "exact"):
         try:
-            expected = induced_solve_rooted(p, backend)
+            expected[backend] = induced_solve_rooted(trimmed, backend)
+        except InfeasibleError:
+            expected[backend] = None
+
+    for p in (trimmed, over_g):
+        for chosen in draws:
+            assert find_infeasible_terminal(p, chosen, net) == (
+                induced_find_infeasible_terminal(trimmed, chosen)
+            )
+            assert find_infeasible_terminal(p, chosen) == (
+                induced_find_infeasible_terminal(trimmed, chosen)
+            )
+            assert net._cap0 == masks  # the check reopened the pool it closed
+        assert prune_selection(p, full, net) == expected_prune
+        assert prune_selection(p, full) == expected_prune
+        assert net._cap0 == masks
+
+        for backend, select in (("flow-union", flow_union_backend), ("exact", exact_backend)):
+            if expected[backend] is None:
+                with pytest.raises(InfeasibleError):
+                    select(p, net)
+                with pytest.raises(InfeasibleError):
+                    select(p)
+                with pytest.raises(InfeasibleError):
+                    solve_rooted_nodeweight(p, backend, net)
+                assert net._cap0 == masks
+                continue
+            selected = select(p, net)
+            assert selected == select(p)  # the same set as on a network of its own
+            assert selected == select(trimmed, net)
+            assert prune_selection(p, selected, net) == induced_prune_selection(trimmed, selected)
+            assert solve_rooted_nodeweight(p, backend, net) == expected[backend]
+            assert solve_rooted_nodeweight(p, backend) == expected[backend]
+            assert net._cap0 == masks
+
+
+def test_closed_neighbours_must_be_root_neighbours():
+    g = path_graph(4)
+    with pytest.raises(ValueError):
+        RootedProblem(graph_r=g, root=0, terminals=(3,), pool=(1, 2), k=1,
+                      closed_neighbours=frozenset({2}))
+
+
+def _skip_problem(rng: random.Random, zero_in_pool: bool) -> RootedProblem:
+    """A rooted problem whose pool has a zero-weight node or weighs above 0 throughout."""
+    k = rng.randint(1, 3)
+    n = rng.randint(k + 3, 12)
+    g = random_graph(rng, n, rng.uniform(0.3, 0.8), max_weight=rng.choice((3, 30)))
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    terminals = nodes[: rng.randint(k, min(n - 2, k + 4))]
+    pool = [v for v in nodes if v not in terminals]
+    weights = dict(g.weights)
+    for v in pool:
+        weights[v] = max(weights[v], 1)
+    if zero_in_pool:
+        weights[rng.choice(pool)] = 0
+    g = Graph(g.nodes, g.edges, weights)
+    return _problem(g, terminals, terminals[:k], k)
+
+
+def test_skip_selects_what_the_no_skip_reference_selects():
+    # all-positive pools take the skip; a zero-weight pool node turns it off
+    kinds: set[tuple[bool, bool]] = set()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def check(seed, zero_in_pool):
+        p = _skip_problem(random.Random(seed), zero_in_pool)
+        try:
+            expected = _unmasked_flow_union(p)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                select(p, net)
+                flow_union_backend(p)
             with pytest.raises(InfeasibleError):
-                solve_rooted_nodeweight(p, backend, net)
-            continue
-        selected = select(p, net)
-        assert selected == select(p)  # the same set as on a network of its own
-        assert prune_selection(p, selected, net) == induced_prune_selection(p, selected)
-        assert solve_rooted_nodeweight(p, backend, net) == expected
-        assert net._cap0 == masks
+                solve_rooted_nodeweight(p)
+            kinds.add((zero_in_pool, False))
+            return
+        assert flow_union_backend(p) == expected
+        assert solve_rooted_nodeweight(p) == induced_solve_rooted(p, "flow-union")
+        kinds.add((zero_in_pool, True))
+
+    check()
+    assert {(False, True), (True, True)} <= kinds
+    assert any(not feasible for _, feasible in kinds)
+
+
+def _count_min_cost_flows(monkeypatch) -> list[int]:
+    calls = []
+    original = SplitFlowNetwork.min_cost_flow
+
+    def counted(self, s, t, units):
+        calls.append(s)
+        return original(self, s, t, units)
+
+    monkeypatch.setattr(SplitFlowNetwork, "min_cost_flow", counted)
+    return calls
+
+
+def test_a_terminal_that_already_holds_runs_no_min_cost_flow(monkeypatch):
+    # on C6 terminal 0 has its own root edge, while 3 must buy 1-2 or 4-5
+    p = _problem(cycle_graph(6), [0, 3], [0], 1)
+    calls = _count_min_cost_flows(monkeypatch)
+    expected = _unmasked_flow_union(p)
+    assert calls == [0, 3]
+    calls.clear()
+    assert flow_union_backend(p) == expected
+    assert calls == [3]  # fewer min-cost flows than terminals
+
+    # a zero-weight pool node may be bought for free: every terminal runs
+    g = cycle_graph(6, {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1})
+    p = _problem(g, [0, 3], [0], 1)
+    calls.clear()
+    assert flow_union_backend(p) == frozenset({1, 2})
+    assert sorted(calls) == [0, 3]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_prune_starts_from_the_flow_union_witnesses(seed, zero_in_pool):
+    p = _skip_problem(random.Random(seed), zero_in_pool)
+    try:
+        selected, witnesses = flow_union_witnessed(p)
+    except InfeasibleError:
+        return
+    inside = p.free | selected
+    assert sorted(witnesses) == list(p.terminals)
+    for t, witness in witnesses.items():
+        assert witness <= inside
+        own = SplitFlowNetwork(p.graph_r.induced(witness | {t, p.root}))
+        assert own.max_flow(t, p.root, p.k) == p.k
+
+    # the solve hands its witnesses over: no flow runs in the prune before
+    # its first drop attempt, which closes a selected node
+    events = []
+    flow, set_open, prune = (
+        SplitFlowNetwork.max_flow, SplitFlowNetwork.set_node_open, rooted_mod.prune_selection
+    )
+
+    def logged_flow(self, s, t, cap):
+        events.append("flow")
+        return flow(self, s, t, cap)
+
+    def logged_open(self, v, is_open):
+        if not is_open and v in selected:
+            events.append("drop")
+        set_open(self, v, is_open)
+
+    def logged_prune(*args, **kwargs):
+        events.append("prune")
+        return prune(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(SplitFlowNetwork, "max_flow", logged_flow)
+        patched.setattr(SplitFlowNetwork, "set_node_open", logged_open)
+        patched.setattr(rooted_mod, "prune_selection", logged_prune)
+        pruned, _ = solve_rooted_nodeweight(p)
+    in_prune = events[events.index("prune") + 1:]
+    before_drop = in_prune[: in_prune.index("drop")] if "drop" in in_prune else in_prune
+    assert "flow" not in before_drop
+    assert pruned == induced_prune_selection(p, selected)
+    assert prune_selection(p, selected, witnesses=witnesses) == pruned
+    assert prune_selection(p, selected) == pruned
+
+
+def test_prune_without_witnesses_opens_with_one_flow_per_terminal(monkeypatch):
+    p = _problem(complete_graph(5), [0, 1], [0], 1)
+    events = []
+    flow = SplitFlowNetwork.max_flow
+
+    def logged_flow(self, s, t, cap):
+        events.append(s)
+        return flow(self, s, t, cap)
+
+    monkeypatch.setattr(SplitFlowNetwork, "max_flow", logged_flow)
+    assert prune_selection(p, frozenset()) == frozenset()
+    assert events == [0, 1]
+    events.clear()
+    witnesses = {0: frozenset({0}), 1: frozenset({0, 1})}
+    assert prune_selection(p, frozenset(), witnesses=witnesses) == frozenset()
+    assert events == []

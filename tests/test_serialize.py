@@ -21,6 +21,7 @@ from kmcds.serialize import (
     certificate_from_dict,
     certificate_of_report,
     certificate_to_dict,
+    report_to_dict,
     verify_result_to_dict,
 )
 
@@ -156,6 +157,17 @@ def test_report_document_shape():
     assert doc["certificate"]["members"] == [0, 1, 2, 3, 4]
     assert all(count >= 2 for _, count in doc["certificate"]["domination"])
     assert "timings_s" not in doc
+
+
+def test_report_document_does_not_alias_the_report():
+    report = solve_general(inst(cycle_graph(5), 2, 2))
+    first = dump_report(report)
+    doc = report_to_dict(report)
+    del doc["guarantee"]["cited_targets"]
+    doc["flags"]["dominating_padding"].append(99)
+    assert dump_report(report) == first
+    assert "cited_targets" in report.guarantee
+    assert report.flags["dominating_padding"] == []
 
 
 def test_verify_document_shape():
