@@ -20,7 +20,6 @@ from .connectivity import (
     find_k_connectivity_violation,
     is_k_T_connected,
     is_k_connected,
-    is_k_in_connected_to_root,
     is_m_dominating,
     local_connectivity,
 )
@@ -33,7 +32,6 @@ from .graph import (
     Instance,
     attach_root,
     degree_stats,
-    induced_subgraph,
     neighbors,
 )
 from .oracle import OracleResult, opt_kmcds
@@ -41,7 +39,6 @@ from .rooted import (
     GuaranteeInfo,
     RootedProblem,
     exact_backend,
-    flow_union_backend,
     solve_rooted_nodeweight,
 )
 from .serialize import (
@@ -95,15 +92,12 @@ __all__ = [
     "dump_report",
     "exact_backend",
     "find_k_connectivity_violation",
-    "flow_union_backend",
     "gen_gnp",
     "gen_unit_disk",
     "greedy_mds",
     "greedy_mds_order",
-    "induced_subgraph",
     "is_k_T_connected",
     "is_k_connected",
-    "is_k_in_connected_to_root",
     "is_m_dominating",
     "load_instance",
     "local_connectivity",

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InfeasibleError, InvariantViolationError
-from .flow import SplitFlowNetwork, node_cost_map
+from .flow import SplitFlowNetwork
 from .graph import Graph
 from .connectivity import is_k_connected, local_connectivity
 
@@ -80,7 +80,10 @@ def min_weight_k_paths(
     free_set = frozenset(free)
     if u not in free_set or v not in free_set:
         raise ValueError("both endpoints must be free")
-    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, free_set))
+    net = SplitFlowNetwork(g)
+    for w in g.nodes:
+        if w not in free_set:
+            net.set_node_cost(w, g.weights[w])
     units, _cost = net.min_cost_flow(u, v, k)
     if units < k:
         raise InfeasibleError(

@@ -13,30 +13,14 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .errors import InfeasibleError
 from .generators import gen_gnp, gen_unit_disk
 from .graph import Instance
 from .oracle import opt_kmcds
-from .solver import SolverConfig, solve_general, solve_guess_root, solve_unit_disk
-
-CSV_COLUMNS = (
-    "instance_id",
-    "n",
-    "edges",
-    "k",
-    "m",
-    "variant",
-    "alg_weight",
-    "oracle_weight",
-    "ratio",
-    "weight_dominating",
-    "weight_connectors",
-    "weight_pair_connectors",
-    "elapsed_ms",
-)
+from .solver import SOLVERS, SolverConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,21 +40,7 @@ class BenchRow:
     elapsed_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "n": self.n,
-            "edges": self.edges,
-            "k": self.k,
-            "m": self.m,
-            "variant": self.variant,
-            "alg_weight": self.alg_weight,
-            "oracle_weight": self.oracle_weight,
-            "ratio": self.ratio,
-            "weight_dominating": self.weight_dominating,
-            "weight_connectors": self.weight_connectors,
-            "weight_pair_connectors": self.weight_pair_connectors,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +58,7 @@ class BenchTask:
     k: int
     m: int
     variant: str
-    backend: str
-    attachment_rule: str
-    final_prune: bool
+    config: SolverConfig
     oracle_cap: int
 
 
@@ -118,20 +86,9 @@ def _ratio_str(alg: int, opt: int) -> str:
 def run_task(task: BenchTask) -> BenchRow | None:
     """Solve one task; None when the generated instance is infeasible."""
     instance = _build_instance(task)
-    config = SolverConfig(
-        backend=task.backend,
-        attachment_rule=task.attachment_rule,
-        final_prune=task.final_prune,
-        collect_witnesses=False,
-    )
-    solver = {
-        "general": solve_general,
-        "unit-disk": solve_unit_disk,
-        "guess-root": solve_guess_root,
-    }[task.variant]
     start = time.perf_counter()
     try:
-        report = solver(instance, config)
+        report = SOLVERS[task.variant](instance, task.config)
     except InfeasibleError:
         return None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -176,8 +133,14 @@ def build_tasks(
     """Deterministic task grid; ids encode every generation parameter.
 
     guess-root applies to k in {2, 3} only, so other k values skip that
-    variant rather than failing the sweep.
+    variant rather than failing the sweep. Every task carries ``config``.
     """
+    for kind in kinds:
+        if kind not in ("gnp", "unit-disk"):
+            raise ValueError(f"unknown instance kind {kind!r}")
+    for variant in variants:
+        if variant not in SOLVERS:
+            raise ValueError(f"unknown variant {variant!r}")
     tasks = []
     counter = 0
     for kind in kinds:
@@ -209,9 +172,7 @@ def build_tasks(
                                     k=k,
                                     m=m,
                                     variant=variant,
-                                    backend=config.backend,
-                                    attachment_rule=config.attachment_rule,
-                                    final_prune=config.final_prune,
+                                    config=config,
                                     oracle_cap=oracle_cap,
                                 )
                             )
@@ -233,8 +194,7 @@ def run_bench(tasks: list[BenchTask], jobs: int = 1) -> tuple[list[BenchRow], in
 def rows_to_csv(rows: list[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(f.name for f in fields(BenchRow))
     for row in rows:
-        d = row.to_dict()
-        writer.writerow(["" if d[c] is None else d[c] for c in CSV_COLUMNS])
+        writer.writerow("" if x is None else x for x in row.to_dict().values())
     return buf.getvalue()

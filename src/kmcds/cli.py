@@ -27,13 +27,8 @@ from .serialize import (
     read_instance,
     verify_result_to_dict,
 )
-from .solver import (
-    SolverConfig,
-    solve_general,
-    solve_guess_root,
-    solve_unit_disk,
-    verify_solution,
-)
+from .rooted import BACKENDS
+from .solver import ATTACHMENT_RULES, SOLVERS, SolverConfig, verify_solution
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,13 +90,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    config = _config_from_args(args)
-    solver = {
-        "general": solve_general,
-        "unit-disk": solve_unit_disk,
-        "guess-root": solve_guess_root,
-    }[args.variant]
-    report = solver(instance, config)
+    report = SOLVERS[args.variant](instance, _config_from_args(args))
     _write_output(dump_report(report, include_timings=args.timings), args.output)
     return EXIT_OK
 
@@ -123,18 +112,30 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
+def _distinct_ids(ids: list) -> list[int]:
+    """``ids`` when every one is an integer and none repeats; else ParseError."""
+    seen: set[int] = set()
+    for x in ids:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ParseError(f"member id {x!r} is not an integer")
+        if x in seen:
+            raise ParseError(f"member id {x} is listed more than once")
+        seen.add(x)
+    return ids
+
+
 def _members_from_args(args: argparse.Namespace) -> list[int]:
     if args.members is not None:
-        return _parse_int_list(args.members)
+        return _distinct_ids(_parse_int_list(args.members))
     doc = _read_json(args.from_report)
     if isinstance(doc, list):
-        return [int(x) for x in doc]
+        return _distinct_ids(doc)
     if isinstance(doc, dict):
         sets = doc.get("sets")
         if isinstance(sets, dict) and isinstance(sets.get("solution"), list):
-            return [int(x) for x in sets["solution"]]
+            return _distinct_ids(sets["solution"])
         if isinstance(doc.get("members"), list):
-            return [int(x) for x in doc["members"]]
+            return _distinct_ids(doc["members"])
     raise ParseError("report file carries no node set")
 
 
@@ -166,34 +167,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
-def _jobs_from_env() -> int:
-    text = os.environ.get("KMCDS_JOBS", "1")
+def _jobs(args: argparse.Namespace) -> int:
+    """Worker count from ``--jobs``, else from KMCDS_JOBS, else 1."""
+    if args.jobs is not None:
+        name, text = "--jobs", args.jobs
+    else:
+        name, text = "KMCDS_JOBS", os.environ.get("KMCDS_JOBS", "1")
     try:
         jobs = int(text)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise ValueError(f"KMCDS_JOBS must be a positive integer, got {text!r}")
+        raise ValueError(f"{name} must be a positive integer, got {text!r}")
     return jobs
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    jobs = args.jobs if args.jobs is not None else _jobs_from_env()
-    kinds = [s for s in args.kinds.split(",") if s]
-    variants = [s for s in args.variants.split(",") if s]
-    for kind in kinds:
-        if kind not in ("gnp", "unit-disk"):
-            raise ValueError(f"unknown instance kind {kind!r}")
-    for variant in variants:
-        if variant not in ("general", "unit-disk", "guess-root"):
-            raise ValueError(f"unknown variant {variant!r}")
+    jobs = _jobs(args)
     tasks = build_tasks(
-        kinds=kinds,
+        kinds=[s for s in args.kinds.split(",") if s],
         sizes=_parse_int_list(args.sizes),
         k_values=_parse_int_list(args.k_values),
         m_offsets=_parse_int_list(args.m_offsets),
-        variants=variants,
+        variants=[s for s in args.variants.split(",") if s],
         per_cell=args.per_cell,
         seed=args.seed,
         p=args.p,
@@ -221,13 +218,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend",
-        choices=("flow-union", "exact"),
+        choices=BACKENDS,
         default="flow-union",
         help="rooted-stage solver (exact enumerates, small pools only)",
     )
     p.add_argument(
         "--attachment-rule",
-        choices=("min-weight", "enumerate"),
+        choices=ATTACHMENT_RULES,
         default="min-weight",
         help="how the k root-attachment terminals are chosen",
     )
@@ -270,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON path")
     p.add_argument(
         "--variant",
-        choices=("general", "unit-disk", "guess-root"),
+        choices=SOLVERS,
         default="general",
     )
     _add_config_flags(p)
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variants",
         default="general",
-        help="comma-separated: general,unit-disk,guess-root",
+        help=f"comma-separated: {','.join(SOLVERS)}",
     )
     p.add_argument("--per-cell", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
         help="worker processes (default: KMCDS_JOBS or 1)",
     )
     _add_config_flags(p)

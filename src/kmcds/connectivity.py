@@ -185,29 +185,6 @@ def is_k_T_connected(g: Graph, terminals: Iterable[int], k: int) -> bool:
     return True
 
 
-def is_k_in_connected_to_root(g_r: Graph, root: int, k: int) -> bool:
-    """True iff every non-root node keeps k disjoint paths to ``root``."""
-    return find_root_connectivity_violation(g_r, root, k) is None
-
-
-def find_root_connectivity_violation(
-    g_r: Graph, root: int, k: int, terminals: Iterable[int] | None = None
-) -> int | None:
-    """First node (ascending id) lacking k disjoint paths to the root."""
-    if not g_r.has_node(root):
-        raise ValueError(f"root {root} not in graph")
-    nodes = sorted(set(terminals)) if terminals is not None else \
-        [v for v in g_r.nodes if v != root]
-    net = SplitFlowNetwork(g_r)
-    for v in nodes:
-        if v == root:
-            continue
-        net.reset()
-        if net.max_flow(v, root, k) < k:
-            return v
-    return None
-
-
 def domination_counts(g: Graph, members: Iterable[int]) -> dict[int, int]:
     """For each node outside ``members``: its neighbor count inside."""
     inside = frozenset(members)

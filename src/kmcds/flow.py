@@ -4,7 +4,9 @@ Every graph node v becomes an arc v_in -> v_out of capacity one, every
 undirected edge uv becomes the two arcs u_out -> v_in and v_out -> u_in of
 capacity one, so an integral s-t flow of value f decomposes into f paths of
 the underlying graph that share no interior node. Costs sit on the node
-arcs; edge arcs cost nothing.
+arcs and are set one node at a time with
+:meth:`SplitFlowNetwork.set_node_cost` (0 until set); edge arcs cost
+nothing.
 
 Queries run from s_out to t_in. Augmenting paths are simple, so they never
 traverse the internal arc of s or t; the endpoints are effectively
@@ -35,7 +37,6 @@ a closed arc never reads as carrying flow or as cut.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
 
 from .graph import Graph
 
@@ -52,7 +53,7 @@ class SplitFlowNetwork:
         "_seen", "_token", "_parent",
     )
 
-    def __init__(self, graph: Graph, node_cost: Mapping[int, int] | None = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.ids = graph.nodes
         self.slot = {v: i for i, v in enumerate(self.ids)}
@@ -72,11 +73,10 @@ class SplitFlowNetwork:
             out[b].append(idx + 1)
             return idx
 
-        node_cost = node_cost or {}
         self._internal_arc = {}
         for v in self.ids:
             s = self.slot[v]
-            self._internal_arc[v] = add_arc(2 * s, 2 * s + 1, node_cost.get(v, 0), 1)
+            self._internal_arc[v] = add_arc(2 * s, 2 * s + 1, 0, 1)
 
         self._edge_arcs = {}
         for u, v in graph.edges:
@@ -135,6 +135,7 @@ class SplitFlowNetwork:
             self._cap0[a] = int(is_open)
 
     def set_node_cost(self, v: int, c: int) -> None:
+        """Price v's internal arc at ``c``, the one way a node gets a cost."""
         a = self._internal_arc[v]
         self._cost[a] = c
         self._cost[a + 1] = -c
@@ -315,10 +316,4 @@ class SplitFlowNetwork:
                 if v not in (s, t):
                     nodes.add(v)
         return sorted(nodes), direct
-
-
-def node_cost_map(g: Graph, free: Iterable[int]) -> dict[int, int]:
-    """Internal-arc costs: node weight for priced nodes, 0 inside ``free``."""
-    free_set = frozenset(free)
-    return {v: (0 if v in free_set else g.weights[v]) for v in g.nodes}
 

@@ -87,12 +87,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(self.adj[v])
-
-    def weight(self, v: int) -> int:
-        return self.weights[v]
-
     def total_weight(self, members: Iterable[int] | None = None) -> int:
         if members is None:
             return sum(self.weights.values())
@@ -129,11 +123,6 @@ def neighbors(g: Graph, members: Iterable[int]) -> frozenset[int]:
     for v in inside:
         out.update(g.adj[v])
     return frozenset(out - inside)
-
-
-def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph on ``members`` with exactly the edges joining two members."""
-    return g.induced(members)
 
 
 def attach_root(g: Graph, attachment: Iterable[int], k: int) -> tuple[Graph, int]:

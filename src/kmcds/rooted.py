@@ -6,8 +6,10 @@ nodes, the solvers here pick a pool subset S so that the graph induced by
 everything outside the pool plus S satisfies the terminal requirement.
 
 Two backends: ``flow-union`` runs one min-cost flow per terminal (pool
-nodes priced at their weight, already-selected or free nodes at zero) and
-unions the nodes the flows traverse; ``exact`` enumerates pool subsets in
+nodes priced at their weight, already-selected or free nodes at zero,
+each set on the network with
+:meth:`~kmcds.flow.SplitFlowNetwork.set_node_cost`) and unions the nodes
+the flows traverse; ``exact`` enumerates pool subsets in
 nondecreasing weight order. Both finish with an inclusion pruning pass.
 When every pool node weighs more than 0, ``flow-union`` first runs one
 max-flow with the unselected pool closed: a terminal that already has k
@@ -142,12 +144,6 @@ def find_infeasible_terminal(
         _open_pool(net, problem, problem.pool)
 
 
-def selection_is_feasible(
-    problem: RootedProblem, selected: Iterable[int], net: SplitFlowNetwork | None = None
-) -> bool:
-    return find_infeasible_terminal(problem, selected, net) is None
-
-
 def _terminal_order(problem: RootedProblem) -> list[int]:
     """Terminals by neighbour weight, heaviest first, closed root edges left out."""
     g = problem.graph_r
@@ -164,10 +160,18 @@ def _terminal_order(problem: RootedProblem) -> list[int]:
 def flow_union_witnessed(
     problem: RootedProblem, net: SplitFlowNetwork | None = None
 ) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    """:func:`flow_union_backend`'s selection and one k-path witness per terminal.
+    """Union of one min-cost path bundle per terminal, with each terminal's witness.
 
-    Each witness is the node set of the terminal's own flow, inside free
-    and selected nodes, ready to hand to :func:`prune_selection`.
+    Terminals go in :func:`_terminal_order`. Each flow is exact for its own
+    terminal, so the union costs at most |terminals| times the optimum;
+    the reported guarantee stays at the conservative 2|terminals|. When
+    no pool node weighs 0, a terminal whose k paths already exist with
+    the unselected pool closed (one max-flow decides) skips its min-cost
+    flow: a zero-cost k-flow exists, so the cheapest flow would buy
+    nothing. With a zero-weight pool node every terminal runs its
+    min-cost flow. Each witness is the node set of the terminal's own
+    flow, inside free and selected nodes, ready to hand to
+    :func:`prune_selection`.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
@@ -210,23 +214,6 @@ def flow_union_witnessed(
     return frozenset(selected), witnesses
 
 
-def flow_union_backend(
-    problem: RootedProblem, net: SplitFlowNetwork | None = None
-) -> frozenset[int]:
-    """Union of one min-cost path bundle per terminal.
-
-    Terminals go in :func:`_terminal_order`. Each flow is exact for its own
-    terminal, so the union costs at most |terminals| times the optimum;
-    the reported guarantee stays at the conservative 2|terminals|. When
-    no pool node weighs 0, a terminal whose k paths already exist with
-    the unselected pool closed (one max-flow decides) skips its min-cost
-    flow: a zero-cost k-flow exists, so the cheapest flow would buy
-    nothing. With a zero-weight pool node every terminal runs its
-    min-cost flow.
-    """
-    return flow_union_witnessed(problem, net)[0]
-
-
 def exact_backend(
     problem: RootedProblem, net: SplitFlowNetwork | None = None
 ) -> frozenset[int]:
@@ -236,7 +223,7 @@ def exact_backend(
     net = _network(problem, net)
     weights = problem.graph_r.weights
     for _, subset in iter_subsets_by_weight(problem.pool, weights):
-        if selection_is_feasible(problem, subset, net):
+        if find_infeasible_terminal(problem, subset, net) is None:
             return frozenset(subset)
     bad = find_infeasible_terminal(problem, problem.pool, net)
     raise InfeasibleError(

@@ -33,6 +33,9 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def parse_fraction(text: str | int) -> Fraction:
+    """The exact value of a string such as "3/10" or of an integer; floats are refused."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ParseError(f"bad fraction {text!r}: write it as a string such as \"3/10\"")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

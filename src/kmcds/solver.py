@@ -37,7 +37,7 @@ step 6 and assembles the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -55,10 +55,9 @@ from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph, Instance, attach_root, degree_stats
-from .rooted import GuaranteeInfo, RootedProblem, solve_rooted_nodeweight
+from .rooted import BACKENDS, GuaranteeInfo, RootedProblem, solve_rooted_nodeweight
 
 ATTACHMENT_RULES = ("min-weight", "enumerate")
-VARIANTS = ("general", "unit-disk", "guess-root")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,19 +80,13 @@ class SolverConfig:
     attachment_enum_cap: int = 12
 
     def __post_init__(self) -> None:
-        if self.backend not in ("flow-union", "exact"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.attachment_rule not in ATTACHMENT_RULES:
             raise ValueError(f"unknown attachment rule {self.attachment_rule!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "attachment_rule": self.attachment_rule,
-            "final_prune": self.final_prune,
-            "collect_witnesses": self.collect_witnesses,
-            "attachment_enum_cap": self.attachment_enum_cap,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -642,3 +635,11 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
         times=times,
         t_start=t_start,
     )
+
+
+# the solve function of each variant, under the name its reports carry
+SOLVERS = {
+    "general": solve_general,
+    "unit-disk": solve_unit_disk,
+    "guess-root": solve_guess_root,
+}

@@ -32,7 +32,7 @@ from kmcds import (
 )
 from kmcds._enum import iter_subsets_by_weight
 from kmcds.errors import InfeasibleError
-from kmcds.flow import SplitFlowNetwork, node_cost_map
+from kmcds.flow import SplitFlowNetwork
 from kmcds.rooted import _terminal_order, prune_selection
 
 
@@ -273,13 +273,15 @@ def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) ->
 
 
 def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
-    """The flow-union backend on a network of its own, costs set at build.
+    """The flow-union backend on a network of its own, pool priced up front.
 
     Every terminal runs its min-cost flow: there is no skip check.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
-    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, frozenset(g.nodes) - pool))
+    net = SplitFlowNetwork(g)
+    for v in pool:
+        net.set_node_cost(v, g.weights[v])
     selected: set[int] = set()
     order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
     for t in order:

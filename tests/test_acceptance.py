@@ -23,7 +23,6 @@ from kmcds import (
     greedy_mds,
     is_k_T_connected,
     is_k_connected,
-    is_k_in_connected_to_root,
     is_m_dominating,
     opt_kmcds,
     opt_mds_bruteforce,
@@ -34,9 +33,10 @@ from kmcds import (
 )
 import kmcds.solver as solver_mod
 from kmcds.augment import _is_forest
+from kmcds.rooted import find_infeasible_terminal
 
 from exactbounds import within_ln_plus_one
-from toolbox import random_graph
+from toolbox import random_graph, root_problem
 
 CFG = SolverConfig(collect_witnesses=False)
 
@@ -208,7 +208,7 @@ def test_criterion_5_cut_rule_matches_flows():
         terminals = sorted(rng.sample(range(n), rng.randint(1, n)))
         selected = [v for v in range(n) if v not in set(terminals)]
         by_cut = check_cut_characterization(g_r, terminals, selected, attachment, k)
-        by_flow = is_k_in_connected_to_root(g_r, root, k)
+        by_flow = find_infeasible_terminal(root_problem(g_r, root, k), ()) is None
         assert by_cut == by_flow
         agreed += 1
     _line(5, agreed >= 200, f"{agreed} rooted instances, cut rule == flow test")

@@ -1,7 +1,10 @@
 """Benchmark grid construction and the worker pool."""
 
+from dataclasses import fields, replace
+
 from kmcds import SolverConfig
-from kmcds.bench import BenchTask, build_tasks, rows_to_csv, run_bench
+from kmcds.bench import BenchRow, BenchTask, build_tasks, rows_to_csv, run_bench, run_task
+from kmcds.solver import SOLVERS
 
 
 def _tasks():
@@ -48,4 +51,19 @@ def test_csv_shape():
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0].startswith("instance_id,n,edges,k,m,variant,alg_weight")
+    assert lines[0].split(",") == [f.name for f in fields(BenchRow)]
     assert len(lines) == len(rows) + 1
+
+
+def test_a_task_solves_under_its_own_config(monkeypatch):
+    task = replace(_tasks()[-1], config=SolverConfig())  # witnesses on
+    solve = SOLVERS["general"]
+    used = []
+
+    def spy(instance, config):
+        used.append(config)
+        return solve(instance, config)
+
+    monkeypatch.setitem(SOLVERS, "general", spy)
+    assert run_task(task) is not None
+    assert used == [task.config]

@@ -7,9 +7,11 @@ import re
 
 import pytest
 
+import kmcds.cli as cli_mod
 import kmcds.solver as solver_mod
 from kmcds import Instance, dump_instance
-from kmcds.cli import main
+from kmcds.cli import build_parser, main
+from kmcds.rooted import BACKENDS
 
 from brutes import brute_pair_connectivity
 from toolbox import breaking_prune, cycle_graph, inst
@@ -96,6 +98,22 @@ def test_verify_checks_the_certificate_in_a_report(tmp_path, capsys):
     assert code == 1 and "line 1" in err
 
 
+def test_verify_rejects_inexact_and_repeated_ids(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(inst(cycle_graph(5), 1, 1)))
+    report = tmp_path / "ids.json"
+    for ids in ([0, 1.9, 2, 3, 4], [0, True, 2, 3, 4], {"sets": {"solution": [0, 1.0, 2]}}):
+        report.write_text(json.dumps(ids))
+        code, out, err = _run(capsys, "verify", str(inst_path), "--from-report", str(report))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "not an integer" in err
+    for source in (["--members", "0,0,1,2,3,4"], ["--from-report", str(report)]):
+        report.write_text(json.dumps({"members": [0, 1, 2, 3, 4, 0]}))
+        code, out, err = _run(capsys, "verify", str(inst_path), *source)
+        assert code == 1 and out == ""
+        assert err == "error: member id 0 is listed more than once\n"
+
+
 def test_verify_needs_one_node_set_source(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(dump_instance(inst(cycle_graph(5), 1, 1)))
@@ -177,6 +195,17 @@ def test_jobs_variable_is_read_by_bench_only(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "KMCDS_JOBS" in err
     assert "Traceback" not in err
+
+
+def test_jobs_flag_must_be_a_positive_integer(capsys, monkeypatch):
+    monkeypatch.delenv("KMCDS_JOBS", raising=False)
+    for jobs in ("-3", "0", "two"):
+        code, out, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err == f"error: --jobs must be a positive integer, got {jobs!r}\n"
+    monkeypatch.setenv("KMCDS_JOBS", "-3")
+    code, _, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6")
+    assert code == 1 and err == "error: KMCDS_JOBS must be a positive integer, got '-3'\n"
 
 
 def test_parse_errors_exit_one(tmp_path, capsys):
@@ -281,6 +310,32 @@ def test_bench_produces_sorted_csv(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert doc["kind"] == "kmcds-bench"
     assert len(doc["rows"]) == len(rows)
+
+
+def _choices(subcommand, dest):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return tuple(next(a for a in sub.choices[subcommand]._actions if a.dest == dest).choices)
+
+
+def test_name_choices_come_from_the_solver():
+    assert _choices("solve", "variant") == tuple(solver_mod.SOLVERS)
+    for command in ("solve", "bench"):
+        assert _choices(command, "backend") == BACKENDS
+        assert _choices(command, "attachment_rule") == solver_mod.ATTACHMENT_RULES
+
+
+def test_bench_hands_every_task_the_whole_config(capsys, monkeypatch):
+    swept = []
+
+    def capture(tasks, jobs=1):
+        swept.append(tasks)
+        return [], 0
+
+    monkeypatch.setattr(cli_mod, "run_bench", capture)
+    for extra, witnesses in (([], True), (["--no-witnesses"], False)):
+        assert _run(capsys, "bench", "--kinds", "gnp", *extra)[0] == 0
+        tasks = swept.pop()
+        assert tasks and all(t.config.collect_witnesses is witnesses for t in tasks)
 
 
 def test_bench_rejects_unknown_names(capsys):

@@ -21,11 +21,10 @@ from kmcds import (
     find_k_connectivity_violation,
     is_k_T_connected,
     is_k_connected,
-    is_k_in_connected_to_root,
     is_m_dominating,
     local_connectivity,
 )
-from kmcds.connectivity import find_root_connectivity_violation
+from kmcds.rooted import find_infeasible_terminal
 from kmcds.errors import InfeasibleError
 
 from brutes import (
@@ -44,6 +43,7 @@ from toolbox import (
     path_graph,
     petersen,
     random_graph,
+    root_problem,
     star_graph,
 )
 
@@ -191,18 +191,17 @@ def test_is_k_T_connected_named_values():
 
 def test_is_k_in_connected_to_root_named_values():
     g_r, r = attach_root(cycle_graph(5), [0, 2], 2)
-    assert is_k_in_connected_to_root(g_r, r, 2)
+    assert find_infeasible_terminal(root_problem(g_r, r, 2), ()) is None
 
     g_r, r = attach_root(path_graph(4), [0], 1)
-    assert is_k_in_connected_to_root(g_r, r, 1)
-    assert not is_k_in_connected_to_root(g_r, r, 2)
-    assert find_root_connectivity_violation(g_r, r, 2) == 0
+    assert find_infeasible_terminal(root_problem(g_r, r, 1), ()) is None
+    assert find_infeasible_terminal(root_problem(g_r, r, 2), ()) == 0
 
     # C6 plus a degree-3 root on alternating nodes (attach_root pins the
     # attachment size to k, so build this one by hand)
     c6 = cycle_graph(6)
     g_r = Graph(range(7), list(c6.edges) + [(0, 6), (2, 6), (4, 6)])
-    assert is_k_in_connected_to_root(g_r, 6, 2)
+    assert find_infeasible_terminal(root_problem(g_r, 6, 2), ()) is None
 
 
 def test_is_m_dominating_star_and_vacuous():
@@ -250,9 +249,8 @@ def test_cut_characterization_agrees_with_flow(seed, k):
         return
     attachment = terminals[:k]
     g_r, r = attach_root(g, attachment, k)
-    assert check_cut_characterization(
-        g_r, terminals, selected, attachment, k
-    ) == is_k_in_connected_to_root(g_r, r, k)
+    by_flow = find_infeasible_terminal(root_problem(g_r, r, k), ()) is None
+    assert check_cut_characterization(g_r, terminals, selected, attachment, k) == by_flow
 
 
 def test_subpartition_characterization_named_values():

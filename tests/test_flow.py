@@ -5,10 +5,18 @@ import random
 from hypothesis import given, strategies as st
 
 from kmcds import SplitFlowNetwork
-from kmcds.flow import node_cost_map
 
 from brutes import brute_min_pair_pathset, brute_pair_connectivity, edge_cost_map
 from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph
+
+
+def _priced(g, free):
+    """A network over g with every node outside ``free`` priced at its weight."""
+    net = SplitFlowNetwork(g)
+    for v in g.nodes:
+        if v not in free:
+            net.set_node_cost(v, g.weights[v])
+    return net
 
 
 def test_max_flow_on_named_graphs():
@@ -82,7 +90,7 @@ def test_min_cost_flow_buys_the_cheapest_path_nodes(seed):
         return
     k = min(k, 3)
     free = frozenset({u, v})
-    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, free))
+    net = _priced(g, free)
     pushed, cost = net.min_cost_flow(u, v, k)
     assert pushed == k
     best = brute_min_pair_pathset(g, free, u, v, k)
@@ -90,12 +98,6 @@ def test_min_cost_flow_buys_the_cheapest_path_nodes(seed):
     assert cost == best[0]
     bought = set(net.nodes_carrying_flow()) - free
     assert sum(g.weights[x] for x in bought) == cost
-
-
-def test_node_cost_map_zeroes_free_nodes():
-    g = path_graph(3, weights=[5, 7, 9])
-    costs = node_cost_map(g, free={1})
-    assert costs == {0: 5, 1: 0, 2: 9}
 
 
 def test_edge_cost_map_prices_only_listed_endpoints():
@@ -115,7 +117,7 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
     cut_edges = [e for e in g.edges if rng.random() < 0.3]
     sub = g.without_edges(cut_edges).induced(set(g.nodes) - gone)
     free = {s, t}
-    net = SplitFlowNetwork(g, node_cost=node_cost_map(g, free))
+    net = _priced(g, free)
     for v in gone:
         net.set_node_open(v, False)
     for e in cut_edges:
@@ -138,7 +140,7 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
 
     # a masked min-cost flow walks the paths a flow on the subgraph walks
     net.reset()
-    sub_net = SplitFlowNetwork(sub, node_cost=node_cost_map(sub, free))
+    sub_net = _priced(sub, free)
     units = min(value, 3)
     assert net.min_cost_flow(s, t, units) == sub_net.min_cost_flow(s, t, units)
     assert net.nodes_carrying_flow() == sub_net.nodes_carrying_flow()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmcds import Graph, Instance, attach_root, degree_stats, induced_subgraph, neighbors
+from kmcds import Graph, Instance, attach_root, degree_stats, neighbors
 from kmcds.graph import _disk_edges
 
 from brutes import brute_disk_edges
@@ -62,7 +62,7 @@ def test_adjacency_is_sorted_and_symmetric():
 
 def test_missing_weights_default_to_zero():
     g = Graph([0, 1], [(0, 1)], {0: 5})
-    assert g.weight(1) == 0
+    assert g.weights[1] == 0
     assert g.total_weight() == 5
     assert g.total_weight([1]) == 0
 
@@ -72,7 +72,6 @@ def test_induced_preserves_identity():
     sub = g.induced({1, 3, 4})
     assert sub.nodes == (1, 3, 4)
     assert sub.edges == ((1, 3), (1, 4), (3, 4))
-    assert induced_subgraph(g, [1, 3, 4]).edges == sub.edges
 
 
 def test_induced_rejects_foreign_nodes():
@@ -99,7 +98,7 @@ def test_attach_root_basics():
     g = path_graph(4)
     g_r, root = attach_root(g, [0, 3], 2)
     assert root == 4
-    assert g_r.weight(root) == 0
+    assert g_r.weights[root] == 0
     assert g_r.adj[root] == (0, 3)
     with pytest.raises(ValueError):
         attach_root(g, [0], 2)

@@ -21,10 +21,8 @@ from kmcds.rooted import (
     _terminal_order,
     exact_backend,
     find_infeasible_terminal,
-    flow_union_backend,
     flow_union_witnessed,
     prune_selection,
-    selection_is_feasible,
 )
 
 from brutes import (
@@ -45,6 +43,10 @@ from toolbox import (
 )
 
 
+def _flow_union(problem, net=None):
+    return flow_union_witnessed(problem, net)[0]
+
+
 def _problem(g, terminals, attachment, k):
     g_r, root = attach_root(g, attachment, k)
     pool = tuple(v for v in g.nodes if v not in set(terminals))
@@ -58,7 +60,7 @@ def test_k5_terminals_need_no_help():
     for backend in ("flow-union", "exact"):
         s, info = solve_rooted_nodeweight(p, backend)
         assert s == frozenset()
-        assert selection_is_feasible(p, s)
+        assert find_infeasible_terminal(p, s) is None
 
 
 def test_p3_buys_the_middle_node():
@@ -100,8 +102,8 @@ def test_wheel_flow_union_within_factor_of_exact():
     s_fu, info = solve_rooted_nodeweight(p, "flow-union")
     s_ex, _ = solve_rooted_nodeweight(p, "exact")
     w = g.weights
-    assert selection_is_feasible(p, s_fu)
-    assert selection_is_feasible(p, s_ex)
+    assert find_infeasible_terminal(p, s_fu) is None
+    assert find_infeasible_terminal(p, s_ex) is None
     assert sum(w[v] for v in s_fu) <= info.factor_value * sum(w[v] for v in s_ex)
 
 
@@ -207,7 +209,7 @@ def test_nodeweight_stage_selects_what_the_edgecost_stage_did(seed, disk):
         return
     selected, _ = solve_rooted_nodeweight(p)
     assert selected == expected
-    assert selection_is_feasible(p, selected)
+    assert find_infeasible_terminal(p, selected) is None
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -224,7 +226,7 @@ def test_edgecost_backend_is_feasible(seed):
         with pytest.raises(InfeasibleError):
             edgecost_flow_union(p)
         return
-    assert selection_is_feasible(p, s)
+    assert find_infeasible_terminal(p, s) is None
     assert edgecost_flow_union(p)[0] == s
 
 
@@ -236,7 +238,7 @@ def test_zero_weights_cost_nothing():
     except InfeasibleError:
         return
     assert sum(g.weights[v] for v in s) == 0
-    assert selection_is_feasible(p, s)
+    assert find_infeasible_terminal(p, s) is None
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -289,7 +291,7 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
         assert prune_selection(p, full) == expected_prune
         assert net._cap0 == masks
 
-        for backend, select in (("flow-union", flow_union_backend), ("exact", exact_backend)):
+        for backend, select in (("flow-union", _flow_union), ("exact", exact_backend)):
             if expected[backend] is None:
                 with pytest.raises(InfeasibleError):
                     select(p, net)
@@ -344,12 +346,12 @@ def test_skip_selects_what_the_no_skip_reference_selects():
             expected = _unmasked_flow_union(p)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                flow_union_backend(p)
+                _flow_union(p)
             with pytest.raises(InfeasibleError):
                 solve_rooted_nodeweight(p)
             kinds.add((zero_in_pool, False))
             return
-        assert flow_union_backend(p) == expected
+        assert _flow_union(p) == expected
         assert solve_rooted_nodeweight(p) == induced_solve_rooted(p, "flow-union")
         kinds.add((zero_in_pool, True))
 
@@ -377,14 +379,14 @@ def test_a_terminal_that_already_holds_runs_no_min_cost_flow(monkeypatch):
     expected = _unmasked_flow_union(p)
     assert calls == [0, 3]
     calls.clear()
-    assert flow_union_backend(p) == expected
+    assert _flow_union(p) == expected
     assert calls == [3]  # fewer min-cost flows than terminals
 
     # a zero-weight pool node may be bought for free: every terminal runs
     g = cycle_graph(6, {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1})
     p = _problem(g, [0, 3], [0], 1)
     calls.clear()
-    assert flow_union_backend(p) == frozenset({1, 2})
+    assert _flow_union(p) == frozenset({1, 2})
     assert sorted(calls) == [0, 3]
 
 

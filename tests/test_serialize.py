@@ -102,6 +102,11 @@ def test_malformed_documents_are_rejected():
         (_doc(edges=[[0, 0]]), "loop"),
         (_doc(edges=[[0, 7]]), None),
         (_doc(radius="1/2"), "together"),
+        # coordinates and radius are exact: JSON floats and booleans are refused
+        (_doc(radius=0.5, nodes=_NEAR_PAIR), "bad fraction"),
+        (_doc(radius=True, nodes=_NEAR_PAIR), "bad fraction"),
+        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], y=0.249523), _NEAR_PAIR[1]]), "bad fraction"),
+        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], x=True), _NEAR_PAIR[1]]), "bad fraction"),
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [0, 1]]), "duplicate"),
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [1, 0]]), "duplicate"),
         (_doc(nodes=[{"id": 0, "weight": -1}, {"id": 1, "weight": 1}]), None),

@@ -349,7 +349,26 @@ def test_feasible_verify_leaves_connectivity_to_the_certificate(monkeypatch, wit
 
 def test_public_names_resolve():
     assert all(hasattr(kmcds, name) for name in kmcds.__all__)
-    assert "solve_rooted_edgecost" not in kmcds.__all__
+    for gone in (
+        "solve_rooted_edgecost",
+        "is_k_in_connected_to_root",
+        "find_root_connectivity_violation",
+        "selection_is_feasible",
+        "flow_union_backend",
+        "node_cost_map",
+        "induced_subgraph",
+    ):
+        assert gone not in kmcds.__all__
+
+
+def test_config_block_keeps_its_five_keys():
+    assert SolverConfig().to_dict() == {
+        "backend": "flow-union",
+        "attachment_rule": "min-weight",
+        "final_prune": True,
+        "collect_witnesses": True,
+        "attachment_enum_cap": 12,
+    }
 
 
 def test_witnesses_can_be_skipped():

@@ -5,7 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from kmcds import Graph, Instance, is_k_connected, is_m_dominating
+from kmcds import Graph, Instance, RootedProblem, is_k_connected, is_m_dominating
+
+
+def root_problem(g_r: Graph, root: int, k: int) -> RootedProblem:
+    """Every node but ``root`` a terminal, empty pool: for k-in-connectivity checks."""
+    others = tuple(v for v in g_r.nodes if v != root)
+    return RootedProblem(graph_r=g_r, root=root, terminals=others, pool=(), k=k)
 
 
 def path_graph(n: int, weights=None) -> Graph:
