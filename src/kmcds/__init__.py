@@ -14,26 +14,16 @@ from .connectivity import (
     DominationCheck,
     build_certificate,
     check_certificate,
-    check_cut_characterization,
-    check_subpartition_characterization,
     domination_counts,
     find_k_connectivity_violation,
-    is_k_T_connected,
     is_k_connected,
     is_m_dominating,
-    local_connectivity,
 )
-from .domset import coverage_potential, greedy_mds, greedy_mds_order, opt_mds_bruteforce
+from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError, KmcdsError, ParseError
 from .flow import SplitFlowNetwork
 from .generators import gen_gnp, gen_unit_disk
-from .graph import (
-    Graph,
-    Instance,
-    attach_root,
-    degree_stats,
-    neighbors,
-)
+from .graph import Graph, Instance, attach_root, degree_stats
 from .oracle import OracleResult, opt_kmcds
 from .rooted import (
     GuaranteeInfo,
@@ -83,9 +73,6 @@ __all__ = [
     "attach_root",
     "build_certificate",
     "check_certificate",
-    "check_cut_characterization",
-    "check_subpartition_characterization",
-    "coverage_potential",
     "degree_stats",
     "domination_counts",
     "dump_instance",
@@ -95,17 +82,12 @@ __all__ = [
     "gen_gnp",
     "gen_unit_disk",
     "greedy_mds",
-    "greedy_mds_order",
-    "is_k_T_connected",
     "is_k_connected",
     "is_m_dominating",
     "load_instance",
-    "local_connectivity",
     "min_weight_k_paths",
     "minimal_augmenting_forest",
-    "neighbors",
     "opt_kmcds",
-    "opt_mds_bruteforce",
     "precheck",
     "read_instance",
     "solve_general",

@@ -14,7 +14,7 @@ from typing import Iterable
 from .errors import InfeasibleError, InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph
-from .connectivity import is_k_connected, local_connectivity
+from .connectivity import is_k_connected
 
 
 def _is_forest(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
@@ -41,26 +41,32 @@ def minimal_augmenting_forest(
 
     Starts from the clique on the attachment (edges already in h are
     discarded up front) and peels edges in lexicographic order whenever the
-    rest still suffices. Raises when even the clique cannot reach
-    k-connectivity: callers guarantee it can, so that is an upstream bug.
+    rest still suffices, on one network where a peeled edge stays closed.
+    Raises when even the clique cannot reach k-connectivity: callers
+    guarantee it can, so that is an upstream bug.
     """
     att = sorted(set(attachment))
     for v in att:
         if not h.has_node(v):
             raise ValueError(f"attachment node {v} not in graph")
     clique = [e for e in combinations(att, 2) if not h.has_edge(*e)]
-    if not is_k_connected(h.union_edges(clique), k):
+    full = h.union_edges(clique)
+    if not is_k_connected(full, k):
         raise InvariantViolationError(
             "attachment clique cannot make the graph k-connected"
         )
-    kept = list(clique)
-    for e in clique:
-        rest = [f for f in kept if f != e]
-        # a k-connected graph stays k-connected after deleting edge uv iff
-        # u and v keep k disjoint paths: any new small cut must split them
-        candidate = h.union_edges(rest)
-        if local_connectivity(candidate, e[0], e[1], k) >= k:
-            kept = rest
+    if not clique:
+        return ()
+    # a k-connected graph stays k-connected after deleting edge uv iff u and
+    # v keep k disjoint paths: any new small cut must split them
+    net = SplitFlowNetwork(full)
+    kept = []
+    for u, v in clique:
+        net.set_edge_open(u, v, False)
+        net.reset()
+        if net.max_flow(u, v, k) < k:
+            net.set_edge_open(u, v, True)
+            kept.append((u, v))
     if not _is_forest(att, kept):
         raise InvariantViolationError("peeled augmentation is not a forest")
     if len(kept) > max(len(att) - 1, 0):

@@ -14,12 +14,12 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 
 from .errors import InfeasibleError
 from .generators import gen_gnp, gen_unit_disk
 from .graph import Instance
 from .oracle import opt_kmcds
+from .serialize import parse_fraction
 from .solver import SOLVERS, SolverConfig
 
 
@@ -69,7 +69,7 @@ def _build_instance(task: BenchTask) -> Instance:
         )
     return gen_unit_disk(
         task.n,
-        Fraction(task.radius),
+        parse_fraction(task.radius),
         (task.weight_lo, task.weight_hi),
         task.seed,
         task.k,
@@ -141,6 +141,8 @@ def build_tasks(
     for variant in variants:
         if variant not in SOLVERS:
             raise ValueError(f"unknown variant {variant!r}")
+    if "unit-disk" in kinds:
+        parse_fraction(radius)
     tasks = []
     counter = 0
     for kind in kinds:

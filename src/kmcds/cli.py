@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .bench import build_tasks, rows_to_csv, run_bench
 from .connectivity import check_certificate
@@ -24,6 +23,7 @@ from .serialize import (
     dump_instance,
     dump_report,
     dumps_canonical,
+    parse_fraction,
     read_instance,
     verify_result_to_dict,
 )
@@ -82,7 +82,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.radius is None:
             raise ValueError("unit-disk generation needs --radius")
         inst = gen_unit_disk(
-            args.n, Fraction(args.radius), weight_range, args.seed, args.k, args.m
+            args.n, parse_fraction(args.radius), weight_range, args.seed, args.k, args.m
         )
     _write_output(dump_instance(inst), args.output)
     return EXIT_OK
@@ -167,31 +167,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    """Worker count from ``--jobs``, else from KMCDS_JOBS, else 1."""
-    if args.jobs is not None:
-        name, text = "--jobs", args.jobs
-    else:
-        name, text = "KMCDS_JOBS", os.environ.get("KMCDS_JOBS", "1")
+def _positive_int(name: str, text: str) -> int:
+    """``text`` as an integer of at least 1, else a ValueError naming ``name``."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {text!r}")
-    return jobs
+    return value
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    jobs = _jobs(args)
+    if args.jobs is not None:
+        jobs = _positive_int("--jobs", args.jobs)
+    else:
+        jobs = _positive_int("KMCDS_JOBS", os.environ.get("KMCDS_JOBS", "1"))
     tasks = build_tasks(
         kinds=[s for s in args.kinds.split(",") if s],
         sizes=_parse_int_list(args.sizes),
         k_values=_parse_int_list(args.k_values),
         m_offsets=_parse_int_list(args.m_offsets),
         variants=[s for s in args.variants.split(",") if s],
-        per_cell=args.per_cell,
+        per_cell=_positive_int("--per-cell", args.per_cell),
         seed=args.seed,
         p=args.p,
         radius=args.radius,
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="general",
         help=f"comma-separated: {','.join(SOLVERS)}",
     )
-    p.add_argument("--per-cell", type=int, default=3)
+    p.add_argument("--per-cell", default="3", help="instances per grid cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5, help="edge probability for gnp")
     p.add_argument("--radius", default="1/2", help="disk radius fraction")

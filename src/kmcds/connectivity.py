@@ -1,4 +1,4 @@
-"""Connectivity and domination verifiers plus brute-force characterizations.
+"""Connectivity and domination verifiers, and certificates built on them.
 
 The flow-based tests here are the package's ground truth for Menger-style
 connectivity questions. Whole-graph k-connectivity goes through one kernel,
@@ -11,16 +11,13 @@ max-flows on one network instead of one per node pair; k = 1 is a plain
 search and a node of degree below k is a witness without any flow. The
 literal all-pair loop it replaced is kept in the test suite
 (``tests/brutes.py``) as the reference the kernel is compared against.
-Certificates (:func:`build_certificate`) follow the same schedule and keep
-its paths: a bundle for each pair among the first k members and a fan for
-each later one, C(k, 2) + (s - k) path systems for s members in place of
-one per member pair. :func:`check_certificate` re-checks them without a
-flow; the all-pair certificate they replaced is the test suite's reference.
 
-The subset-enumeration characterizations
-(:func:`check_cut_characterization`, :func:`check_subpartition_characterization`)
-are independent second routes used to cross-check the flow answers; they
-stay deliberately literal.
+A certificate (:func:`build_certificate`) is that same pass over G[S]
+with its paths kept: a bundle for each pair among the first k members and
+a fan for each later one, C(k, 2) + (s - k) path systems for s members in
+place of one per member pair. :func:`check_certificate` re-checks them
+without a flow; the all-pair certificate they replaced is the test
+suite's reference.
 """
 
 from __future__ import annotations
@@ -31,22 +28,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import InfeasibleError
 from .flow import SplitFlowNetwork
 from .graph import Graph, Instance
-
-
-def local_connectivity(g: Graph, u: int, v: int, cap: int) -> int:
-    """Number of internally disjoint u-v paths, capped at ``cap``.
-
-    Adjacent pairs count the direct edge as one path.
-    """
-    if u == v:
-        raise ValueError("local connectivity needs two distinct nodes")
-    if not (g.has_node(u) and g.has_node(v)):
-        raise ValueError("both endpoints must be in the graph")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if cap == 0:
-        return 0
-    return SplitFlowNetwork(g).max_flow(u, v, cap)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -78,16 +59,11 @@ class ConnectivityViolation:
     value: int
     too_small: bool = False
 
-
-def _pair_violation(
-    net: SplitFlowNetwork, u: int, v: int, k: int
-) -> ConnectivityViolation | None:
-    net.reset()
-    f = net.max_flow(u, v, k)
-    if f >= k:
-        return None
-    cut, direct = net.min_cut_separator(u, v)
-    return ConnectivityViolation((u, v), tuple(cut), direct, f)
+    def describe(self, removed: str) -> str:
+        """The witness as a sentence; ``removed`` names what the separator holds."""
+        extra = " plus their shared edge" if self.direct_edge else ""
+        u, v = self.pair
+        return f"removing {removed} {list(self.separator)}{extra} separates {u} from {v}"
 
 
 def _even_schedule(
@@ -110,7 +86,9 @@ def _even_schedule(
         yield SplitFlowNetwork.SOURCE, nodes[j]
 
 
-def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | None:
+def find_k_connectivity_violation(
+    g: Graph, k: int, paths: dict | None = None
+) -> ConnectivityViolation | None:
     """None when g is k-connected, else a checkable witness.
 
     The one connectivity kernel (see the module docstring), in this order:
@@ -118,20 +96,24 @@ def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | N
     - at most k nodes: ``too_small``;
     - k = 1: a search from the first node; the witness pairs it with the
       first node left unreached, separator ``()``;
-    - a node v of degree below k: v and its first non-neighbour, separated
-      by N(v);
+    - k >= 2 and a node v of degree below k: v and its first
+      non-neighbour, separated by N(v);
     - Even's schedule on one network: the first k nodes pairwise, then
       each later node v_j against the super-source joined to v_1..v_{j-1}.
       When v_j fails, an earlier node u left on the source side of the
       minimum cut is not adjacent to v_j and is cut off from it by fewer
       than k nodes; one u-v_j flow turns that into the usual pair witness.
+
+    A given ``paths`` dict receives each flow's k paths under its (source,
+    sink) pair; a fan, keyed (``SplitFlowNetwork.SOURCE``, v_j), has paths
+    that start at v_j. k = 1 then runs the schedule: same witness as the search.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= k:
         return ConnectivityViolation(None, (), False, 0, too_small=True)
     nodes = g.nodes
-    if k == 1:
+    if k == 1 and paths is None:
         first = nodes[0]
         seen = {first}
         stack = [first]
@@ -144,45 +126,33 @@ def find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViolation | N
             return None
         far = next(v for v in nodes if v not in seen)
         return ConnectivityViolation((first, far), (), False, 0)
-    for v in nodes:
-        near = g.adj[v]
-        if len(near) < k:
-            far = next(w for w in nodes if w != v and w not in near)
-            return ConnectivityViolation(
-                (min(v, far), max(v, far)), near, False, len(near)
-            )
+    if k > 1:
+        for v in nodes:
+            near = g.adj[v]
+            if len(near) < k:
+                far = next(w for w in nodes if w != v and w not in near)
+                return ConnectivityViolation(
+                    (min(v, far), max(v, far)), near, False, len(near)
+                )
 
     net = SplitFlowNetwork(g)
     for s, t in _even_schedule(net, nodes, k):
         f = net.max_flow(s, t, k)
         if f >= k:
+            if paths is not None:
+                # a fan's paths run SOURCE, u, ..., t: drop SOURCE, start at t
+                fan = s == SplitFlowNetwork.SOURCE
+                paths[(s, t)] = tuple(p[:0:-1] if fan else p for p in net.extract_paths(s, t))
             continue
         if s == SplitFlowNetwork.SOURCE:
             # ids ascend with the index, so the least source-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            return _pair_violation(net, net.source_side(s)[0], t, k)
+            s = net.source_side(s)[0]
+            net.reset()
+            f = net.max_flow(s, t, k)
         cut, direct = net.min_cut_separator(s, t)
         return ConnectivityViolation((s, t), tuple(cut), direct, f)
     return None
-
-
-def is_k_T_connected(g: Graph, terminals: Iterable[int], k: int) -> bool:
-    """True iff every pair of terminals keeps k internally disjoint paths."""
-    ts = sorted(set(terminals))
-    if not ts:
-        raise ValueError("need at least one terminal")
-    for t in ts:
-        if not g.has_node(t):
-            raise ValueError(f"terminal {t} not in graph")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    net = SplitFlowNetwork(g)
-    for i, u in enumerate(ts):
-        for v in ts[i + 1:]:
-            net.reset()
-            if net.max_flow(u, v, k) < k:
-                return False
-    return True
 
 
 def domination_counts(g: Graph, members: Iterable[int]) -> dict[int, int]:
@@ -211,95 +181,6 @@ def is_m_dominating(g: Graph, members: Iterable[int], m: int) -> DominationCheck
     return DominationCheck(all(c >= m for c in counts.values()), counts)
 
 
-_CUT_CONDITION_CAP = 20
-
-
-def check_cut_characterization(
-    g_r: Graph,
-    terminals: Iterable[int],
-    selected: Iterable[int],
-    attachment: Iterable[int],
-    k: int,
-) -> bool:
-    """Brute-force cut characterization of k-in-connectivity to the root.
-
-    The root is the one node of ``g_r`` outside terminals∪selected. For
-    every nonempty A within terminals∪selected, counts A's neighbors in
-    the graph without the root plus A's overlap with the attachment; all
-    sums must reach k. Agrees with the flow test by Menger's theorem.
-    """
-    ts = frozenset(terminals)
-    ss = frozenset(selected)
-    base = sorted(ts | ss)
-    extra = set(g_r.nodes) - set(base)
-    if len(extra) != 1:
-        raise ValueError("graph must contain exactly terminals, selected and one root")
-    (root,) = extra
-    if len(base) > _CUT_CONDITION_CAP:
-        raise ValueError(f"subset enumeration capped at {_CUT_CONDITION_CAP} nodes")
-    pos = {v: i for i, v in enumerate(base)}
-    nbr = [0] * len(base)
-    for v in base:
-        mask = 0
-        for w in g_r.adj[v]:
-            if w != root:
-                mask |= 1 << pos[w]
-        nbr[pos[v]] = mask
-    att_mask = 0
-    for v in attachment:
-        if v not in pos:
-            raise ValueError(f"attachment node {v} outside terminals and selected")
-        att_mask |= 1 << pos[v]
-    b = len(base)
-    for a_mask in range(1, 1 << b):
-        gamma = 0
-        rest = a_mask
-        while rest:
-            low = rest & -rest
-            gamma |= nbr[low.bit_length() - 1]
-            rest ^= low
-        gamma &= ~a_mask
-        if gamma.bit_count() + (a_mask & att_mask).bit_count() < k:
-            return False
-    return True
-
-
-_SUBPARTITION_CAP = 12
-
-
-def check_subpartition_characterization(g: Graph, k: int) -> bool:
-    """Brute-force check: no two nonadjacent node sets leave < k outside.
-
-    Enumerates every disjoint nonempty pair (A, B) with no crossing edge
-    and demands at least k nodes outside A∪B. Equivalent to k-connectivity
-    for graphs with more than k nodes.
-    """
-    if g.n > _SUBPARTITION_CAP:
-        raise ValueError(f"subset enumeration capped at {_SUBPARTITION_CAP} nodes")
-    n = g.n
-    base = list(g.nodes)
-    pos = {v: i for i, v in enumerate(base)}
-    nbr = [0] * n
-    for v in base:
-        for w in g.adj[v]:
-            nbr[pos[v]] |= 1 << pos[w]
-    full = (1 << n) - 1
-    for a_mask in range(1, full + 1):
-        closure = a_mask
-        rest = a_mask
-        while rest:
-            low = rest & -rest
-            closure |= nbr[low.bit_length() - 1]
-            rest ^= low
-        allowed = full & ~closure
-        b_mask = allowed
-        while b_mask:
-            if n - a_mask.bit_count() - b_mask.bit_count() < k:
-                return False
-            b_mask = (b_mask - 1) & allowed
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """Verifiable evidence that a node set is a (k, m)-cds, on Even's schedule.
@@ -323,50 +204,41 @@ class Certificate:
     fans: Mapping[int, tuple[tuple[int, ...], ...]]
 
 
+def certify(
+    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
+) -> tuple[dict[int, int], ConnectivityViolation | None, Certificate | None]:
+    """(domination counts, kernel witness, certificate or None) of a set, in one kernel pass."""
+    inside = sorted(set(members))
+    counts = domination_counts(g, inside)
+    dominated = all(c >= m for c in counts.values())
+    paths: dict = {}
+    violation = find_k_connectivity_violation(
+        g.induced(inside), k, paths if with_witnesses and dominated else None
+    )
+    if not dominated or violation is not None:
+        return counts, violation, None
+    fan = SplitFlowNetwork.SOURCE
+    pairs = {(s, t): p for (s, t), p in paths.items() if s != fan}
+    fans = {t: p for (s, t), p in paths.items() if s == fan}
+    return counts, None, Certificate(k, m, tuple(inside), counts, pairs, fans)
+
+
 def build_certificate(
     g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
 ) -> Certificate:
-    """Certificate for a feasible set; raises :class:`InfeasibleError` if it is not one.
+    """:func:`certify`'s certificate; raises :class:`InfeasibleError` if there is none.
 
-    With witnesses, one network over G[S] runs the flows of Even's schedule
-    and keeps their paths: each pair among the first k members, then each
-    later member against the super-source joined to every earlier one (a
-    fan is such a flow with the super-source stripped). Without, only the
-    kernel of :func:`find_k_connectivity_violation` runs.
+    The error names the first node short of m member neighbors, else the kernel's witness.
     """
-    inside = sorted(set(members))
-    counts = domination_counts(g, inside)
+    counts, violation, cert = certify(g, members, k, m, with_witnesses)
     bad = [v for v, c in counts.items() if c < m]
     if bad:
         raise InfeasibleError(f"node {bad[0]} has only {counts[bad[0]]} member neighbors")
-    if len(inside) <= k:
+    if violation is None:
+        return cert
+    if violation.too_small:
         raise InfeasibleError("a k-connected set needs more than k nodes")
-    sub = g.induced(inside)
-    if not with_witnesses:
-        violation = find_k_connectivity_violation(sub, k)
-        if violation is not None:
-            u, v = violation.pair
-            extra = " plus their shared edge" if violation.direct_edge else ""
-            raise InfeasibleError(
-                f"removing members {list(violation.separator)}{extra} "
-                f"separates {u} from {v}"
-            )
-        return Certificate(k, m, tuple(inside), counts, {}, {})
-    net = SplitFlowNetwork(sub)
-    pairs: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-    fans: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for s, t in _even_schedule(net, inside, k):
-        f = net.max_flow(s, t, k)
-        fan = s == SplitFlowNetwork.SOURCE
-        if f < k:
-            whom = f"member {t} and the members before it" if fan else f"members {s} and {t}"
-            raise InfeasibleError(f"{whom} have only {f} disjoint paths")
-        if fan:
-            # extracted paths run SOURCE, u, ..., t: drop SOURCE, start at t
-            fans[t] = tuple(p[:0:-1] for p in net.extract_paths(s, t))
-        else:
-            pairs[(s, t)] = tuple(net.extract_paths(s, t))
-    return Certificate(k, m, tuple(inside), counts, pairs, fans)
+    raise InfeasibleError(violation.describe("members"))
 
 
 def _path_problems(

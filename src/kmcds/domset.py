@@ -1,4 +1,4 @@
-"""Greedy and exact minimum-weight m-dominating sets.
+"""Greedy minimum-weight m-dominating sets.
 
 A set T m-dominates the graph when every node outside T has at least m
 neighbors inside T. The greedy solver follows the density rule for
@@ -9,10 +9,7 @@ of the optimum.
 
 from __future__ import annotations
 
-from ._enum import iter_subsets_by_weight
 from .graph import Graph, Instance
-
-_OPT_MDS_CAP = 16
 
 
 def _greedy_rounds(g: Graph, m: int) -> list[int]:
@@ -52,54 +49,3 @@ def _greedy_rounds(g: Graph, m: int) -> list[int]:
 def greedy_mds(instance: Instance) -> frozenset[int]:
     """Greedy m-dominating set of the instance's graph."""
     return frozenset(_greedy_rounds(instance.graph, instance.m))
-
-
-def greedy_mds_order(instance: Instance) -> list[int]:
-    """Greedy selections in pick order (for tracing the potential climb)."""
-    return _greedy_rounds(instance.graph, instance.m)
-
-
-def coverage_potential(g: Graph, members: frozenset[int], m: int) -> int:
-    """Sum over nodes of min(m, covers received); m*n at feasibility."""
-    total = 0
-    for v in g.nodes:
-        if v in members:
-            total += m
-        else:
-            total += min(m, sum(1 for w in g.adj[v] if w in members))
-    return total
-
-
-def opt_mds_bruteforce(instance: Instance) -> frozenset[int]:
-    """Exact minimum-weight m-dominating set by weight-ordered enumeration.
-
-    Capped at 16 nodes. Ties resolve to the lexicographically first
-    subset, so the result is deterministic.
-    """
-    g = instance.graph
-    if g.n > _OPT_MDS_CAP:
-        raise ValueError(f"brute force capped at {_OPT_MDS_CAP} nodes")
-    m = instance.m
-    nbr_mask = {v: 0 for v in g.nodes}
-    for v in g.nodes:
-        for w in g.adj[v]:
-            nbr_mask[v] |= 1 << w
-    full = 0
-    for v in g.nodes:
-        full |= 1 << v
-    for _, subset in iter_subsets_by_weight(g.nodes, g.weights):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        rest = full & ~mask
-        ok = True
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if (nbr_mask[v] & mask).bit_count() < m:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            return frozenset(subset)
-    raise RuntimeError("the full node set always m-dominates")

@@ -111,19 +111,6 @@ class Graph:
                 new.append(e)
         return Graph(self.nodes, new, self.weights)
 
-    def without_edges(self, drop: Iterable[tuple[int, int]]) -> "Graph":
-        gone = {(u, v) if u < v else (v, u) for u, v in drop}
-        return Graph(self.nodes, [e for e in self.edges if e not in gone], self.weights)
-
-
-def neighbors(g: Graph, members: Iterable[int]) -> frozenset[int]:
-    """Nodes outside ``members`` adjacent to at least one member."""
-    inside = frozenset(members)
-    out: set[int] = set()
-    for v in inside:
-        out.update(g.adj[v])
-    return frozenset(out - inside)
-
 
 def attach_root(g: Graph, attachment: Iterable[int], k: int) -> tuple[Graph, int]:
     """Add a zero-weight virtual root adjacent to exactly ``attachment``.

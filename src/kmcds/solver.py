@@ -46,7 +46,7 @@ from .connectivity import (
     Certificate,
     ConnectivityViolation,
     build_certificate,
-    domination_counts,
+    certify,
     find_k_connectivity_violation,
     is_k_connected,
     is_m_dominating,
@@ -152,26 +152,14 @@ class VerifyResult:
 def verify_solution(
     instance: Instance, members: Iterable[int], with_witnesses: bool = True
 ) -> VerifyResult:
-    """Check a claimed solution from scratch (no solver state involved)."""
+    """Check a claimed solution from scratch, in one kernel pass (no solver state involved)."""
     g = instance.graph
     inside = frozenset(members)
     for v in inside:
         if not g.has_node(v):
             raise ValueError(f"node {v} not in instance")
-    counts = domination_counts(g, inside)
+    counts, conn_violation, cert = certify(g, inside, instance.k, instance.m, with_witnesses)
     dom_bad = {v: c for v, c in counts.items() if c < instance.m}
-    cert = conn_violation = None
-    # the certificate runs the connectivity kernel's schedule itself, so the
-    # kernel runs again only for the witness of a set it refuses
-    if not dom_bad:
-        try:
-            cert = build_certificate(g, inside, instance.k, instance.m, with_witnesses)
-        except InfeasibleError:
-            conn_violation = find_k_connectivity_violation(g.induced(inside), instance.k)
-            if conn_violation is None:
-                raise
-    else:
-        conn_violation = find_k_connectivity_violation(g.induced(inside), instance.k)
     return VerifyResult(
         cert is not None, not dom_bad, dom_bad, conn_violation is None, conn_violation, cert
     )
@@ -186,10 +174,8 @@ def _require_feasible(instance: Instance) -> None:
         raise InfeasibleError(
             f"no (k, m)-cds: the graph has only {instance.n} nodes, need more than {instance.k}"
         )
-    extra = " plus their shared edge" if v.direct_edge else ""
     raise InfeasibleError(
-        f"no (k, m)-cds: the graph is not {instance.k}-connected; removing nodes "
-        f"{list(v.separator)}{extra} separates {v.pair[0]} from {v.pair[1]}"
+        f"no (k, m)-cds: the graph is not {instance.k}-connected; {v.describe('nodes')}"
     )
 
 

@@ -11,8 +11,16 @@ replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
 feasibility check, in place of one masked network per solve, the
 all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
-and the edge-cost rooted stage that unit-disk solves ran until the
-node-weighted stage was shown to select the same sets.
+the edge-cost rooted stage that unit-disk solves ran until the
+node-weighted stage was shown to select the same sets, and the forest
+peel that built one graph and one network per clique edge.
+
+The last block holds helpers that only tests call, moved out of the
+package: edge deletion and neighbourhoods, capped local connectivity,
+all-pair terminal connectivity, the literal subset characterizations
+(cut condition for k-in-connectivity to a root, subpartitions for
+k-connectivity), the greedy pick order with its coverage potential, and
+the exact minimum-weight m-dominating set.
 """
 
 from __future__ import annotations
@@ -29,9 +37,12 @@ from kmcds import (
     Instance,
     RootedProblem,
     domination_counts,
+    is_k_connected,
 )
 from kmcds._enum import iter_subsets_by_weight
-from kmcds.errors import InfeasibleError
+from kmcds.augment import _is_forest
+from kmcds.domset import _greedy_rounds
+from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.flow import SplitFlowNetwork
 from kmcds.rooted import _terminal_order, prune_selection
 
@@ -50,7 +61,7 @@ def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
 def brute_pair_connectivity(g: Graph, u: int, v: int) -> int:
     """Internally disjoint u-v path count from the separator definition."""
     if g.has_edge(u, v):
-        return 1 + brute_pair_connectivity(g.without_edges([(u, v)]), u, v)
+        return 1 + brute_pair_connectivity(without_edges(g, [(u, v)]), u, v)
     others = [x for x in g.nodes if x != u and x != v]
     for size in range(len(others) + 1):
         for cut in combinations(others, size):
@@ -337,8 +348,8 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
             lower_full = g.total_weight(forced)
             if best_weight is not None and lower_full >= best_weight:
                 continue
-            trimmed = g.without_edges(
-                (r, x) for x in g.adj[r] if x not in picked
+            trimmed = without_edges(
+                g, ((r, x) for x in g.adj[r] if x not in picked)
             )
             problem = RootedProblem(
                 graph_r=trimmed,
@@ -440,3 +451,232 @@ def brute_disk_edges(
         if dx * dx + dy * dy <= rr:
             out.append((u, v))
     return out
+
+
+def without_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
+    """g with the edges in ``drop`` removed (either orientation)."""
+    gone = {(u, v) if u < v else (v, u) for u, v in drop}
+    return Graph(g.nodes, [e for e in g.edges if e not in gone], g.weights)
+
+
+def neighbors(g: Graph, members: Iterable[int]) -> frozenset[int]:
+    """Nodes outside ``members`` adjacent to at least one member."""
+    inside = frozenset(members)
+    out: set[int] = set()
+    for v in inside:
+        out.update(g.adj[v])
+    return frozenset(out - inside)
+
+
+def local_connectivity(g: Graph, u: int, v: int, cap: int) -> int:
+    """Number of internally disjoint u-v paths, capped at ``cap``.
+
+    Adjacent pairs count the direct edge as one path.
+    """
+    if u == v:
+        raise ValueError("local connectivity needs two distinct nodes")
+    if not (g.has_node(u) and g.has_node(v)):
+        raise ValueError("both endpoints must be in the graph")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if cap == 0:
+        return 0
+    return SplitFlowNetwork(g).max_flow(u, v, cap)
+
+
+def is_k_T_connected(g: Graph, terminals: Iterable[int], k: int) -> bool:
+    """True iff every pair of terminals keeps k internally disjoint paths."""
+    ts = sorted(set(terminals))
+    if not ts:
+        raise ValueError("need at least one terminal")
+    for t in ts:
+        if not g.has_node(t):
+            raise ValueError(f"terminal {t} not in graph")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    net = SplitFlowNetwork(g)
+    for i, u in enumerate(ts):
+        for v in ts[i + 1:]:
+            net.reset()
+            if net.max_flow(u, v, k) < k:
+                return False
+    return True
+
+
+_CUT_CONDITION_CAP = 20
+
+
+def check_cut_characterization(
+    g_r: Graph,
+    terminals: Iterable[int],
+    selected: Iterable[int],
+    attachment: Iterable[int],
+    k: int,
+) -> bool:
+    """Brute-force cut characterization of k-in-connectivity to the root.
+
+    The root is the one node of ``g_r`` outside terminals∪selected. For
+    every nonempty A within terminals∪selected, counts A's neighbors in
+    the graph without the root plus A's overlap with the attachment; all
+    sums must reach k. Agrees with the flow test by Menger's theorem.
+    """
+    ts = frozenset(terminals)
+    ss = frozenset(selected)
+    base = sorted(ts | ss)
+    extra = set(g_r.nodes) - set(base)
+    if len(extra) != 1:
+        raise ValueError("graph must contain exactly terminals, selected and one root")
+    (root,) = extra
+    if len(base) > _CUT_CONDITION_CAP:
+        raise ValueError(f"subset enumeration capped at {_CUT_CONDITION_CAP} nodes")
+    pos = {v: i for i, v in enumerate(base)}
+    nbr = [0] * len(base)
+    for v in base:
+        mask = 0
+        for w in g_r.adj[v]:
+            if w != root:
+                mask |= 1 << pos[w]
+        nbr[pos[v]] = mask
+    att_mask = 0
+    for v in attachment:
+        if v not in pos:
+            raise ValueError(f"attachment node {v} outside terminals and selected")
+        att_mask |= 1 << pos[v]
+    b = len(base)
+    for a_mask in range(1, 1 << b):
+        gamma = 0
+        rest = a_mask
+        while rest:
+            low = rest & -rest
+            gamma |= nbr[low.bit_length() - 1]
+            rest ^= low
+        gamma &= ~a_mask
+        if gamma.bit_count() + (a_mask & att_mask).bit_count() < k:
+            return False
+    return True
+
+
+_SUBPARTITION_CAP = 12
+
+
+def check_subpartition_characterization(g: Graph, k: int) -> bool:
+    """Brute-force check: no two nonadjacent node sets leave < k outside.
+
+    Enumerates every disjoint nonempty pair (A, B) with no crossing edge
+    and demands at least k nodes outside A∪B. Equivalent to k-connectivity
+    for graphs with more than k nodes.
+    """
+    if g.n > _SUBPARTITION_CAP:
+        raise ValueError(f"subset enumeration capped at {_SUBPARTITION_CAP} nodes")
+    n = g.n
+    base = list(g.nodes)
+    pos = {v: i for i, v in enumerate(base)}
+    nbr = [0] * n
+    for v in base:
+        for w in g.adj[v]:
+            nbr[pos[v]] |= 1 << pos[w]
+    full = (1 << n) - 1
+    for a_mask in range(1, full + 1):
+        closure = a_mask
+        rest = a_mask
+        while rest:
+            low = rest & -rest
+            closure |= nbr[low.bit_length() - 1]
+            rest ^= low
+        allowed = full & ~closure
+        b_mask = allowed
+        while b_mask:
+            if n - a_mask.bit_count() - b_mask.bit_count() < k:
+                return False
+            b_mask = (b_mask - 1) & allowed
+    return True
+
+
+_OPT_MDS_CAP = 16
+
+
+def greedy_mds_order(instance: Instance) -> list[int]:
+    """Greedy selections in pick order (for tracing the potential climb)."""
+    return _greedy_rounds(instance.graph, instance.m)
+
+
+def coverage_potential(g: Graph, members: frozenset[int], m: int) -> int:
+    """Sum over nodes of min(m, covers received); m*n at feasibility."""
+    total = 0
+    for v in g.nodes:
+        if v in members:
+            total += m
+        else:
+            total += min(m, sum(1 for w in g.adj[v] if w in members))
+    return total
+
+
+def opt_mds_bruteforce(instance: Instance) -> frozenset[int]:
+    """Exact minimum-weight m-dominating set by weight-ordered enumeration.
+
+    Capped at 16 nodes. Ties resolve to the lexicographically first
+    subset, so the result is deterministic.
+    """
+    g = instance.graph
+    if g.n > _OPT_MDS_CAP:
+        raise ValueError(f"brute force capped at {_OPT_MDS_CAP} nodes")
+    m = instance.m
+    nbr_mask = {v: 0 for v in g.nodes}
+    for v in g.nodes:
+        for w in g.adj[v]:
+            nbr_mask[v] |= 1 << w
+    full = 0
+    for v in g.nodes:
+        full |= 1 << v
+    for _, subset in iter_subsets_by_weight(g.nodes, g.weights):
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        rest = full & ~mask
+        ok = True
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if (nbr_mask[v] & mask).bit_count() < m:
+                ok = False
+                break
+            rest ^= low
+        if ok:
+            return frozenset(subset)
+    raise RuntimeError("the full node set always m-dominates")
+
+
+def rebuilt_augmenting_forest(
+    h: Graph, attachment: Iterable[int], k: int
+) -> tuple[tuple[int, int], ...]:
+    """Inclusion-minimal virtual edges on ``attachment`` making h k-connected.
+
+    The reference for ``minimal_augmenting_forest``: each peel test builds
+    its own graph and flow network instead of closing an edge on one.
+    Starts from the clique on the attachment (edges already in h are
+    discarded up front) and peels edges in lexicographic order whenever the
+    rest still suffices. Raises when even the clique cannot reach
+    k-connectivity: callers guarantee it can, so that is an upstream bug.
+    """
+    att = sorted(set(attachment))
+    for v in att:
+        if not h.has_node(v):
+            raise ValueError(f"attachment node {v} not in graph")
+    clique = [e for e in combinations(att, 2) if not h.has_edge(*e)]
+    if not is_k_connected(h.union_edges(clique), k):
+        raise InvariantViolationError(
+            "attachment clique cannot make the graph k-connected"
+        )
+    kept = list(clique)
+    for e in clique:
+        rest = [f for f in kept if f != e]
+        # a k-connected graph stays k-connected after deleting edge uv iff
+        # u and v keep k disjoint paths: any new small cut must split them
+        candidate = h.union_edges(rest)
+        if local_connectivity(candidate, e[0], e[1], k) >= k:
+            kept = rest
+    if not _is_forest(att, kept):
+        raise InvariantViolationError("peeled augmentation is not a forest")
+    if len(kept) > max(len(att) - 1, 0):
+        raise InvariantViolationError("augmentation exceeds |attachment| - 1 edges")
+    return tuple(kept)

@@ -15,17 +15,14 @@ import pytest
 from kmcds import (
     Graph,
     SolverConfig,
-    check_cut_characterization,
     degree_stats,
     dump_report,
     gen_gnp,
     gen_unit_disk,
     greedy_mds,
-    is_k_T_connected,
     is_k_connected,
     is_m_dominating,
     opt_kmcds,
-    opt_mds_bruteforce,
     precheck,
     solve_general,
     solve_guess_root,
@@ -35,6 +32,7 @@ import kmcds.solver as solver_mod
 from kmcds.augment import _is_forest
 from kmcds.rooted import find_infeasible_terminal
 
+from brutes import check_cut_characterization, is_k_T_connected, opt_mds_bruteforce
 from exactbounds import within_ln_plus_one
 from toolbox import random_graph, root_problem
 

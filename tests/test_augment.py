@@ -4,8 +4,9 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import kmcds.augment as augment_mod
 from kmcds import (
     Graph,
     is_k_connected,
@@ -15,7 +16,7 @@ from kmcds import (
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.augment import _is_forest
 
-from brutes import brute_min_pair_pathset
+from brutes import brute_min_pair_pathset, rebuilt_augmenting_forest
 from toolbox import complete_graph, random_graph, two_triangles_bridged
 
 
@@ -80,6 +81,43 @@ def test_forest_invariants_hold_on_random_graphs(seed):
     assert is_k_connected(h.union_edges(j), k)
     for e in j:
         assert not is_k_connected(h.union_edges([f for f in j if f != e]), k)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_peel_on_one_network_matches_rebuilt_reference(seed, k):
+    rng = random.Random(seed)
+    h = random_graph(rng, rng.randint(3, 11), rng.choice((0.3, 0.5, 0.7, 0.9)))
+    att = rng.sample(h.nodes, rng.randint(min(k, h.n), min(k + 3, h.n)))
+
+    def forest(peel):
+        try:
+            return peel(h, att, k)
+        except InvariantViolationError:
+            return None
+
+    assert forest(minimal_augmenting_forest) == forest(rebuilt_augmenting_forest)
+
+
+def test_peel_builds_one_graph_and_one_network(monkeypatch):
+    unions, networks = [], []
+    union_edges = Graph.union_edges
+
+    class Counted(augment_mod.SplitFlowNetwork):
+        def __init__(self, graph):
+            networks.append(graph.n)
+            super().__init__(graph)
+
+    def counted_union(self, extra):
+        unions.append(self.n)
+        return union_edges(self, extra)
+
+    monkeypatch.setattr(augment_mod, "SplitFlowNetwork", Counted)
+    monkeypatch.setattr(Graph, "union_edges", counted_union)
+    h = two_triangles_bridged()
+    # the clique on the attachment adds 0-3, 0-5 and 2-5; the peel keeps 0-5
+    assert minimal_augmenting_forest(h, [0, 2, 3, 5], 2) == ((0, 5),)
+    assert unions == [6] and networks == [6]
 
 
 def test_path_purchase_on_a_path():

@@ -13,7 +13,7 @@ from kmcds import Instance, dump_instance
 from kmcds.cli import build_parser, main
 from kmcds.rooted import BACKENDS
 
-from brutes import brute_pair_connectivity
+from brutes import brute_pair_connectivity, without_edges
 from toolbox import breaking_prune, cycle_graph, inst
 
 
@@ -177,7 +177,7 @@ def test_solve_infeasible_message_carries_a_true_witness(tmp_path, capsys, n, ed
     g = instance.graph
     rest = g.induced(set(g.nodes) - set(separator))
     if found.group(2):
-        rest = rest.without_edges([pair])
+        rest = without_edges(rest, [pair])
     assert len(separator) + bool(found.group(2)) < k
     assert brute_pair_connectivity(rest, *pair) == 0
 
@@ -206,6 +206,27 @@ def test_jobs_flag_must_be_a_positive_integer(capsys, monkeypatch):
     monkeypatch.setenv("KMCDS_JOBS", "-3")
     code, _, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6")
     assert code == 1 and err == "error: KMCDS_JOBS must be a positive integer, got '-3'\n"
+
+
+def test_per_cell_flag_must_be_a_positive_integer(capsys):
+    for count in ("0", "-2"):
+        code, out, err = _run(
+            capsys, "bench", "--kinds", "gnp", "--sizes", "6", "--k-values", "1",
+            "--per-cell", count,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --per-cell must be a positive integer, got {count!r}\n"
+
+
+def test_zero_denominator_radius_is_an_error(capsys):
+    for argv in (
+        ("gen", "--kind", "unit-disk", "--n", "5", "--radius", "1/0"),
+        ("bench", "--kinds", "unit-disk", "--sizes", "6", "--radius", "1/0"),
+        ("bench", "--kinds", "gnp,unit-disk", "--sizes", "6", "--radius", "1/0"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad fraction '1/0'") and "Traceback" not in err
 
 
 def test_parse_errors_exit_one(tmp_path, capsys):

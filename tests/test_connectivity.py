@@ -13,16 +13,13 @@ from kmcds import (
     Certificate,
     ConnectivityViolation,
     Graph,
+    SplitFlowNetwork,
     attach_root,
     build_certificate,
     check_certificate,
-    check_cut_characterization,
-    check_subpartition_characterization,
     find_k_connectivity_violation,
-    is_k_T_connected,
     is_k_connected,
     is_m_dominating,
-    local_connectivity,
 )
 from kmcds.rooted import find_infeasible_terminal
 from kmcds.errors import InfeasibleError
@@ -35,6 +32,11 @@ from brutes import (
     allpair_is_k_connected,
     brute_is_k_connected,
     brute_pair_connectivity,
+    check_cut_characterization,
+    check_subpartition_characterization,
+    is_k_T_connected,
+    local_connectivity,
+    without_edges,
 )
 from toolbox import (
     complete_graph,
@@ -127,7 +129,11 @@ def test_kernel_matches_allpair_reference(seed, k, shape):
     found = find_k_connectivity_violation(g, k)
     reference = allpair_find_k_connectivity_violation(g, k)
     assert (found is None) == (reference is None) == expected
+    # keeping paths changes no verdict and no witness
+    kept = {}
+    assert find_k_connectivity_violation(g, k, kept) == found
     if found is None:
+        assert len(kept) == k * (k - 1) // 2 + g.n - k
         return
     assert found.too_small == reference.too_small == (g.n <= k)
     if found.too_small:
@@ -135,7 +141,7 @@ def test_kernel_matches_allpair_reference(seed, k, shape):
     assert found.value == len(found.separator) + found.direct_edge < k
     rest = g.induced(set(g.nodes) - set(found.separator))
     if found.direct_edge:
-        rest = rest.without_edges([found.pair])
+        rest = without_edges(rest, [found.pair])
     assert brute_pair_connectivity(rest, *found.pair) == 0
 
 
@@ -146,7 +152,7 @@ def test_violation_witness_is_checkable():
     assert v.value < 3
     trimmed = g.induced(set(g.nodes) - set(v.separator))
     if v.direct_edge:
-        trimmed = trimmed.without_edges([v.pair])
+        trimmed = without_edges(trimmed, [v.pair])
     assert brute_pair_connectivity(trimmed, *v.pair) == 0 or v.direct_edge
     assert find_k_connectivity_violation(g, 2) is None
 
@@ -157,6 +163,12 @@ def test_violation_witness_of_each_kernel_branch():
     assert find_k_connectivity_violation(g, 1) == ConnectivityViolation(
         (3, 5), (), False, 0
     )
+    # k = 1 keeping paths runs the schedule, which finds the search's witness;
+    # the isolated node 3 is not taken for a degree witness
+    g = Graph(range(5), [(0, 4), (1, 2)])
+    assert find_k_connectivity_violation(g, 1, {}) == ConnectivityViolation(
+        (0, 1), (), False, 0
+    ) == find_k_connectivity_violation(g, 1)
     # degree below k: the node, its first non-neighbour, its neighbourhood
     g = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 4)])
     assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
@@ -305,9 +317,38 @@ def test_certificate_without_witnesses():
         build_certificate(cycle_graph(5), [0, 1, 2], 2, 1, with_witnesses=False)
 
 
-def test_petersen_certificate_is_on_even_schedule():
+def test_certificate_refusal_names_the_kernel_witness():
+    for with_witnesses in (True, False):
+        with pytest.raises(InfeasibleError, match=r"^removing members \[1\] separates 0 from 2$"):
+            build_certificate(cycle_graph(5), [0, 1, 2], 2, 1, with_witnesses)
+        # k = 1 with paths kept runs the schedule, not the search: same witness
+        with pytest.raises(InfeasibleError, match=r"^removing members \[\] separates 0 from 3$"):
+            build_certificate(path_graph(5), [0, 1, 3, 4], 1, 1, with_witnesses)
+        with pytest.raises(InfeasibleError, match="a k-connected set needs more than k nodes"):
+            build_certificate(complete_graph(4), [0, 1, 2], 3, 1, with_witnesses)
+
+
+def test_k1_certificate_keeps_its_fans():
+    g = path_graph(5)
+    cert = build_certificate(g, g.nodes, 1, 1)
+    assert cert.pairs == {}
+    assert cert.fans == {1: ((1, 0),), 2: ((2, 1),), 3: ((3, 2),), 4: ((4, 3),)}
+    assert check_certificate(inst(g, 1, 1), cert) == []
+
+
+def test_petersen_certificate_is_on_even_schedule(monkeypatch):
+    flows = []
+    max_flow = SplitFlowNetwork.max_flow
+
+    def counted(self, s, t, cap):
+        flows.append((s, t))
+        return max_flow(self, s, t, cap)
+
+    monkeypatch.setattr(SplitFlowNetwork, "max_flow", counted)
     g = petersen()
     cert = build_certificate(g, g.nodes, 3, 3)
+    # C(3, 2) pair flows, then one super-source flow per later member
+    assert len(flows) == 3 + 7
     assert sorted(cert.pairs) == [(0, 1), (0, 2), (1, 2)]
     assert sorted(cert.fans) == [3, 4, 5, 6, 7, 8, 9]
     for v, paths in cert.fans.items():

@@ -5,15 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kmcds import (
-    coverage_potential,
-    degree_stats,
-    greedy_mds,
-    greedy_mds_order,
-    is_m_dominating,
-    opt_mds_bruteforce,
-)
+from kmcds import degree_stats, greedy_mds, is_m_dominating
 
+from brutes import coverage_potential, greedy_mds_order, opt_mds_bruteforce
 from exactbounds import within_ln_plus_one
 from toolbox import complete_graph, cycle_graph, inst, random_graph, star_graph
 

@@ -32,6 +32,7 @@ from brutes import (
     induced_find_infeasible_terminal,
     induced_prune_selection,
     induced_solve_rooted,
+    without_edges,
 )
 from toolbox import (
     complete_graph,
@@ -256,7 +257,7 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
     terminals = rest[:n_terminals]
     pool = [v for v in rest[n_terminals:] if rng.random() < 0.8]
     trimmed = RootedProblem(
-        graph_r=g.without_edges(closed), root=root,
+        graph_r=without_edges(g, closed), root=root,
         terminals=tuple(terminals), pool=tuple(pool), k=k,
     )
     over_g = RootedProblem(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kmcds
+import kmcds.connectivity as connectivity_mod
 import kmcds.solver as solver_mod
 from kmcds import (
     Graph,
@@ -30,7 +31,7 @@ from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.serialize import report_to_dict
 
-from brutes import edgecost_flow_union, induced_best_guess
+from brutes import edgecost_flow_union, induced_best_guess, without_edges
 from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
 
 
@@ -330,21 +331,23 @@ def test_verify_rejects_bad_sets():
 
 @pytest.mark.parametrize("with_witnesses", [True, False])
 def test_feasible_verify_leaves_connectivity_to_the_certificate(monkeypatch, with_witnesses):
+    # one kernel pass per verify: it is the certificate's pass on a feasible
+    # set and the witness's on a refused one
     calls = []
-    kernel = solver_mod.find_k_connectivity_violation
+    kernel = connectivity_mod.find_k_connectivity_violation
 
-    def counting(g, k):
+    def counting(g, k, paths=None):
         calls.append(g.n)
-        return kernel(g, k)
+        return kernel(g, k, paths)
 
-    monkeypatch.setattr(solver_mod, "find_k_connectivity_violation", counting)
+    monkeypatch.setattr(connectivity_mod, "find_k_connectivity_violation", counting)
     instance = inst(petersen(), 3, 3)
     res = verify_solution(instance, range(10), with_witnesses)
-    assert res.feasible and res.connectivity_violation is None and calls == []
-    # a set the certificate refuses still gets the kernel's witness
+    assert res.feasible and res.connectivity_violation is None and calls == [10]
+    assert (res.certificate.fans != {}) == with_witnesses
     res = verify_solution(instance, range(9), with_witnesses)
     assert not res.feasible and res.domination_ok
-    assert res.connectivity_violation is not None and calls == [9]
+    assert res.connectivity_violation is not None and calls == [10, 9]
 
 
 def test_public_names_resolve():
@@ -357,8 +360,19 @@ def test_public_names_resolve():
         "flow_union_backend",
         "node_cost_map",
         "induced_subgraph",
+        # helpers only tests call, now in tests/brutes.py
+        "is_k_T_connected",
+        "check_cut_characterization",
+        "check_subpartition_characterization",
+        "local_connectivity",
+        "opt_mds_bruteforce",
+        "greedy_mds_order",
+        "coverage_potential",
+        "neighbors",
     ):
         assert gone not in kmcds.__all__
+        assert not hasattr(kmcds, gone)
+    assert not hasattr(kmcds.Graph, "without_edges")
 
 
 def test_config_block_keeps_its_five_keys():
@@ -429,7 +443,7 @@ def test_neighbour_bound_is_sound_on_every_candidate():
                 forced = frozenset(picked) | {r} | terminals
                 bound = solver_mod._neighbour_bound(g, r, picked, forced, terminals, k)
                 problem = RootedProblem(
-                    graph_r=g.without_edges((r, x) for x in g.adj[r] if x not in picked),
+                    graph_r=without_edges(g, ((r, x) for x in g.adj[r] if x not in picked)),
                     root=r,
                     terminals=tuple(sorted(terminals - {r})),
                     pool=tuple(v for v in g.nodes if v not in forced),
