@@ -39,7 +39,6 @@ from .serialize import (
     write_instance,
 )
 from .solver import (
-    PrecheckResult,
     SolutionReport,
     SolverConfig,
     VerifyResult,
@@ -64,7 +63,6 @@ __all__ = [
     "KmcdsError",
     "OracleResult",
     "ParseError",
-    "PrecheckResult",
     "RootedProblem",
     "SolutionReport",
     "SolverConfig",

@@ -26,13 +26,13 @@ class OracleResult:
         return self.members is not None
 
 
-def opt_kmcds(instance: Instance, prefilter: bool = True) -> OracleResult:
+def opt_kmcds(instance: Instance) -> OracleResult:
     """Minimum-weight (k, m)-cds by weight-ordered subset enumeration.
 
-    Ties resolve to the lexicographically first subset. ``prefilter``
-    skips subsets too small to be k-connected before running the full
-    verifiers; the skip is exact, so both settings agree (tests compare
-    them on tiny instances). Capped at 16 nodes.
+    Ties resolve to the lexicographically first subset. Subsets of at most
+    k nodes are skipped before the verifiers run, since none is
+    k-connected (tests compare against an enumeration without the skip).
+    Capped at 16 nodes.
     """
     g = instance.graph
     if g.n > _ORACLE_NODE_CAP:
@@ -42,7 +42,7 @@ def opt_kmcds(instance: Instance, prefilter: bool = True) -> OracleResult:
     examined = 0
     for w, subset in iter_subsets_by_weight(g.nodes, g.weights):
         examined += 1
-        if prefilter and len(subset) <= k:
+        if len(subset) <= k:
             continue
         if not is_m_dominating(g, subset, m).ok:
             continue

@@ -120,10 +120,15 @@ def _open_pool(net: SplitFlowNetwork, problem: RootedProblem, keep: Iterable[int
         net.set_node_open(v, v in keep)
 
 
+def _holds(net: SplitFlowNetwork, problem: RootedProblem, t: int) -> bool:
+    """Whether t has k disjoint root paths on the open arcs."""
+    net.reset()
+    return net.max_flow(t, problem.root, problem.k) >= problem.k
+
+
 def _witness(net: SplitFlowNetwork, problem: RootedProblem, t: int) -> frozenset[int] | None:
     """Nodes carrying k disjoint t-root paths on the open arcs, or None."""
-    net.reset()
-    if net.max_flow(t, problem.root, problem.k) < problem.k:
+    if not _holds(net, problem, t):
         return None
     return frozenset(net.nodes_carrying_flow())
 
@@ -135,11 +140,7 @@ def find_infeasible_terminal(
     net = _network(problem, net)
     _open_pool(net, problem, selected)
     try:
-        for t in problem.terminals:
-            net.reset()
-            if net.max_flow(t, problem.root, problem.k) < problem.k:
-                return t
-        return None
+        return next((t for t in problem.terminals if not _holds(net, problem, t)), None)
     finally:
         _open_pool(net, problem, problem.pool)
 

@@ -30,8 +30,10 @@ k-connected, so no forest stage is needed. A candidate whose neighbour
 lower bound (see :func:`_neighbour_bound`) cannot beat the best weight so
 far is skipped before any flow runs, which never changes the answer.
 
-Both pipelines hand their stage sets to :func:`_build_report`, which runs
-step 6 and assembles the report.
+Both routes hand :func:`_build_report` one :class:`_Attempt` (the
+pipeline's lightest attachment or guess-root's lightest candidate), which
+runs step 6 and assembles the report. When no candidate survives, the
+guess-root fallback is the pipeline itself under the guess-root label.
 """
 
 from __future__ import annotations
@@ -89,16 +91,9 @@ class SolverConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True, slots=True)
-class PrecheckResult:
-    feasible: bool
-    violation: ConnectivityViolation | None
-
-
-def precheck(instance: Instance) -> PrecheckResult:
-    """Feasibility test: the instance graph must itself be k-connected."""
-    violation = find_k_connectivity_violation(instance.graph, instance.k)
-    return PrecheckResult(violation is None, violation)
+def precheck(instance: Instance) -> ConnectivityViolation | None:
+    """Feasibility test: None when the instance graph is itself k-connected, else a witness."""
+    return find_k_connectivity_violation(instance.graph, instance.k)
 
 
 @dataclass(slots=True)
@@ -166,10 +161,9 @@ def verify_solution(
 
 
 def _require_feasible(instance: Instance) -> None:
-    pre = precheck(instance)
-    if pre.feasible:
+    v = precheck(instance)
+    if v is None:
         return
-    v = pre.violation
     if v.too_small:
         raise InfeasibleError(
             f"no (k, m)-cds: the graph has only {instance.n} nodes, need more than {instance.k}"
@@ -179,17 +173,18 @@ def _require_feasible(instance: Instance) -> None:
     )
 
 
+def _cheapest_outside(g: Graph, taken: set[int] | frozenset[int], count: int) -> list[int]:
+    """The ``count`` lightest nodes outside ``taken``, ties to the lower id."""
+    if count <= 0:
+        return []
+    spare = sorted((v for v in g.nodes if v not in taken), key=lambda v: (g.weights[v], v))
+    return spare[:count]
+
+
 def _padded_dominating_set(instance: Instance) -> tuple[frozenset[int], list[int]]:
     """Greedy T plus minimum-weight padding until |T| >= k."""
-    g = instance.graph
     base = greedy_mds(instance)
-    padding: list[int] = []
-    if len(base) < instance.k:
-        spare = sorted(
-            (v for v in g.nodes if v not in base),
-            key=lambda v: (g.weights[v], v),
-        )
-        padding = spare[: instance.k - len(base)]
+    padding = _cheapest_outside(instance.graph, base, instance.k - len(base))
     return base | frozenset(padding), padding
 
 
@@ -234,13 +229,19 @@ def _cited_targets(variant: str) -> dict[str, str]:
 
 @dataclass(slots=True)
 class _Attempt:
+    """One route's unpruned stage sets, as :func:`_build_report` takes them.
+
+    A guess-root candidate names its root and leaves the forest stages empty.
+    """
+
     attachment: tuple[int, ...]
     connectors: frozenset[int]
-    grown: tuple[int, ...]
-    forest: tuple[tuple[int, int], ...]
-    pair_connectors: frozenset[int]
     guarantee: GuaranteeInfo
     weight: int
+    guess_root: int | None = None
+    grown: tuple[int, ...] = ()
+    forest: tuple[tuple[int, int], ...] = ()
+    pair_connectors: frozenset[int] = frozenset()
 
 
 def _run_attempt(
@@ -260,18 +261,10 @@ def _run_attempt(
 
     # no graph on <= k nodes is k-connected; grow the selection with the
     # cheapest spare nodes (supersets keep every property needed later)
-    union = set(terminals) | set(connectors)
-    grown: list[int] = []
-    if len(union) <= k:
-        spare = sorted(
-            (v for v in g.nodes if v not in union),
-            key=lambda v: (g.weights[v], v),
-        )
-        while len(union) <= k:
-            v = spare.pop(0)
-            union.add(v)
-            grown.append(v)
-        connectors = connectors | frozenset(grown)
+    union = set(terminals) | connectors
+    grown = _cheapest_outside(g, union, k + 1 - len(union))
+    union.update(grown)
+    connectors |= frozenset(grown)
 
     core = g.induced(union)
     forest = minimal_augmenting_forest(core, attachment, k)
@@ -281,15 +274,14 @@ def _run_attempt(
         bought = min_weight_k_paths(g, free, u, v, k)
         pair_nodes |= bought
         free |= bought
-    members = union | pair_nodes
     return _Attempt(
         attachment,
-        frozenset(connectors),
-        tuple(grown),
-        forest,
-        frozenset(pair_nodes),
+        connectors,
         info,
-        g.total_weight(members),
+        g.total_weight(union | pair_nodes),
+        grown=tuple(grown),
+        forest=forest,
+        pair_connectors=frozenset(pair_nodes),
     )
 
 
@@ -316,33 +308,41 @@ def _build_report(
     instance: Instance,
     config: SolverConfig,
     variant: str,
-    *,
     terminals: frozenset[int],
-    connectors: frozenset[int],
-    pair_connectors: frozenset[int],
-    attachment_extra: frozenset[int],
-    attachment: tuple[int, ...],
-    forest: tuple[tuple[int, int], ...],
-    guess_root: int | None,
-    info: GuaranteeInfo,
-    stage_bounds: dict[str, object],
+    best: _Attempt,
     times: dict[str, float],
     t_start: float,
     padding: Iterable[int] = (),
-    grown: Iterable[int] = (),
     enum_truncated: bool = False,
 ) -> SolutionReport:
-    """Prune, certify and report the union of ``terminals`` and the stage sets.
+    """Prune, certify and report the union of ``terminals`` and ``best``'s stage sets.
 
     The prune keeps every terminal, and the nodes it drops leave the stage
     sets they came from. The certificate is the final check: a set the
     builder refuses is a solver bug, raised as :class:`InvariantViolationError`.
-    ``stage_bounds`` holds the pipeline's own guarantee entries
-    (``pair_stage_expr``, ``pair_stage_value`` and ``total_bound_expr``).
+    Whether ``best`` names a guess root decides what differs between the
+    routes: the attachment nodes a guessed root brings in, the pair-stage
+    guarantee entries, and the fallback flag (a guess-root report with no
+    guess root is the general pipeline's).
     """
     g = instance.graph
     k, m = instance.k, instance.m
-    members = set(terminals) | connectors | pair_connectors | attachment_extra
+    if best.guess_root is None:
+        attachment_extra: frozenset[int] = frozenset()
+        stage_bounds = {
+            "pair_stage_expr": "2(k-1)",
+            "pair_stage_value": 2 * (k - 1),
+            "total_bound_expr": "ln(max_degree + m) + 1 + backend_factor + 2(k-1)",
+        }
+    else:
+        attachment_extra = (frozenset(best.attachment) | {best.guess_root}) - terminals
+        stage_bounds = {
+            "pair_stage_expr": "0 (no virtual edges: a degree-k root in a "
+            "k-in-connected graph already yields k-connectivity for k in {2, 3})",
+            "pair_stage_value": 0,
+            "total_bound_expr": "candidate enumeration keeps the lightest feasible outcome",
+        }
+    members = set(terminals) | best.connectors | best.pair_connectors | attachment_extra
 
     t0 = time.perf_counter()
     pruned: list[int] = []
@@ -359,8 +359,8 @@ def _build_report(
     times["total"] = time.perf_counter() - t_start
 
     dropped = set(pruned)
-    connectors -= dropped
-    pair_connectors -= dropped
+    connectors = best.connectors - dropped
+    pair_connectors = best.pair_connectors - dropped
     attachment_extra -= dropped
     weights = {
         "dominating": g.total_weight(terminals),
@@ -370,6 +370,7 @@ def _build_report(
         "total": g.total_weight(members),
     }
     _, max_deg = degree_stats(g)
+    info = best.guarantee
     guarantee = {
         "backend": info.backend,
         "backend_factor_expr": info.factor_expr,
@@ -381,9 +382,9 @@ def _build_report(
     }
     flags: dict[str, object] = {
         "dominating_padding": list(padding),
-        "grown_for_min_size": list(grown),
+        "grown_for_min_size": list(best.grown),
         "attachment_enum_truncated": enum_truncated,
-        "fallback_to_general": False,
+        "fallback_to_general": variant == "guess-root" and best.guess_root is None,
     }
     return SolutionReport(
         variant=variant,
@@ -396,9 +397,9 @@ def _build_report(
         dominating=tuple(sorted(terminals)),
         connectors=tuple(sorted(connectors)),
         pair_connectors=tuple(sorted(pair_connectors)),
-        attachment=attachment,
-        forest=forest,
-        guess_root=guess_root,
+        attachment=best.attachment,
+        forest=best.forest,
+        guess_root=best.guess_root,
         pruned=tuple(pruned),
         solution=tuple(sorted(members)),
         weights=weights,
@@ -413,17 +414,20 @@ def _solve_pipeline(
     instance: Instance,
     config: SolverConfig,
     variant: str,
-    prechecked: bool = False,
+    times: dict[str, float] | None = None,
+    t_start: float | None = None,
 ) -> SolutionReport:
-    """The shared pipeline; ``prechecked`` skips a precheck the caller ran."""
-    k = instance.k
-    times: dict[str, float] = {}
-    t_start = time.perf_counter()
+    """The shared pipeline.
 
-    t0 = time.perf_counter()
-    if not prechecked:
+    A caller that passes ``times`` and ``t_start`` has already run and
+    timed the precheck; the report's total then counts from its ``t_start``.
+    """
+    if times is None:
+        times = {}
+        t_start = time.perf_counter()
+        t0 = time.perf_counter()
         _require_feasible(instance)
-    times["precheck"] = time.perf_counter() - t0
+        times["precheck"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     terminals, padding = _padded_dominating_set(instance)
@@ -439,27 +443,7 @@ def _solve_pipeline(
     times["augment"] = time.perf_counter() - t0
 
     return _build_report(
-        instance,
-        config,
-        variant,
-        terminals=terminals,
-        connectors=best.connectors,
-        pair_connectors=best.pair_connectors,
-        attachment_extra=frozenset(),
-        attachment=best.attachment,
-        forest=best.forest,
-        guess_root=None,
-        info=best.guarantee,
-        stage_bounds={
-            "pair_stage_expr": "2(k-1)",
-            "pair_stage_value": 2 * (k - 1),
-            "total_bound_expr": "ln(max_degree + m) + 1 + backend_factor + 2(k-1)",
-        },
-        times=times,
-        t_start=t_start,
-        padding=padding,
-        grown=best.grown,
-        enum_truncated=enum_truncated,
+        instance, config, variant, terminals, best, times, t_start, padding, enum_truncated
     )
 
 
@@ -513,25 +497,24 @@ def _neighbour_bound(
 
 def _best_guess(
     instance: Instance, terminals: frozenset[int], config: SolverConfig
-) -> tuple[int, tuple[int, ...], frozenset[int], GuaranteeInfo] | None:
-    """The candidate loop of :func:`solve_guess_root`: (root, picked, connectors, info)."""
+) -> _Attempt | None:
+    """The candidate loop of :func:`solve_guess_root`: its lightest candidate, or None."""
     g = instance.graph
     k = instance.k
     w_terminals = g.total_weight(terminals)
     net = SplitFlowNetwork(g)
-    best_weight: int | None = None
-    best = None
+    best: _Attempt | None = None
     for r in sorted(g.nodes, key=lambda v: (g.weights[v], v)):
         if g.degree(r) < k:
             continue
         lower = w_terminals + (0 if r in terminals else g.weights[r])
-        if best_weight is not None and lower >= best_weight:
+        if best is not None and lower >= best.weight:
             continue
         for picked in combinations(g.adj[r], k):
             forced = frozenset(picked) | {r} | terminals
             bound = _neighbour_bound(g, r, picked, forced, terminals, k)
             if bound is None or (
-                best_weight is not None and g.total_weight(forced) + bound >= best_weight
+                best is not None and g.total_weight(forced) + bound >= best.weight
             ):
                 continue
             closed = frozenset(x for x in g.adj[r] if x not in picked)
@@ -553,9 +536,8 @@ def _best_guess(
                 for x in closed:
                     net.set_edge_open(r, x, True)
             weight = g.total_weight(forced | connectors)
-            if best_weight is None or weight < best_weight:
-                best_weight = weight
-                best = (r, picked, connectors, info)
+            if best is None or weight < best.weight:
+                best = _Attempt(picked, connectors, info, weight, guess_root=r)
     return best
 
 
@@ -592,35 +574,8 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     times["candidates"] = time.perf_counter() - t0
 
     if best is None:
-        report = _solve_pipeline(instance, config, "guess-root", prechecked=True)
-        report.flags["fallback_to_general"] = True
-        report.stage_seconds.update(
-            {"precheck": times["precheck"], "candidates": times["candidates"]}
-        )
-        return report
-
-    root, attachment, connectors, info = best
-    return _build_report(
-        instance,
-        config,
-        "guess-root",
-        terminals=terminals,
-        connectors=connectors,
-        pair_connectors=frozenset(),
-        attachment_extra=(frozenset(attachment) | {root}) - terminals,
-        attachment=attachment,
-        forest=(),
-        guess_root=root,
-        info=info,
-        stage_bounds={
-            "pair_stage_expr": "0 (no virtual edges: a degree-k root in a "
-            "k-in-connected graph already yields k-connectivity for k in {2, 3})",
-            "pair_stage_value": 0,
-            "total_bound_expr": "candidate enumeration keeps the lightest feasible outcome",
-        },
-        times=times,
-        t_start=t_start,
-    )
+        return _solve_pipeline(instance, config, "guess-root", times, t_start)
+    return _build_report(instance, config, "guess-root", terminals, best, times, t_start)
 
 
 # the solve function of each variant, under the name its reports carry

@@ -45,6 +45,7 @@ from kmcds.domset import _greedy_rounds
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.flow import SplitFlowNetwork
 from kmcds.rooted import _terminal_order, prune_selection
+from kmcds.solver import _Attempt
 
 
 def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
@@ -88,6 +89,21 @@ def brute_m_dominating(g: Graph, members, m: int) -> bool:
         for v in g.nodes
         if v not in inside
     )
+
+
+def enumerated_opt_kmcds(instance: Instance) -> tuple[frozenset[int] | None, int | None]:
+    """Lightest (k, m)-cds and its weight, or (None, None), by literal enumeration.
+
+    Every subset in weight order (ties lexicographic) is tested straight
+    from the definitions, with no skip of subsets too small to qualify.
+    """
+    g = instance.graph
+    for weight, subset in iter_subsets_by_weight(g.nodes, g.weights):
+        if brute_m_dominating(g, subset, instance.m) and brute_is_k_connected(
+            g.induced(subset), instance.k
+        ):
+            return frozenset(subset), weight
+    return None, None
 
 
 def _subsets_by_weight(g: Graph, candidates: list[int]):
@@ -329,8 +345,9 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
     """The guess-root candidate loop with no neighbour bound.
 
     Builds the root-trimmed graph and a fresh rooted stage per candidate;
-    returns (root, picked, connectors, info) of the lightest feasible
-    candidate, the first found on ties, or None.
+    returns the solver's record of the lightest feasible candidate (its
+    root, picked neighbours, connectors, guarantee and weight), the first
+    found on ties, or None.
     """
     g = instance.graph
     k = instance.k
@@ -365,7 +382,7 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
             weight = g.total_weight(forced | connectors)
             if best_weight is None or weight < best_weight:
                 best_weight = weight
-                best = (r, tuple(picked), connectors, info)
+                best = _Attempt(tuple(picked), connectors, info, weight, guess_root=r)
     return best
 
 

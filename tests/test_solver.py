@@ -29,7 +29,7 @@ from kmcds import (
 )
 from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError, InvariantViolationError
-from kmcds.serialize import report_to_dict
+from kmcds.serialize import dumps_canonical, report_to_dict
 
 from brutes import edgecost_flow_union, induced_best_guess, without_edges
 from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
@@ -44,7 +44,7 @@ def _guess_root_instances(count, n_range, k_values):
         k = rng.choice(k_values)
         g = random_graph(rng, rng.randint(*n_range), rng.uniform(0.35, 0.75))
         instance = inst(g, k, k + rng.randint(0, 1))
-        if precheck(instance).feasible:
+        if precheck(instance) is None:
             out.append(instance)
         seed += 1
     return out
@@ -118,7 +118,7 @@ def test_enumerated_attachment_never_loses():
     rng = random.Random(11)
     g = random_graph(rng, 9, 0.5)
     instance = inst(g, 2, 2)
-    if not precheck(instance).feasible:
+    if precheck(instance) is not None:
         pytest.skip("seed produced an infeasible graph")
     base = solve_general(instance)
     enum = solve_general(instance, SolverConfig(attachment_rule="enumerate"))
@@ -173,31 +173,53 @@ def test_guess_root_rejects_other_k():
         solve_guess_root(inst(complete_graph(6), 4, 4))
 
 
-def test_guess_root_falls_back_when_no_candidate_survives(monkeypatch):
-    import kmcds.solver as solver_mod
-
-    g = cycle_graph(5)
-    instance = inst(g, 2, 2)
+def _starve_candidate_roots(monkeypatch, g):
+    """Make the rooted stage refuse every guess-root candidate."""
     real = solver_mod.solve_rooted_nodeweight
-    real_precheck = solver_mod.precheck
-    prechecks = []
 
     def starve_original_roots(problem, backend="flow-union", net=None):
         if problem.root in g.nodes:  # candidate roots; the virtual root is n
             raise InfeasibleError("forced for the test")
         return real(problem, backend, net)
 
+    monkeypatch.setattr(solver_mod, "solve_rooted_nodeweight", starve_original_roots)
+
+
+def test_guess_root_falls_back_when_no_candidate_survives(monkeypatch):
+    g = cycle_graph(5)
+    instance = inst(g, 2, 2)
+    real_precheck = solver_mod.precheck
+    prechecks = []
+
     def counting_precheck(instance):
         prechecks.append(instance)
         return real_precheck(instance)
 
-    monkeypatch.setattr(solver_mod, "solve_rooted_nodeweight", starve_original_roots)
+    _starve_candidate_roots(monkeypatch, g)
     monkeypatch.setattr(solver_mod, "precheck", counting_precheck)
     report = solve_guess_root(instance)
     assert report.variant == "guess-root"
     assert report.flags["fallback_to_general"] is True
     assert len(prechecks) == 1  # the fallback pipeline does not repeat it
+    seconds = dict(report.stage_seconds)
+    total = seconds.pop("total")
+    assert total >= seconds["precheck"] + seconds["candidates"]
+    assert total >= sum(seconds.values())  # disjoint stages, the candidate loop included
     _verified(instance, report)
+
+
+@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(final_prune=False)])
+def test_guess_root_fallback_is_the_general_report(monkeypatch, config):
+    for instance in _guess_root_instances(6, (6, 10), (2, 3)):
+        general = report_to_dict(solve_general(instance, config))
+        with monkeypatch.context() as patched:
+            _starve_candidate_roots(patched, instance.graph)
+            fallback = report_to_dict(solve_guess_root(instance, config))
+        assert fallback["variant"] == "guess-root"
+        assert fallback["flags"]["fallback_to_general"] is True
+        fallback["variant"] = general["variant"]
+        fallback["flags"]["fallback_to_general"] = False
+        assert dumps_canonical(fallback) == dumps_canonical(general)
 
 
 def test_unit_disk_needs_geometry():
@@ -294,7 +316,7 @@ def test_prune_only_shrinks():
     rng = random.Random(7)
     g = random_graph(rng, 10, 0.45)
     instance = inst(g, 2, 2)
-    if not precheck(instance).feasible:
+    if precheck(instance) is not None:
         pytest.skip("seed produced an infeasible graph")
     kept = solve_general(instance, SolverConfig(final_prune=False))
     pruned = solve_general(instance)
@@ -407,7 +429,7 @@ def test_random_instances_solve_and_verify(seed):
     k = rng.randint(1, 2)
     g = random_graph(rng, rng.randint(k + 2, 9), 0.55)
     instance = inst(g, k, rng.randint(k, k + 1))
-    if not precheck(instance).feasible:
+    if precheck(instance) is not None:
         with pytest.raises(InfeasibleError):
             solve_general(instance)
         return
@@ -426,7 +448,7 @@ def test_guess_root_never_returns_garbage(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(5, 8), 0.6)
     instance = inst(g, 2, 2)
-    if not precheck(instance).feasible:
+    if precheck(instance) is not None:
         return
     report = solve_guess_root(instance)
     _verified(instance, report)
