@@ -69,8 +69,6 @@ def minimal_augmenting_forest(
             kept.append((u, v))
     if not _is_forest(att, kept):
         raise InvariantViolationError("peeled augmentation is not a forest")
-    if len(kept) > max(len(att) - 1, 0):
-        raise InvariantViolationError("augmentation exceeds |attachment| - 1 edges")
     return tuple(kept)
 
 

@@ -178,6 +178,13 @@ def _positive_int(name: str, text: str) -> int:
     return value
 
 
+def _axis(flag: str, values: list) -> list:
+    """``values`` of a sweep axis; an empty axis sweeps nothing, so it is a ValueError."""
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.jobs is not None:
@@ -185,11 +192,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         jobs = _positive_int("KMCDS_JOBS", os.environ.get("KMCDS_JOBS", "1"))
     tasks = build_tasks(
-        kinds=[s for s in args.kinds.split(",") if s],
-        sizes=_parse_int_list(args.sizes),
-        k_values=_parse_int_list(args.k_values),
-        m_offsets=_parse_int_list(args.m_offsets),
-        variants=[s for s in args.variants.split(",") if s],
+        kinds=_axis("--kinds", [s for s in args.kinds.split(",") if s]),
+        sizes=_axis("--sizes", _parse_int_list(args.sizes)),
+        k_values=_axis("--k-values", _parse_int_list(args.k_values)),
+        m_offsets=_axis("--m-offsets", _parse_int_list(args.m_offsets)),
+        variants=_axis("--variants", [s for s in args.variants.split(",") if s]),
         per_cell=_positive_int("--per-cell", args.per_cell),
         seed=args.seed,
         p=args.p,

@@ -1,8 +1,21 @@
 """End-to-end minimum-weight (k, m)-cds solvers.
 
+Every variant runs one driver, :func:`_solve`: the precheck, the greedy
+m-dominating set T, guess-root's candidate loop when the variant asks for
+it, steps 2-5 below otherwise or when no candidate survives, and then
+:func:`_build_report` on the one :class:`_Attempt` chosen (the pipeline's
+lightest attachment or guess-root's lightest candidate), which runs step 6.
+
+Feasibility for m >= k: a (k, m)-cds exists iff the graph itself is
+k-connected, so the precheck rejects everything else with a witness. A
+graph that passes has more than k nodes and minimum degree at least k;
+every node outside T has m >= k neighbours in T, so |T| >= k and every
+superset of T m-dominates. Later stages rely on these facts and test
+none of them again.
+
 The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
 
-1. greedy m-dominating set T (padded with minimum-weight nodes to |T| >= k);
+1. greedy m-dominating set T (never padded, as |T| >= k);
 2. virtual zero-weight root attached to k terminals R;
 3. rooted augmentation buying S so every terminal keeps k disjoint root
    paths (node-weighted min-cost flows, or exhaustive search under the
@@ -17,9 +30,6 @@ The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
 requires geometry and adds the cited edge-cost conversion factors to the
 report, and computes nothing else differently.
 
-Feasibility for m >= k: a (k, m)-cds exists iff the graph itself is
-k-connected, so a precheck rejects everything else with a witness.
-
 :func:`solve_guess_root` (k in {2, 3}) instead enumerates a real root and
 k of its incident edges, reruns the rooted stage with the root's other
 edges closed on one flow network shared by every candidate (the rooted
@@ -29,19 +39,17 @@ candidate; the k-in-connected outcome with a degree-k root is already
 k-connected, so no forest stage is needed. A candidate whose neighbour
 lower bound (see :func:`_neighbour_bound`) cannot beat the best weight so
 far is skipped before any flow runs, which never changes the answer.
-
-Both routes hand :func:`_build_report` one :class:`_Attempt` (the
-pipeline's lightest attachment or guess-root's lightest candidate), which
-runs step 6 and assembles the report. When no candidate survives, the
-guess-root fallback is the pipeline itself under the guess-root label.
+When no candidate survives, the fallback is the pipeline itself under
+the guess-root label.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .augment import min_weight_k_paths, minimal_augmenting_forest
 from .connectivity import (
@@ -51,7 +59,6 @@ from .connectivity import (
     certify,
     find_k_connectivity_violation,
     is_k_connected,
-    is_m_dominating,
 )
 from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
@@ -181,24 +188,18 @@ def _cheapest_outside(g: Graph, taken: set[int] | frozenset[int], count: int) ->
     return spare[:count]
 
 
-def _padded_dominating_set(instance: Instance) -> tuple[frozenset[int], list[int]]:
-    """Greedy T plus minimum-weight padding until |T| >= k."""
-    base = greedy_mds(instance)
-    padding = _cheapest_outside(instance.graph, base, instance.k - len(base))
-    return base | frozenset(padding), padding
+def _enum_truncated(terminals: frozenset[int], config: SolverConfig) -> bool:
+    """Whether "enumerate" falls back to min-weight because |T| exceeds the cap."""
+    return config.attachment_rule == "enumerate" and len(terminals) > config.attachment_enum_cap
 
 
 def _attachment_candidates(
     terminals: frozenset[int], instance: Instance, config: SolverConfig
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> list[tuple[int, ...]]:
+    if config.attachment_rule == "enumerate" and not _enum_truncated(terminals, config):
+        return [tuple(c) for c in combinations(sorted(terminals), instance.k)]
     g = instance.graph
-    k = instance.k
-    default = tuple(sorted(sorted(terminals, key=lambda v: (g.weights[v], v))[:k]))
-    if config.attachment_rule == "min-weight":
-        return [default], False
-    if len(terminals) > config.attachment_enum_cap:
-        return [default], True
-    return [tuple(c) for c in combinations(sorted(terminals), k)], False
+    return [tuple(sorted(sorted(terminals, key=lambda v: (g.weights[v], v))[: instance.k]))]
 
 
 def _cited_targets(variant: str) -> dict[str, str]:
@@ -274,34 +275,41 @@ def _run_attempt(
         bought = min_weight_k_paths(g, free, u, v, k)
         pair_nodes |= bought
         free |= bought
+    weight = g.total_weight(union | pair_nodes)
     return _Attempt(
-        attachment,
-        connectors,
-        info,
-        g.total_weight(union | pair_nodes),
-        grown=tuple(grown),
-        forest=forest,
-        pair_connectors=frozenset(pair_nodes),
+        attachment, connectors, info, weight,
+        grown=tuple(grown), forest=forest, pair_connectors=frozenset(pair_nodes),
     )
 
 
 def _final_prune(
     instance: Instance, members: set[int], protected: frozenset[int]
 ) -> list[int]:
-    """Repeatedly drop the heaviest removable node outside ``protected``."""
+    """Repeatedly drop the heaviest removable node outside ``protected``.
+
+    ``protected`` is the m-dominating set T and every trial keeps it, so
+    every trial m-dominates (a node outside the trial lies outside T and
+    has m neighbours in T): only k-connectivity is tested.
+    """
     g = instance.graph
     dropped: list[int] = []
     while True:
         for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
             trial = members - {v}
-            if is_m_dominating(g, trial, instance.m).ok and is_k_connected(
-                g.induced(trial), instance.k
-            ):
+            if is_k_connected(g.induced(trial), instance.k):
                 members.discard(v)
                 dropped.append(v)
                 break
         else:
             return dropped
+
+
+@contextmanager
+def _timed(times: dict[str, float], stage: str) -> Iterator[None]:
+    """Record the wall time of the ``with`` body as ``times[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    times[stage] = time.perf_counter() - t0
 
 
 def _build_report(
@@ -311,9 +319,6 @@ def _build_report(
     terminals: frozenset[int],
     best: _Attempt,
     times: dict[str, float],
-    t_start: float,
-    padding: Iterable[int] = (),
-    enum_truncated: bool = False,
 ) -> SolutionReport:
     """Prune, certify and report the union of ``terminals`` and ``best``'s stage sets.
 
@@ -322,8 +327,9 @@ def _build_report(
     builder refuses is a solver bug, raised as :class:`InvariantViolationError`.
     Whether ``best`` names a guess root decides what differs between the
     routes: the attachment nodes a guessed root brings in, the pair-stage
-    guarantee entries, and the fallback flag (a guess-root report with no
-    guess root is the general pipeline's).
+    guarantee entries, and the fallback and enumeration-cap flags (a
+    guess-root report with no guess root is the general pipeline's).
+    ``times`` gains the prune and verify stages.
     """
     g = instance.graph
     k, m = instance.k, instance.m
@@ -344,19 +350,15 @@ def _build_report(
         }
     members = set(terminals) | best.connectors | best.pair_connectors | attachment_extra
 
-    t0 = time.perf_counter()
     pruned: list[int] = []
-    if config.final_prune:
-        pruned = _final_prune(instance, members, terminals)
-    times["prune"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        certificate = build_certificate(g, members, k, m, config.collect_witnesses)
-    except InfeasibleError as exc:
-        raise InvariantViolationError(f"final set is not a (k, m)-cds: {exc}") from None
-    times["verify"] = time.perf_counter() - t0
-    times["total"] = time.perf_counter() - t_start
+    with _timed(times, "prune"):
+        if config.final_prune:
+            pruned = _final_prune(instance, members, terminals)
+    with _timed(times, "verify"):
+        try:
+            certificate = build_certificate(g, members, k, m, config.collect_witnesses)
+        except InfeasibleError as exc:
+            raise InvariantViolationError(f"final set is not a (k, m)-cds: {exc}") from None
 
     dropped = set(pruned)
     connectors = best.connectors - dropped
@@ -381,9 +383,11 @@ def _build_report(
         "cited_targets": _cited_targets(variant),
     }
     flags: dict[str, object] = {
-        "dominating_padding": list(padding),
+        # schema 2 keeps the key; T never needs padding under m >= k
+        "dominating_padding": [],
         "grown_for_min_size": list(best.grown),
-        "attachment_enum_truncated": enum_truncated,
+        "attachment_enum_truncated": best.guess_root is None
+        and _enum_truncated(terminals, config),
         "fallback_to_general": variant == "guess-root" and best.guess_root is None,
     }
     return SolutionReport(
@@ -410,46 +414,31 @@ def _build_report(
     )
 
 
-def _solve_pipeline(
-    instance: Instance,
-    config: SolverConfig,
-    variant: str,
-    times: dict[str, float] | None = None,
-    t_start: float | None = None,
-) -> SolutionReport:
-    """The shared pipeline.
-
-    A caller that passes ``times`` and ``t_start`` has already run and
-    timed the precheck; the report's total then counts from its ``t_start``.
-    """
-    if times is None:
-        times = {}
-        t_start = time.perf_counter()
-        t0 = time.perf_counter()
+def _solve(instance: Instance, config: SolverConfig, variant: str) -> SolutionReport:
+    """The one driver: precheck, T, candidates or attachments, report."""
+    times: dict[str, float] = {}
+    t_start = time.perf_counter()
+    with _timed(times, "precheck"):
         _require_feasible(instance)
-        times["precheck"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    terminals, padding = _padded_dominating_set(instance)
-    times["dominating"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    candidates, enum_truncated = _attachment_candidates(terminals, instance, config)
+    with _timed(times, "dominating"):
+        terminals = greedy_mds(instance)
     best: _Attempt | None = None
-    for attachment in candidates:
-        attempt = _run_attempt(instance, terminals, attachment, config)
-        if best is None or attempt.weight < best.weight:
-            best = attempt
-    times["augment"] = time.perf_counter() - t0
-
-    return _build_report(
-        instance, config, variant, terminals, best, times, t_start, padding, enum_truncated
-    )
+    if variant == "guess-root":
+        with _timed(times, "candidates"):
+            best = _best_guess(instance, terminals, config)
+    if best is None:
+        with _timed(times, "augment"):
+            candidates = _attachment_candidates(terminals, instance, config)
+            attempts = (_run_attempt(instance, terminals, att, config) for att in candidates)
+            best = min(attempts, key=lambda attempt: attempt.weight)
+    report = _build_report(instance, config, variant, terminals, best, times)
+    times["total"] = time.perf_counter() - t_start
+    return report
 
 
 def solve_general(instance: Instance, config: SolverConfig | None = None) -> SolutionReport:
     """Approximate solver for arbitrary node-weighted graphs."""
-    return _solve_pipeline(instance, config or SolverConfig(), "general")
+    return _solve(instance, config or SolverConfig(), "general")
 
 
 def solve_unit_disk(instance: Instance, config: SolverConfig | None = None) -> SolutionReport:
@@ -462,7 +451,7 @@ def solve_unit_disk(instance: Instance, config: SolverConfig | None = None) -> S
     """
     if not instance.is_geometric:
         raise ValueError("unit-disk solver needs coordinates and a radius")
-    return _solve_pipeline(instance, config or SolverConfig(), "unit-disk")
+    return _solve(instance, config or SolverConfig(), "unit-disk")
 
 
 def _neighbour_bound(
@@ -505,8 +494,6 @@ def _best_guess(
     net = SplitFlowNetwork(g)
     best: _Attempt | None = None
     for r in sorted(g.nodes, key=lambda v: (g.weights[v], v)):
-        if g.degree(r) < k:
-            continue
         lower = w_terminals + (0 if r in terminals else g.weights[r])
         if best is not None and lower >= best.weight:
             continue
@@ -548,34 +535,14 @@ def solve_guess_root(instance: Instance, config: SolverConfig | None = None) -> 
     other edges, reruns the rooted stage with the chosen neighbors forced
     into the solution, and returns the lightest feasible candidate (first
     found wins ties). A candidate is skipped, without a flow, when the
-    weight it forces plus its neighbour lower bound reaches the best weight
-    found so far, or when the bound is infinite. Each of a terminal t's k
-    disjoint paths to r is the kept edge t-r or starts at its own neighbour
-    other than r, so t buys at least its cheapest missing pool neighbours
-    and a skipped candidate could not have won. Falls back to the general pipeline,
-    flagged, if no candidate is feasible.
+    weight it forces plus its neighbour lower bound (:func:`_neighbour_bound`)
+    reaches the best weight found so far, or when the bound is infinite; a
+    skipped candidate could not have won. Falls back to the general
+    pipeline, flagged, if no candidate is feasible.
     """
-    config = config or SolverConfig()
     if instance.k not in (2, 3):
         raise ValueError("root guessing applies to k = 2 or 3 only")
-    times: dict[str, float] = {}
-    t_start = time.perf_counter()
-
-    t0 = time.perf_counter()
-    _require_feasible(instance)
-    times["precheck"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    terminals = greedy_mds(instance)
-    times["dominating"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    best = _best_guess(instance, terminals, config)
-    times["candidates"] = time.perf_counter() - t0
-
-    if best is None:
-        return _solve_pipeline(instance, config, "guess-root", times, t_start)
-    return _build_report(instance, config, "guess-root", terminals, best, times, t_start)
+    return _solve(instance, config or SolverConfig(), "guess-root")
 
 
 # the solve function of each variant, under the name its reports carry

@@ -218,6 +218,19 @@ def test_per_cell_flag_must_be_a_positive_integer(capsys):
         assert err == f"error: --per-cell must be a positive integer, got {count!r}\n"
 
 
+def test_bench_rejects_an_empty_axis(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda tasks, jobs=1: swept.append(tasks))
+    for flag, value in (
+        ("--kinds", ","), ("--sizes", ","), ("--k-values", ""),
+        ("--m-offsets", ","), ("--variants", ","),
+    ):
+        code, out, err = _run(capsys, "bench", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} needs at least one value\n"
+    assert swept == []
+
+
 def test_zero_denominator_radius_is_an_error(capsys):
     for argv in (
         ("gen", "--kind", "unit-disk", "--n", "5", "--radius", "1/0"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import kmcds
 import kmcds.connectivity as connectivity_mod
@@ -18,7 +18,9 @@ from kmcds import (
     SolverConfig,
     check_certificate,
     dump_report,
+    gen_gnp,
     gen_unit_disk,
+    is_m_dominating,
     opt_kmcds,
     precheck,
     solve_general,
@@ -185,27 +187,48 @@ def _starve_candidate_roots(monkeypatch, g):
     monkeypatch.setattr(solver_mod, "solve_rooted_nodeweight", starve_original_roots)
 
 
+def _count_calls(monkeypatch, name):
+    """Calls of the solver module's ``name``, recorded by argument."""
+    real = getattr(solver_mod, name)
+    calls = []
+
+    def counting(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(solver_mod, name, counting)
+    return calls
+
+
 def test_guess_root_falls_back_when_no_candidate_survives(monkeypatch):
     g = cycle_graph(5)
     instance = inst(g, 2, 2)
-    real_precheck = solver_mod.precheck
-    prechecks = []
-
-    def counting_precheck(instance):
-        prechecks.append(instance)
-        return real_precheck(instance)
-
     _starve_candidate_roots(monkeypatch, g)
-    monkeypatch.setattr(solver_mod, "precheck", counting_precheck)
+    prechecks = _count_calls(monkeypatch, "precheck")
+    greedy_calls = _count_calls(monkeypatch, "greedy_mds")
     report = solve_guess_root(instance)
     assert report.variant == "guess-root"
     assert report.flags["fallback_to_general"] is True
-    assert len(prechecks) == 1  # the fallback pipeline does not repeat it
+    # the fallback pipeline repeats neither the precheck nor T
+    assert len(prechecks) == 1 and len(greedy_calls) == 1
+    assert list(report.stage_seconds) == [
+        "precheck", "dominating", "candidates", "augment", "prune", "verify", "total",
+    ]
     seconds = dict(report.stage_seconds)
     total = seconds.pop("total")
     assert total >= seconds["precheck"] + seconds["candidates"]
     assert total >= sum(seconds.values())  # disjoint stages, the candidate loop included
     _verified(instance, report)
+
+
+@pytest.mark.parametrize("variant", ["general", "unit-disk", "guess-root"])
+def test_every_route_computes_the_dominating_set_once(monkeypatch, variant):
+    instance = gen_unit_disk(12, Fraction(3, 5), (1, 9), 4, 2, 3)
+    assert precheck(instance) is None
+    greedy_calls = _count_calls(monkeypatch, "greedy_mds")
+    report = solver_mod.SOLVERS[variant](instance)
+    assert greedy_calls == [instance]
+    assert report.flags["fallback_to_general"] is False
 
 
 @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(final_prune=False)])
@@ -502,3 +525,55 @@ def test_guess_root_matches_the_unbounded_induced_loop(monkeypatch, backend):
                 lambda inst_, terms, cfg: induced_best_guess(inst_, terms, cfg.backend),
             )
             assert dump_report(solve_guess_root(instance, config)) == report
+
+
+@st.composite
+def _feasible_instances(draw):
+    """Feasible instances, half of them disk graphs, with zero weights allowed."""
+    k = draw(st.integers(1, 3))
+    m = k + draw(st.integers(0, 2))
+    n = draw(st.integers(k + 1, 14))
+    weights = (0, draw(st.sampled_from((0, 1, 3, 30))))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        radius = Fraction(draw(st.integers(50, 100)), 100)
+        instance = gen_unit_disk(n, radius, weights, seed, k, m)
+    else:
+        instance = gen_gnp(n, draw(st.floats(0.55, 1.0)), weights, seed, k, m)
+    assume(precheck(instance) is None)
+    return instance
+
+
+@given(_feasible_instances())
+def test_the_dominating_set_never_needs_padding(instance):
+    # m >= k: a node outside T has at least k neighbours in T, and n > k
+    assert len(greedy_mds(instance)) >= instance.k
+    variants = ["general"]
+    variants += ["unit-disk"] if instance.is_geometric else []
+    variants += ["guess-root"] if instance.k in (2, 3) else []
+    for variant in variants:
+        assert solver_mod.SOLVERS[variant](instance).flags["dominating_padding"] == []
+
+
+def test_every_prune_trial_m_dominates(monkeypatch):
+    # every trial keeps T, so the prune tests k-connectivity alone
+    trials = []
+    real = solver_mod.is_k_connected
+
+    def recording(h, k):
+        trials.append(frozenset(h.nodes))
+        return real(h, k)
+
+    monkeypatch.setattr(solver_mod, "is_k_connected", recording)
+    disks = [gen_unit_disk(12, Fraction(3, 5), (0, 9), seed, 2, 3) for seed in range(4)]
+    runs = [(solve_unit_disk, d) for d in disks if precheck(d) is None]
+    for instance in _guess_root_instances(8, (6, 11), (2, 3)):
+        runs += [(solve_general, instance), (solve_guess_root, instance)]
+    seen = 0
+    for solve, instance in runs:
+        trials.clear()
+        solve(instance)
+        seen += len(trials)
+        for trial in trials:
+            assert is_m_dominating(instance.graph, trial, instance.m).ok
+    assert len(runs) > 16 and seen > len(runs)
