@@ -6,11 +6,14 @@ connectivity questions. Whole-graph k-connectivity goes through one kernel,
 SIAM J. Comput. 4(3); see also Esfahanian & Hakimi 1984, Networks 14):
 with nodes v_1..v_n in id order, the graph is k-connected iff the first k
 nodes are pairwise k-connected and every later v_j keeps k disjoint paths
-from a super-source joined to v_1..v_{j-1}. That is C(k, 2) + (n - k)
+to a super-sink joined to v_1..v_{j-1}. That is C(k, 2) + (n - k)
 max-flows on one network instead of one per node pair; k = 1 is a plain
-search and a node of degree below k is a witness without any flow. The
-literal all-pair loop it replaced is kept in the test suite
-(``tests/brutes.py``) as the reference the kernel is compared against.
+search and a node of degree below k is a witness without any flow. Each
+later flow starts at v_j, so its search ends at the first earlier node it
+meets, mostly a hop or two away, instead of sweeping the network. The
+literal all-pair loop the kernel replaced, and the super-source loop it
+turned around, are kept in the test suite (``tests/brutes.py``) as the
+references it is compared against.
 
 A certificate (:func:`build_certificate`) is that same pass over G[S]
 with its paths kept: a bundle for each pair among the first k members and
@@ -72,18 +75,18 @@ def _even_schedule(
     """The (source, sink) pairs of Even's schedule, ``net`` reset before each.
 
     First the pairs among ``nodes[:k]``, then each later node v_j with the
-    super-source, which is joined to v_1..v_{j-1} by then.
+    super-sink, which is joined to v_1..v_{j-1} by then.
     """
     for i in range(k):
         for j in range(i + 1, k):
             net.reset()
             yield nodes[i], nodes[j]
     for v in nodes[: k - 1]:
-        net.join_source(v)
+        net.join_sink(v)
     for j in range(k, len(nodes)):
-        net.join_source(nodes[j - 1])
+        net.join_sink(nodes[j - 1])
         net.reset()
-        yield SplitFlowNetwork.SOURCE, nodes[j]
+        yield nodes[j], SplitFlowNetwork.SINK
 
 
 def find_k_connectivity_violation(
@@ -98,14 +101,17 @@ def find_k_connectivity_violation(
       first node left unreached, separator ``()``;
     - k >= 2 and a node v of degree below k: v and its first
       non-neighbour, separated by N(v);
-    - Even's schedule on one network: the first k nodes pairwise, then
-      each later node v_j against the super-source joined to v_1..v_{j-1}.
-      When v_j fails, an earlier node u left on the source side of the
-      minimum cut is not adjacent to v_j and is cut off from it by fewer
-      than k nodes; one u-v_j flow turns that into the usual pair witness.
+    - Even's schedule on one network: the first k nodes pairwise, then a
+      flow from each later node v_j to the super-sink joined to
+      v_1..v_{j-1}. When v_j fails, an earlier node u left on the sink
+      side of the minimum cut is not adjacent to v_j and is cut off from
+      it by fewer than k nodes; one u-v_j flow turns that into the usual
+      pair witness. The least such u is the one the super-source loop
+      this replaced would take (see :meth:`SplitFlowNetwork.sink_side`),
+      so the witness is too.
 
     A given ``paths`` dict receives each flow's k paths under its (source,
-    sink) pair; a fan, keyed (``SplitFlowNetwork.SOURCE``, v_j), has paths
+    sink) pair; a fan, keyed (v_j, ``SplitFlowNetwork.SINK``), has paths
     that start at v_j. k = 1 then runs the schedule: same witness as the search.
     """
     if k < 1:
@@ -140,14 +146,14 @@ def find_k_connectivity_violation(
         f = net.max_flow(s, t, k)
         if f >= k:
             if paths is not None:
-                # a fan's paths run SOURCE, u, ..., t: drop SOURCE, start at t
-                fan = s == SplitFlowNetwork.SOURCE
-                paths[(s, t)] = tuple(p[:0:-1] if fan else p for p in net.extract_paths(s, t))
+                # a fan's paths run s, ..., u, SINK: drop SINK
+                fan = t == SplitFlowNetwork.SINK
+                paths[(s, t)] = tuple(p[:-1] if fan else p for p in net.extract_paths(s, t))
             continue
-        if s == SplitFlowNetwork.SOURCE:
-            # ids ascend with the index, so the least source-side node is
+        if t == SplitFlowNetwork.SINK:
+            # ids ascend with the index, so the least sink-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            s = net.source_side(s)[0]
+            s, t = net.sink_side(t)[0], s
             net.reset()
             f = net.max_flow(s, t, k)
         cut, direct = net.min_cut_separator(s, t)
@@ -217,9 +223,9 @@ def certify(
     )
     if not dominated or violation is not None:
         return counts, violation, None
-    fan = SplitFlowNetwork.SOURCE
-    pairs = {(s, t): p for (s, t), p in paths.items() if s != fan}
-    fans = {t: p for (s, t), p in paths.items() if s == fan}
+    sink = SplitFlowNetwork.SINK
+    pairs = {(s, t): p for (s, t), p in paths.items() if t != sink}
+    fans = {s: p for (s, t), p in paths.items() if t == sink}
     return counts, None, Certificate(k, m, tuple(inside), counts, pairs, fans)
 
 

@@ -15,11 +15,12 @@ connectivity targets used in this package, which keeps plain augmenting
 search exact and fast. All tie-breaking is fixed by arc construction order
 (nodes ascending, then edges in sorted order), making results deterministic.
 
-One extra slot, the super-source :attr:`SplitFlowNetwork.SOURCE`, is made
-on the first :meth:`SplitFlowNetwork.join_source`; each call gives it one
-more arc of capacity one into a node, so a flow from it reaches a growing
-node set. Its arcs come after all others, so flows between graph nodes
-search exactly as they would without it.
+One extra slot, the super-sink :attr:`SplitFlowNetwork.SINK`, is made on
+the first :meth:`SplitFlowNetwork.join_sink`; each call gives it one more
+arc of capacity one out of a node, so a flow into it may end at a growing
+node set. Its arcs come after all others and, after a reset, nothing
+leaves its in-node, so flows between graph nodes find exactly the paths
+they would find without it.
 
 Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
 sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
@@ -44,7 +45,7 @@ _INF = 1 << 60
 
 
 class SplitFlowNetwork:
-    SOURCE = -1  # id of the super-source; graph node ids are nonnegative
+    SINK = -1  # id of the super-sink; graph node ids are nonnegative
 
     __slots__ = (
         "graph", "slot", "ids", "size",
@@ -98,23 +99,23 @@ class SplitFlowNetwork:
     def reset(self) -> None:
         self._res = list(self._cap0)
 
-    def join_source(self, v: int) -> None:
-        """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities.
+    def join_sink(self, v: int) -> None:
+        """Add the arc v_out -> SINK_in, of capacity one, to the initial capacities.
 
-        The super-source slot is made on the first call. Its arcs stay in
-        place across :meth:`reset`. ``SOURCE`` may be the source of
-        :meth:`max_flow`, :meth:`residual_reachable` and :meth:`source_side`
-        and nothing else; after a reset, flows between graph nodes never
-        use it.
+        The super-sink slot is made on the first call. Its arcs stay in
+        place across :meth:`reset`. ``SINK`` may be the sink of
+        :meth:`max_flow` and :meth:`extract_paths` and the argument of
+        :meth:`sink_side`, nothing else; after a reset, a flow between
+        graph nodes can enter SINK_in but never leave it.
         """
-        if self.SOURCE not in self.slot:
-            self.slot[self.SOURCE] = self.size // 2
+        if self.SINK not in self.slot:
+            self.slot[self.SINK] = self.size // 2
             self.size += 2
             self._out += [[], []]
             self._seen += [0, 0]
             self._parent += [0, 0]
-        a = 2 * self.slot[self.SOURCE] + 1
-        b = 2 * self.slot[v]
+        a = 2 * self.slot[v] + 1
+        b = 2 * self.slot[self.SINK]
         idx = len(self._to)
         self._to += [b, a]
         self._from += [a, b]
@@ -280,14 +281,34 @@ class SplitFlowNetwork:
                     q.append(to[a])
         return seen
 
-    def source_side(self, s: int) -> list[int]:
-        """Graph nodes, ascending, whose out-node the residual network reaches from s.
+    def sink_side(self, t: int) -> list[int]:
+        """Graph nodes, ascending, whose in-node still reaches t in the residual network.
 
-        After a max-flow that fell short of its cap, these are the nodes on
-        the source side of a minimum cut, none of them in the cut.
+        After a max-flow into ``t`` that fell short of its cap, these are
+        the nodes on the sink side of a minimum cut, none of them in the
+        cut. For ``t = SINK`` joined to v_1..v_{j-1}, after a flow from
+        v_j, the list is the one a super-source joined to the same nodes
+        would leave on its side after a flow to v_j. Reversing every arc
+        and swapping each node's in- and out-node turns one network into
+        the other and a maximum flow of one into a maximum flow of the
+        other, so in-nodes that reach SINK_in become out-nodes reached
+        from the super-source. And the residual network of every maximum
+        flow has the same nodes reaching the sink: they are the sink side
+        of the minimum cut closest to it, whichever flow was found.
         """
-        reach = self.residual_reachable(s)
-        return [v for v in self.ids if 2 * self.slot[v] + 1 in reach]
+        t_in = 2 * self.slot[t]
+        seen = {t_in}
+        q = deque([t_in])
+        res, to = self._res, self._to
+        while q:
+            y = q.popleft()
+            # each arc into y is the partner a ^ 1 of an arc a out of y
+            for a in self._out[y]:
+                x = to[a]
+                if res[a ^ 1] > 0 and x not in seen:
+                    seen.add(x)
+                    q.append(x)
+        return [v for v in self.ids if 2 * self.slot[v] in seen]
 
     def min_cut_separator(self, s: int, t: int) -> tuple[list[int], bool]:
         """Menger witness after a saturating max-flow run.

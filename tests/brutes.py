@@ -5,7 +5,8 @@ definitions, sharing no code with the flow machinery under test. Sizes
 must stay tiny (n around 10). The exceptions are literal slow routes
 the package replaced, kept as the references its fast routes are compared
 against: the all-pair k-connectivity loop (one max-flow per node pair)
-that the Even-schedule kernel replaced, the all-pair certificate (k paths
+that the Even-schedule kernel replaced, that kernel's earlier form with
+each later node's flow coming from a super-source, the all-pair certificate (k paths
 per member pair) and its checker that the Even-schedule certificate
 replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
@@ -199,6 +200,101 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
         if f < k:
             cut, direct = net.min_cut_separator(u, v)
             return ConnectivityViolation((u, v), tuple(cut), direct, f)
+    return None
+
+
+class _SourceNetwork(SplitFlowNetwork):
+    """The network with the super-source slot the kernel used before its super-sink."""
+
+    SOURCE = -1
+
+    def join_source(self, v: int) -> None:
+        """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities."""
+        if self.SOURCE not in self.slot:
+            self.slot[self.SOURCE] = self.size // 2
+            self.size += 2
+            self._out += [[], []]
+            self._seen += [0, 0]
+            self._parent += [0, 0]
+        a = 2 * self.slot[self.SOURCE] + 1
+        b = 2 * self.slot[v]
+        idx = len(self._to)
+        self._to += [b, a]
+        self._from += [a, b]
+        self._cost += [0, 0]
+        self._cap0 += [1, 0]
+        self._res += [1, 0]
+        self._out[a].append(idx)
+        self._out[b].append(idx + 1)
+
+    def source_side(self, s: int) -> list[int]:
+        """Graph nodes, ascending, whose out-node the residual network reaches from s."""
+        reach = self.residual_reachable(s)
+        return [v for v in self.ids if 2 * self.slot[v] + 1 in reach]
+
+
+def _source_schedule(
+    net: _SourceNetwork, nodes: list[int], k: int
+) -> Iterable[tuple[int, int]]:
+    for i in range(k):
+        for j in range(i + 1, k):
+            net.reset()
+            yield nodes[i], nodes[j]
+    for v in nodes[: k - 1]:
+        net.join_source(v)
+    for j in range(k, len(nodes)):
+        net.join_source(nodes[j - 1])
+        net.reset()
+        yield _SourceNetwork.SOURCE, nodes[j]
+
+
+def source_schedule_violation(g: Graph, k: int) -> ConnectivityViolation | None:
+    """The kernel as it ran before its later-node flows were turned around.
+
+    Even's schedule with each later v_j tested by a flow from a
+    super-source joined to v_1..v_{j-1}; a failed v_j pairs the least
+    node left on the source side with it. The kernel now runs each of
+    those flows from v_j to a super-sink and must give the same witness.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if g.n <= k:
+        return ConnectivityViolation(None, (), False, 0, too_small=True)
+    nodes = g.nodes
+    if k == 1:
+        first = nodes[0]
+        seen = {first}
+        stack = [first]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == g.n:
+            return None
+        far = next(v for v in nodes if v not in seen)
+        return ConnectivityViolation((first, far), (), False, 0)
+    for v in nodes:
+        near = g.adj[v]
+        if len(near) < k:
+            far = next(w for w in nodes if w != v and w not in near)
+            return ConnectivityViolation(
+                (min(v, far), max(v, far)), near, False, len(near)
+            )
+
+    net = _SourceNetwork(g)
+    for s, t in _source_schedule(net, nodes, k):
+        f = net.max_flow(s, t, k)
+        if f >= k:
+            continue
+        if s == _SourceNetwork.SOURCE:
+            # ids ascend with the index, so the least source-side node is
+            # one of v_1..v_{j-1}: fewer than k of them fall in the cut
+            s = net.source_side(s)[0]
+            net.reset()
+            f = net.max_flow(s, t, k)
+        cut, direct = net.min_cut_separator(s, t)
+        return ConnectivityViolation((s, t), tuple(cut), direct, f)
     return None
 
 

@@ -36,6 +36,7 @@ from brutes import (
     check_subpartition_characterization,
     is_k_T_connected,
     local_connectivity,
+    source_schedule_violation,
     without_edges,
 )
 from toolbox import (
@@ -145,6 +146,64 @@ def test_kernel_matches_allpair_reference(seed, k, shape):
     assert brute_pair_connectivity(rest, *found.pair) == 0
 
 
+def _glued_blocks(rng: random.Random, k: int) -> Graph:
+    """Two dense blocks on at most 14 ids that share a separator of at most k nodes.
+
+    Half the time the first block and the separator take the smallest ids,
+    so the first k nodes sit together and a short separator is found by a
+    later node's flow to the super-sink, not by a pair flow.
+    """
+    a, b, s = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, k)
+    ids = rng.sample(range(40), a + s + b)
+    if rng.random() < 0.5:
+        ids.sort()
+    left, sep, right = ids[:a], ids[a:a + s], ids[a + s:]
+    p = rng.choice((0.8, 0.95, 1.0))
+    edges = sorted({(u, v) for block in (left + sep, sep + right)
+                    for i, u in enumerate(block) for v in block[i + 1:]})
+    return Graph(ids, [e for e in edges if rng.random() < p])
+
+
+def test_kernel_matches_source_schedule_reference(monkeypatch):
+    # the super-sink kernel against the super-source loop it turned around:
+    # same witness on every graph, through the failure branch often enough
+    calls = []
+    sink_side = SplitFlowNetwork.sink_side
+
+    def counted(self, t):
+        calls.append(t)
+        return sink_side(self, t)
+
+    monkeypatch.setattr(SplitFlowNetwork, "sink_side", counted)
+    failed_later = []
+
+    @settings(max_examples=400)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from(("random", "glued", "low-degree", "blocks")),
+    )
+    def check(seed, k, shape):
+        rng = random.Random(seed)
+        g = _glued_blocks(rng, k) if shape == "blocks" else _shaped_graph(rng, k, shape)
+        before = len(calls)
+        reference = source_schedule_violation(g, k)
+        assert find_k_connectivity_violation(g, k) == reference
+        kept = {}
+        assert find_k_connectivity_violation(g, k, kept) == reference
+        if len(calls) > before:
+            failed_later.append(seed)
+        if reference is None:
+            # instances take ids 0..n-1: relabel in order, which keeps the schedule
+            rank = {v: i for i, v in enumerate(g.nodes)}
+            dense = Graph(range(g.n), [(rank[u], rank[v]) for u, v in g.edges])
+            cert = build_certificate(dense, dense.nodes, k, k)
+            assert check_certificate(inst(dense, k, k), cert) == []
+
+    check()
+    assert len(failed_later) >= 50
+
+
 def test_violation_witness_is_checkable():
     g = cycle_graph(6)
     v = find_k_connectivity_violation(g, 3)
@@ -174,7 +233,7 @@ def test_violation_witness_of_each_kernel_branch():
     assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
         (0, 4), (3,), False, 1
     )
-    # bowtie: node 3 fails against the super-source on {0, 1, 2}
+    # bowtie: node 3 fails its flow to the super-sink on {0, 1, 2}
     g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
         (0, 3), (2,), False, 1
@@ -347,8 +406,8 @@ def test_petersen_certificate_is_on_even_schedule(monkeypatch):
     monkeypatch.setattr(SplitFlowNetwork, "max_flow", counted)
     g = petersen()
     cert = build_certificate(g, g.nodes, 3, 3)
-    # C(3, 2) pair flows, then one super-source flow per later member
-    assert len(flows) == 3 + 7
+    # C(3, 2) pair flows, then one flow from each later member to the super-sink
+    assert flows == [(0, 1), (0, 2), (1, 2)] + [(v, SplitFlowNetwork.SINK) for v in range(3, 10)]
     assert sorted(cert.pairs) == [(0, 1), (0, 2), (1, 2)]
     assert sorted(cert.fans) == [3, 4, 5, 6, 7, 8, 9]
     for v, paths in cert.fans.items():

@@ -1,10 +1,11 @@
 """Node-splitting flow network against definition-level brute force."""
 
 import random
+from itertools import permutations
 
 from hypothesis import given, strategies as st
 
-from kmcds import SplitFlowNetwork
+from kmcds import Graph, SplitFlowNetwork
 
 from brutes import (
     brute_min_pair_pathset,
@@ -175,3 +176,37 @@ def test_flow_is_deterministic():
         net.max_flow(1, 8, 3)
         runs.append(net.extract_paths(1, 8))
     assert runs[0] == runs[1]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_sink_arcs_leave_pair_flows_unchanged(seed, n):
+    # after a reset nothing leaves SINK_in, and its arcs come last, so a
+    # pair flow walks the paths it walks on a network without the sink
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    net = SplitFlowNetwork(g)
+    for v in rng.sample(g.nodes, rng.randint(1, n)):
+        net.join_sink(v)
+    for u, v in permutations(g.nodes, 2):
+        net.reset()
+        fresh = SplitFlowNetwork(g)
+        assert net.max_flow(u, v, n) == fresh.max_flow(u, v, n)
+        assert net.min_cut_separator(u, v) == fresh.min_cut_separator(u, v)
+        assert net.extract_paths(u, v) == fresh.extract_paths(u, v)
+
+
+def test_sink_side_of_a_bowtie_after_a_short_flow():
+    # two triangles sharing node 2; the sink is joined to the first one
+    g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    net = SplitFlowNetwork(g)
+    for v in (0, 1, 2):
+        net.join_sink(v)
+    net.reset()
+    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1, 2, 3, 4]
+    # node 3 reaches the sink only through 2: one path, cut {2}
+    assert net.max_flow(3, SplitFlowNetwork.SINK, 2) == 1
+    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1]
+    assert net.extract_paths(3, SplitFlowNetwork.SINK) == [(3, 2, SplitFlowNetwork.SINK)]
+    net.reset()
+    assert net.max_flow(4, SplitFlowNetwork.SINK, 3) == 1
+    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1]
