@@ -7,7 +7,7 @@ brute-force oracles for small instances, independent feasibility
 verifiers with path certificates, and seeded instance generators.
 """
 
-from .augment import min_weight_k_paths, minimal_augmenting_forest
+from .augment import minimal_augmenting_forest
 from .connectivity import (
     Certificate,
     ConnectivityViolation,
@@ -83,7 +83,6 @@ __all__ = [
     "is_k_connected",
     "is_m_dominating",
     "load_instance",
-    "min_weight_k_paths",
     "minimal_augmenting_forest",
     "opt_kmcds",
     "precheck",

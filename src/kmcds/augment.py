@@ -1,9 +1,10 @@
-"""Connectivity augmentation: virtual forests and disjoint path bundles.
+"""Connectivity augmentation: the virtual forest.
 
 Step one of the endgame: find an inclusion-minimal set of virtual edges on
 the attachment nodes whose addition makes a graph k-connected (a forest,
-by minimality). Step two: realize each virtual edge as k internally
-disjoint paths bought at minimum node weight.
+by minimality). Step two, buying k internally disjoint paths for each
+virtual edge, is the rooted flow union with one terminal (see
+:mod:`kmcds.solver`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InfeasibleError, InvariantViolationError
+from .errors import InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph
 from .connectivity import is_k_connected
@@ -70,27 +71,3 @@ def minimal_augmenting_forest(
     if not _is_forest(att, kept):
         raise InvariantViolationError("peeled augmentation is not a forest")
     return tuple(kept)
-
-
-def min_weight_k_paths(
-    g: Graph, free: Iterable[int], u: int, v: int, k: int
-) -> frozenset[int]:
-    """Cheapest node set outside ``free`` buying k disjoint u-v paths.
-
-    Nodes in ``free`` (which must include u and v) cost nothing; the
-    returned set contains exactly the priced nodes the flow traverses and
-    its weight never exceeds twice the cheapest feasible purchase.
-    """
-    free_set = frozenset(free)
-    if u not in free_set or v not in free_set:
-        raise ValueError("both endpoints must be free")
-    net = SplitFlowNetwork(g)
-    for w in g.nodes:
-        if w not in free_set:
-            net.set_node_cost(w, g.weights[w])
-    units, _cost = net.min_cost_flow(u, v, k)
-    if units < k:
-        raise InfeasibleError(
-            f"only {units} of {k} disjoint paths exist between {u} and {v}"
-        )
-    return frozenset(net.nodes_carrying_flow()) - free_set

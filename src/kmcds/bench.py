@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from .errors import InfeasibleError
 from .generators import gen_gnp, gen_unit_disk
 from .graph import Instance
-from .oracle import opt_kmcds
+from .oracle import _ORACLE_NODE_CAP, opt_kmcds
 from .serialize import parse_fraction
 from .solver import SOLVERS, SolverConfig
 
@@ -94,7 +94,7 @@ def run_task(task: BenchTask) -> BenchRow | None:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     oracle_weight = None
     ratio = None
-    if 0 < task.oracle_cap >= instance.n and instance.n <= 16:
+    if instance.n <= task.oracle_cap:
         result = opt_kmcds(instance)
         if result.feasible:
             oracle_weight = result.weight
@@ -134,7 +134,14 @@ def build_tasks(
 
     guess-root applies to k in {2, 3} only, so other k values skip that
     variant rather than failing the sweep. Every task carries ``config``.
+    ``oracle_cap`` runs the oracle on instances of at most that many
+    nodes (0: never); a cap above the oracle's own is refused.
     """
+    if not 0 <= oracle_cap <= _ORACLE_NODE_CAP:
+        raise ValueError(
+            f"oracle cap must be between 0 and the oracle's {_ORACLE_NODE_CAP}-node cap, "
+            f"got {oracle_cap}"
+        )
     for kind in kinds:
         if kind not in ("gnp", "unit-disk"):
             raise ValueError(f"unknown instance kind {kind!r}")

@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cap",
         type=int,
         default=0,
-        help="run the exact oracle on instances up to this size (0 = never)",
+        help="run the exact oracle on instances up to this size, 0-16 (0 = never)",
     )
     p.add_argument(
         "--jobs",

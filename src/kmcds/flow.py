@@ -15,12 +15,12 @@ connectivity targets used in this package, which keeps plain augmenting
 search exact and fast. All tie-breaking is fixed by arc construction order
 (nodes ascending, then edges in sorted order), making results deterministic.
 
-One extra slot, the super-sink :attr:`SplitFlowNetwork.SINK`, is made on
-the first :meth:`SplitFlowNetwork.join_sink`; each call gives it one more
-arc of capacity one out of a node, so a flow into it may end at a growing
-node set. Its arcs come after all others and, after a reset, nothing
-leaves its in-node, so flows between graph nodes find exactly the paths
-they would find without it.
+One extra slot, after the graph nodes, is the super-sink
+:attr:`SplitFlowNetwork.SINK`; it has no arcs until
+:meth:`SplitFlowNetwork.join_sink` gives it one of capacity one out of a
+node, so a flow into it may end at a growing node set. Its arcs come after
+all others and, after a reset, nothing leaves its in-node, so flows
+between graph nodes find exactly the paths they would find without it.
 
 Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
 sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
@@ -58,7 +58,8 @@ class SplitFlowNetwork:
         self.graph = graph
         self.ids = graph.nodes
         self.slot = {v: i for i, v in enumerate(self.ids)}
-        self.size = 2 * len(self.ids)
+        self.slot[self.SINK] = len(self.ids)
+        self.size = 2 * len(self.ids) + 2
 
         to: list[int] = []
         frm: list[int] = []
@@ -102,18 +103,11 @@ class SplitFlowNetwork:
     def join_sink(self, v: int) -> None:
         """Add the arc v_out -> SINK_in, of capacity one, to the initial capacities.
 
-        The super-sink slot is made on the first call. Its arcs stay in
-        place across :meth:`reset`. ``SINK`` may be the sink of
-        :meth:`max_flow` and :meth:`extract_paths` and the argument of
-        :meth:`sink_side`, nothing else; after a reset, a flow between
+        Its arcs stay in place across :meth:`reset`. ``SINK`` may be the
+        sink of :meth:`max_flow` and :meth:`extract_paths` and the argument
+        of :meth:`sink_side`, nothing else; after a reset, a flow between
         graph nodes can enter SINK_in but never leave it.
         """
-        if self.SINK not in self.slot:
-            self.slot[self.SINK] = self.size // 2
-            self.size += 2
-            self._out += [[], []]
-            self._seen += [0, 0]
-            self._parent += [0, 0]
         a = 2 * self.slot[v] + 1
         b = 2 * self.slot[self.SINK]
         idx = len(self._to)
@@ -230,40 +224,36 @@ class SplitFlowNetwork:
         res, cap0 = self._res, self._cap0
         return [v for v, a in self._internal_arc.items() if res[a] < cap0[a]]
 
+    def _flow_arc(self, x: int) -> int | None:
+        """The first forward arc out of x that carries flow, or None."""
+        res, cap0 = self._res, self._cap0
+        for a in self._out[x]:
+            if a % 2 == 0 and res[a] < cap0[a]:
+                return a
+        return None
+
     def extract_paths(self, s: int, t: int) -> list[tuple[int, ...]]:
-        """Decompose the current flow into s-t node paths (consumes it)."""
-        res, to, frm = self._res, self._to, self._from
+        """Decompose the current flow into s-t node paths (consumes it).
+
+        An in-node's one forward arc is its internal arc, so a path steps
+        from each in-node it enters straight to the matching out-node.
+        """
+        res, to = self._res, self._to
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
         paths = []
-        while True:
-            arc = None
-            for a in self._out[s_out]:
-                if a % 2 == 0 and self._cap0[a] > 0 and res[a] < self._cap0[a]:
-                    arc = a
-                    break
-            if arc is None:
-                break
+        while self._flow_arc(s_out) is not None:
             nodes = [s]
             x = s_out
             while x != t_in:
-                step = None
-                for a in self._out[x]:
-                    if a % 2 == 0 and self._cap0[a] > 0 and res[a] < self._cap0[a]:
-                        step = a
-                        break
-                if step is None:
+                a = self._flow_arc(x)
+                if a is None:
                     raise RuntimeError("flow decomposition lost conservation")
-                res[step] += 1
-                res[step ^ 1] -= 1
-                x = to[step]
+                res[a] += 1
+                res[a ^ 1] -= 1
+                x = to[a]
                 if x % 2 == 0 and x != t_in:
                     nodes.append(self.ids[x // 2])
-                    # traverse the internal arc immediately
-                    ia = self._internal_arc[self.ids[x // 2]]
-                    res[ia] += 1
-                    res[ia ^ 1] -= 1
-                    x = to[ia]
             nodes.append(t)
             paths.append(tuple(nodes))
         return paths

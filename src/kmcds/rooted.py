@@ -18,6 +18,13 @@ min-cost flow would buy nothing and is skipped. A zero-weight pool node
 can be bought at cost 0, so with one in the pool every terminal runs its
 min-cost flow.
 
+The flow union also buys the solver's forest bundles: for a virtual edge
+uv, :func:`flow_union_witnessed` with the one terminal u and the root at
+v buys k internally disjoint u-v paths at minimum weight, a single
+terminal's flow being exact. The solver keeps that selection as it is,
+with no prune, under either backend. This module's min-cost flow is the
+one place where node weights become flow costs.
+
 A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`, the
 caller's or one built over ``graph_r`` with the edges from the root to
 its closed neighbours closed. Its open arcs must be exactly the edges of

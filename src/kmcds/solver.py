@@ -21,7 +21,9 @@ The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
    paths (node-weighted min-cost flows, or exhaustive search under the
    exact backend);
 4. inclusion-minimal virtual forest J on R making G[T∪S] k-connected;
-5. k disjoint paths bought for each virtual edge;
+5. k disjoint paths bought for each virtual edge uv, in forest order, by
+   the flow union of step 3 with one terminal u and the root at v, its
+   pool the nodes bought so far left out (no prune, whatever the backend);
 6. union, optional inclusion pruning, then the certificate on Even's
    schedule, whose construction is the final check: a set it refuses
    raises :class:`InvariantViolationError`.
@@ -51,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .augment import min_weight_k_paths, minimal_augmenting_forest
+from .augment import minimal_augmenting_forest
 from .connectivity import (
     Certificate,
     ConnectivityViolation,
@@ -64,7 +66,13 @@ from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph, Instance, attach_root, degree_stats
-from .rooted import BACKENDS, GuaranteeInfo, RootedProblem, solve_rooted_nodeweight
+from .rooted import (
+    BACKENDS,
+    GuaranteeInfo,
+    RootedProblem,
+    flow_union_witnessed,
+    solve_rooted_nodeweight,
+)
 
 ATTACHMENT_RULES = ("min-weight", "enumerate")
 
@@ -272,7 +280,9 @@ def _run_attempt(
     free = set(union)
     pair_nodes: set[int] = set()
     for u, v in forest:
-        bought = min_weight_k_paths(g, free, u, v, k)
+        outside = tuple(x for x in g.nodes if x not in free)
+        pair = RootedProblem(graph_r=g, root=v, terminals=(u,), pool=outside, k=k)
+        bought, _witnesses = flow_union_witnessed(pair)
         pair_nodes |= bought
         free |= bought
     weight = g.total_weight(union | pair_nodes)

@@ -13,8 +13,10 @@ candidate loop that build one induced subgraph and one flow network per
 feasibility check, in place of one masked network per solve, the
 all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
 the edge-cost rooted stage that unit-disk solves ran until the
-node-weighted stage was shown to select the same sets, and the forest
-peel that built one graph and one network per clique edge.
+node-weighted stage was shown to select the same sets, the pair purchase
+with its own network and min-cost flow that bought each forest bundle
+before the one-terminal flow union did, and the forest peel that built
+one graph and one network per clique edge.
 
 The last block holds helpers that only tests call, moved out of the
 package: edge deletion and neighbourhoods, capped local connectivity,
@@ -204,18 +206,16 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
 
 
 class _SourceNetwork(SplitFlowNetwork):
-    """The network with the super-source slot the kernel used before its super-sink."""
+    """The network with the super-source slot the kernel used before its super-sink.
 
-    SOURCE = -1
+    The super-source takes the one extra slot every network reserves for
+    its super-sink; the source schedule never joins the sink.
+    """
+
+    SOURCE = SplitFlowNetwork.SINK
 
     def join_source(self, v: int) -> None:
         """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities."""
-        if self.SOURCE not in self.slot:
-            self.slot[self.SOURCE] = self.size // 2
-            self.size += 2
-            self._out += [[], []]
-            self._seen += [0, 0]
-            self._parent += [0, 0]
         a = 2 * self.slot[self.SOURCE] + 1
         b = 2 * self.slot[v]
         idx = len(self._to)
@@ -550,6 +550,30 @@ def edgecost_flow_union(
                 _refresh_costs_around(v)
     info = GuaranteeInfo("flow-union-edgecost", "2|T|", 2 * len(problem.terminals))
     return prune_selection(problem, frozenset(selected), net), info
+
+
+def min_weight_k_paths(
+    g: Graph, free: Iterable[int], u: int, v: int, k: int
+) -> frozenset[int]:
+    """Cheapest node set outside ``free`` buying k disjoint u-v paths.
+
+    Nodes in ``free`` (which must include u and v) cost nothing; the
+    returned set contains exactly the priced nodes the flow traverses and
+    its weight never exceeds twice the cheapest feasible purchase.
+    """
+    free_set = frozenset(free)
+    if u not in free_set or v not in free_set:
+        raise ValueError("both endpoints must be free")
+    net = SplitFlowNetwork(g)
+    for w in g.nodes:
+        if w not in free_set:
+            net.set_node_cost(w, g.weights[w])
+    units, _cost = net.min_cost_flow(u, v, k)
+    if units < k:
+        raise InfeasibleError(
+            f"only {units} of {k} disjoint paths exist between {u} and {v}"
+        )
+    return frozenset(net.nodes_carrying_flow()) - free_set
 
 
 def brute_disk_edges(

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 import kmcds.augment as augment_mod
 from kmcds import (
     Graph,
+    RootedProblem,
     is_k_connected,
-    min_weight_k_paths,
     minimal_augmenting_forest,
 )
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.augment import _is_forest
+from kmcds.rooted import flow_union_witnessed
 
-from brutes import brute_min_pair_pathset, rebuilt_augmenting_forest
+from brutes import brute_min_pair_pathset, min_weight_k_paths, rebuilt_augmenting_forest
 from toolbox import complete_graph, random_graph, two_triangles_bridged
 
 
@@ -120,28 +121,36 @@ def test_peel_builds_one_graph_and_one_network(monkeypatch):
     assert unions == [6] and networks == [6]
 
 
+def _bundle(g, free, u, v, k):
+    """The solver's purchase for virtual edge uv: the flow union, one terminal u, root v."""
+    pool = tuple(x for x in g.nodes if x not in set(free))
+    return flow_union_witnessed(RootedProblem(graph_r=g, root=v, terminals=(u,), pool=pool, k=k))[0]
+
+
 def test_path_purchase_on_a_path():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {0: 1, 1: 5, 2: 7, 3: 1})
-    bought = min_weight_k_paths(g, [0, 3], 0, 3, 1)
+    bought = _bundle(g, [0, 3], 0, 3, 1)
     assert bought == {1, 2}
 
 
 def test_free_interior_costs_nothing():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)], {0: 1, 1: 9, 2: 9, 3: 1})
-    bought = min_weight_k_paths(g, [0, 1, 2, 3], 0, 3, 2)
+    bought = _bundle(g, [0, 1, 2, 3], 0, 3, 2)
     assert bought == frozenset()
 
 
 def test_endpoints_must_be_free():
     g = complete_graph(4)
-    with pytest.raises(ValueError):
-        min_weight_k_paths(g, [0], 0, 3, 1)
+    with pytest.raises(ValueError, match="root can be neither terminal nor pool"):
+        _bundle(g, [0], 0, 3, 1)
+    with pytest.raises(ValueError, match="terminals cannot be pool nodes"):
+        _bundle(g, [3], 0, 3, 1)
 
 
 def test_too_few_paths_raises():
     g = Graph(range(3), [(0, 1), (1, 2)])
-    with pytest.raises(InfeasibleError, match="1 of 2"):
-        min_weight_k_paths(g, [0, 2], 0, 2, 2)
+    with pytest.raises(InfeasibleError, match="terminal 0: only 1 of 2"):
+        _bundle(g, [0, 2], 0, 2, 2)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -154,10 +163,37 @@ def test_purchase_matches_brute_force_weight(seed):
     free = {u, v}
     best = brute_min_pair_pathset(g, free, u, v, k)
     try:
-        bought = min_weight_k_paths(g, free, u, v, k)
+        bought = _bundle(g, free, u, v, k)
     except InfeasibleError:
         assert best is None
         return
     assert best is not None
-    # min-cost flow is exact for a single pair
+    # min-cost flow is exact for a single terminal
     assert sum(g.weights[x] for x in bought) == best[0]
+
+
+def test_bundle_selects_what_the_pair_purchase_did():
+    # the zero-weight branch runs the min-cost flow at once; the skip
+    # branch (every pool weight above 0) first asks for k free paths
+    branches = set()
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.5, 0.8)), max_weight=3)
+        u, v = rng.sample(g.nodes, 2)
+        free = {u, v} | set(rng.sample(g.nodes, rng.randint(0, g.n - 2)))
+        k = rng.randint(1, 3)
+        branches.add(all(g.weights[x] > 0 for x in g.nodes if x not in free))
+
+        def purchase(buy):
+            try:
+                return buy(g, free, u, v, k)
+            except InfeasibleError:
+                return None
+
+        assert purchase(_bundle) == purchase(min_weight_k_paths)
+
+    check()
+    assert branches == {True, False}

@@ -231,6 +231,26 @@ def test_bench_rejects_an_empty_axis(capsys, monkeypatch):
     assert swept == []
 
 
+def test_bench_refuses_an_oracle_cap_it_cannot_honour(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda tasks, jobs=1: swept.append(tasks))
+    for cap in ("-1", "17"):
+        code, out, err = _run(capsys, "bench", "--sizes", "17", "--oracle-cap", cap)
+        assert code == 1 and out == ""
+        assert err.startswith("error: oracle cap") and "16-node cap" in err
+    assert swept == []
+
+
+def test_bench_runs_the_oracle_up_to_its_own_cap(capsys):
+    code, out, _ = _run(
+        capsys, "bench", "--sizes", "8", "--per-cell", "1", "--p", "0.7",
+        "--oracle-cap", "16",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(r["oracle_weight"] for r in rows)
+
+
 def test_zero_denominator_radius_is_an_error(capsys):
     for argv in (
         ("gen", "--kind", "unit-disk", "--n", "5", "--radius", "1/0"),
