@@ -64,6 +64,8 @@ class ConnectivityViolation:
 
     def describe(self, removed: str) -> str:
         """The witness as a sentence; ``removed`` names what the separator holds."""
+        if self.too_small:
+            return f"too few {removed} to be k-connected"
         extra = " plus their shared edge" if self.direct_edge else ""
         u, v = self.pair
         return f"removing {removed} {list(self.separator)}{extra} separates {u} from {v}"

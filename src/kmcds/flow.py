@@ -15,6 +15,14 @@ connectivity targets used in this package, which keeps plain augmenting
 search exact and fast. All tie-breaking is fixed by arc construction order
 (nodes ascending, then edges in sorted order), making results deterministic.
 
+The layout fixes every index, so none is stored twice. The node in slot i
+has in-node 2i and out-node 2i + 1. Arcs are appended in pairs by
+:meth:`SplitFlowNetwork._add_arc`, an arc at an even index and its reverse
+right after it, so arc a's reverse is a ^ 1 and its tail is the head of
+a ^ 1. The node arcs come first, so node v's arc is ``2 * slot[v]``, the
+index of its in-node. Each edge's two arcs follow, the second at the index
+of the first plus 2, and ``_edge_arcs`` keeps the first.
+
 One extra slot, after the graph nodes, is the super-sink
 :attr:`SplitFlowNetwork.SINK`; it has no arcs until
 :meth:`SplitFlowNetwork.join_sink` gives it one of capacity one out of a
@@ -32,12 +40,17 @@ Masks are written to the initial capacities: they persist across
 keep their place in the arc order and every search skips them, so a masked
 network finds the same paths as a network built on the subgraph. The
 readers of the current flow compare residuals with initial capacities, so
-a closed arc never reads as carrying flow or as cut.
+a closed arc never reads as carrying flow or as cut. A caller that
+changes masks for a while runs inside :meth:`SplitFlowNetwork.masks_kept`,
+which gives every arc present on entry its capacity back on exit, also
+when the body raises.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
+from typing import Iterator
 
 from .graph import Graph
 
@@ -48,54 +61,42 @@ class SplitFlowNetwork:
     SINK = -1  # id of the super-sink; graph node ids are nonnegative
 
     __slots__ = (
-        "graph", "slot", "ids", "size",
-        "_to", "_from", "_cost", "_cap0", "_res",
-        "_out", "_internal_arc", "_edge_arcs",
+        "slot", "ids", "size",
+        "_to", "_cost", "_cap0", "_res", "_out", "_edge_arcs",
         "_seen", "_token", "_parent",
     )
 
     def __init__(self, graph: Graph) -> None:
-        self.graph = graph
         self.ids = graph.nodes
         self.slot = {v: i for i, v in enumerate(self.ids)}
         self.slot[self.SINK] = len(self.ids)
         self.size = 2 * len(self.ids) + 2
-
-        to: list[int] = []
-        frm: list[int] = []
-        cost: list[int] = []
-        cap: list[int] = []
-        out: list[list[int]] = [[] for _ in range(self.size)]
-
-        def add_arc(a: int, b: int, c: int, cp: int) -> int:
-            idx = len(to)
-            to.append(b), frm.append(a), cost.append(c), cap.append(cp)
-            to.append(a), frm.append(b), cost.append(-c), cap.append(0)
-            out[a].append(idx)
-            out[b].append(idx + 1)
-            return idx
-
-        self._internal_arc = {}
-        for v in self.ids:
-            s = self.slot[v]
-            self._internal_arc[v] = add_arc(2 * s, 2 * s + 1, 0, 1)
-
-        self._edge_arcs = {}
+        self._to: list[int] = []
+        self._cost: list[int] = []
+        self._cap0: list[int] = []
+        self._res: list[int] = []
+        self._out: list[list[int]] = [[] for _ in range(self.size)]
+        for s in range(len(self.ids)):
+            self._add_arc(2 * s, 2 * s + 1)
+        self._edge_arcs: dict[tuple[int, int], int] = {}
         for u, v in graph.edges:
             su, sv = self.slot[u], self.slot[v]
-            a1 = add_arc(2 * su + 1, 2 * sv, 0, 1)
-            a2 = add_arc(2 * sv + 1, 2 * su, 0, 1)
-            self._edge_arcs[(u, v)] = (a1, a2)
-
-        self._to = to
-        self._from = frm
-        self._cost = cost
-        self._cap0 = cap
-        self._res = list(cap)
-        self._out = out
+            self._edge_arcs[(u, v)] = self._add_arc(2 * su + 1, 2 * sv)
+            self._add_arc(2 * sv + 1, 2 * su)
         self._seen = [0] * self.size
         self._token = 0
         self._parent = [0] * self.size
+
+    def _add_arc(self, a: int, b: int) -> int:
+        """Append the arc a -> b, of capacity one and cost 0, and its reverse; return its index."""
+        idx = len(self._to)
+        self._to += (b, a)
+        self._cost += (0, 0)
+        self._cap0 += (1, 0)
+        self._res += (1, 0)
+        self._out[a].append(idx)
+        self._out[b].append(idx + 1)
+        return idx
 
     def reset(self) -> None:
         self._res = list(self._cap0)
@@ -108,41 +109,40 @@ class SplitFlowNetwork:
         of :meth:`sink_side`, nothing else; after a reset, a flow between
         graph nodes can enter SINK_in but never leave it.
         """
-        a = 2 * self.slot[v] + 1
-        b = 2 * self.slot[self.SINK]
-        idx = len(self._to)
-        self._to += [b, a]
-        self._from += [a, b]
-        self._cost += [0, 0]
-        self._cap0 += [1, 0]
-        self._res += [1, 0]
-        self._out[a].append(idx)
-        self._out[b].append(idx + 1)
+        self._add_arc(2 * self.slot[v] + 1, 2 * self.slot[self.SINK])
+
+    @contextmanager
+    def masks_kept(self) -> Iterator[None]:
+        """Give every arc present on entry its initial capacity back on exit, also on a raise."""
+        saved = list(self._cap0)
+        try:
+            yield
+        finally:
+            self._cap0[: len(saved)] = saved
 
     def set_node_open(self, v: int, is_open: bool) -> None:
         """Open or close v's internal arc; effective from the next :meth:`reset`."""
-        self._cap0[self._internal_arc[v]] = int(is_open)
+        self._cap0[2 * self.slot[v]] = int(is_open)
 
     def set_edge_open(self, u: int, v: int, is_open: bool) -> None:
         """Open or close both arcs of edge uv; effective from the next :meth:`reset`."""
-        e = (u, v) if u < v else (v, u)
-        for a in self._edge_arcs[e]:
-            self._cap0[a] = int(is_open)
+        a = self._edge_arcs[(u, v) if u < v else (v, u)]
+        self._cap0[a] = self._cap0[a + 2] = int(is_open)
 
     def set_node_cost(self, v: int, c: int) -> None:
         """Price v's internal arc at ``c``, the one way a node gets a cost."""
-        a = self._internal_arc[v]
+        a = 2 * self.slot[v]
         self._cost[a] = c
         self._cost[a + 1] = -c
 
     def _apply_path(self, t_in: int, s_out: int) -> None:
-        res = self._res
+        res, to = self._res, self._to
         x = t_in
         while x != s_out:
             a = self._parent[x]
             res[a] -= 1
             res[a ^ 1] += 1
-            x = self._from[a]
+            x = to[a ^ 1]
 
     def _augment_bfs(self, s_out: int, t_in: int) -> bool:
         self._token += 1
@@ -222,7 +222,7 @@ class SplitFlowNetwork:
     def nodes_carrying_flow(self) -> list[int]:
         """Node ids whose internal arc is used by the current flow."""
         res, cap0 = self._res, self._cap0
-        return [v for v, a in self._internal_arc.items() if res[a] < cap0[a]]
+        return [v for i, v in enumerate(self.ids) if res[2 * i] < cap0[2 * i]]
 
     def _flow_arc(self, x: int) -> int | None:
         """The first forward arc out of x that carries flow, or None."""
@@ -310,20 +310,21 @@ class SplitFlowNetwork:
         reach = self.residual_reachable(s)
         nodes: set[int] = set()
         direct = False
-        res, cap0 = self._res, self._cap0
-        for e, (a1, a2) in self._edge_arcs.items():
-            for a in (a1, a2):
-                if res[a] < cap0[a] and self._from[a] in reach and self._to[a] not in reach:
-                    u = self.ids[self._from[a] // 2]
-                    v = self.ids[self._to[a] // 2]
+        res, cap0, to = self._res, self._cap0, self._to
+        for first in self._edge_arcs.values():
+            for a in (first, first + 2):
+                if res[a] < cap0[a] and to[a ^ 1] in reach and to[a] not in reach:
+                    u = self.ids[to[a ^ 1] // 2]
+                    v = self.ids[to[a] // 2]
                     if v not in (s, t):
                         nodes.add(v)
                     elif u not in (s, t):
                         nodes.add(u)
                     else:
                         direct = True
-        for v, a in self._internal_arc.items():
-            if res[a] < cap0[a] and 2 * self.slot[v] in reach and 2 * self.slot[v] + 1 not in reach:
+        for i, v in enumerate(self.ids):
+            a = 2 * i  # v's arc, from its in-node a to its out-node a + 1
+            if res[a] < cap0[a] and a in reach and a + 1 not in reach:
                 if v not in (s, t):
                     nodes.add(v)
         return sorted(nodes), direct

@@ -25,26 +25,29 @@ terminal's flow being exact. The solver keeps that selection as it is,
 with no prune, under either backend. This module's min-cost flow is the
 one place where node weights become flow costs.
 
-A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`, the
-caller's or one built over ``graph_r`` with the edges from the root to
-its closed neighbours closed. Its open arcs must be exactly the edges of
-``graph_r`` less those root edges; a caller may pass a network over a
-supergraph with the extra edges closed. A feasibility check for a
-selection closes the pool nodes outside it and reopens them afterwards,
-so no subgraph is ever built. The prune keeps one k-path witness per
-terminal, the nodes its flow uses, and when it tries to drop a node it
-re-runs only the terminals whose witness uses that node: a witness that
-avoids the node still holds without it, so every verdict is the one a
-full check would give. After ``flow-union`` the prune starts from the
-witnesses the backend's own flows left, every one inside free and
-selected nodes, and runs no opening flows; called without witnesses it
-finds one per terminal first.
+A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`: the
+caller's, whose open arcs are the edges of ``graph_r`` (a network over a
+supergraph with the extra edges closed will do), or one built over
+``graph_r``. Every entry point closes the edges from the root to its
+closed neighbours itself and runs inside
+:meth:`~kmcds.flow.SplitFlowNetwork.masks_kept`, so every call leaves
+every mask as it found it, also when it raises. A feasibility check for a
+selection closes the pool nodes outside it, so no subgraph is ever
+built. The prune keeps one k-path witness per terminal, the nodes its
+flow uses, and when it tries to drop a node it re-runs only the
+terminals whose witness uses that node: a witness that avoids the node
+still holds without it, so every verdict is the one a full check would
+give. After ``flow-union`` the prune starts from the witnesses the
+backend's own flows left, every one inside free and selected nodes, and
+runs no opening flows; called without witnesses it finds one per
+terminal first.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ._enum import iter_subsets_by_weight
 from .errors import InfeasibleError
@@ -65,7 +68,8 @@ class RootedProblem:
     whose root connectivity must reach ``k`` (a subset of the free nodes).
     ``closed_neighbours`` are neighbours of the root in ``graph_r`` whose
     edge to the root does not count: the problem is solved on ``graph_r``
-    without those edges, so a caller can close them on a shared network
+    without those edges, each call closing them on its network for as
+    long as it runs, so a caller can share one network between roots
     instead of building a trimmed graph.
     """
 
@@ -112,12 +116,18 @@ class GuaranteeInfo:
     factor_value: int
 
 
-def _network(problem: RootedProblem, net: SplitFlowNetwork | None) -> SplitFlowNetwork:
+@contextmanager
+def _posed(problem: RootedProblem, net: SplitFlowNetwork | None) -> Iterator[SplitFlowNetwork]:
+    """``net``, or a network over ``graph_r``, with the problem's root edges closed.
+
+    Every mask comes back as it was when the body ends.
+    """
     if net is None:
         net = SplitFlowNetwork(problem.graph_r)
+    with net.masks_kept():
         for x in problem.closed_neighbours:
             net.set_edge_open(problem.root, x, False)
-    return net
+        yield net
 
 
 def _open_pool(net: SplitFlowNetwork, problem: RootedProblem, keep: Iterable[int]) -> None:
@@ -144,12 +154,9 @@ def find_infeasible_terminal(
     problem: RootedProblem, selected: Iterable[int], net: SplitFlowNetwork | None = None
 ) -> int | None:
     """First terminal lacking k disjoint root paths in free∪selected."""
-    net = _network(problem, net)
-    _open_pool(net, problem, selected)
-    try:
+    with _posed(problem, net) as net:
+        _open_pool(net, problem, selected)
         return next((t for t in problem.terminals if not _holds(net, problem, t)), None)
-    finally:
-        _open_pool(net, problem, problem.pool)
 
 
 def _terminal_order(problem: RootedProblem) -> list[int]:
@@ -183,16 +190,15 @@ def flow_union_witnessed(
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
-    net = _network(problem, net)
-    for v in g.nodes:
-        net.set_node_cost(v, g.weights[v] if v in pool else 0)
     # a zero-weight pool node may join a cheapest flow at no cost, so a
     # zero-cost flow through selected nodes only need not be the one bought
     may_skip = all(g.weights[v] > 0 for v in pool)
     selected: set[int] = set()
     witnesses: dict[int, frozenset[int]] = {}
     pool_closed = False  # whether the pool outside ``selected`` is closed
-    try:
+    with _posed(problem, net) as net:
+        for v in g.nodes:
+            net.set_node_cost(v, g.weights[v] if v in pool else 0)
         for t in _terminal_order(problem):
             if may_skip:
                 if not pool_closed:
@@ -216,9 +222,6 @@ def flow_union_witnessed(
                 if v in pool and v not in selected:
                     selected.add(v)
                     net.set_node_cost(v, 0)
-    finally:
-        if pool_closed:
-            _open_pool(net, problem, pool)
     return frozenset(selected), witnesses
 
 
@@ -228,12 +231,12 @@ def exact_backend(
     """Cheapest feasible pool subset, by weight-ordered enumeration."""
     if len(problem.pool) > _EXACT_POOL_CAP:
         raise ValueError(f"exact backend capped at {_EXACT_POOL_CAP} pool nodes")
-    net = _network(problem, net)
     weights = problem.graph_r.weights
-    for _, subset in iter_subsets_by_weight(problem.pool, weights):
-        if find_infeasible_terminal(problem, subset, net) is None:
-            return frozenset(subset)
-    bad = find_infeasible_terminal(problem, problem.pool, net)
+    with _posed(problem, net) as net:
+        for _, subset in iter_subsets_by_weight(problem.pool, weights):
+            if find_infeasible_terminal(problem, subset, net) is None:
+                return frozenset(subset)
+        bad = find_infeasible_terminal(problem, problem.pool, net)
     raise InfeasibleError(
         f"terminal {bad}: no pool subset yields {problem.k} disjoint root paths"
     )
@@ -256,11 +259,10 @@ def prune_selection(
     asks whether a k-flow exists without a node, so it does not depend on
     which witness was held.
     """
-    net = _network(problem, net)
     weights = problem.graph_r.weights
     current = set(selected)
-    _open_pool(net, problem, current)
-    try:
+    with _posed(problem, net) as net:
+        _open_pool(net, problem, current)
         if witnesses is not None:
             witness = dict(witnesses)
         else:
@@ -281,9 +283,7 @@ def prune_selection(
                     witness[t] = found
             else:
                 current.discard(v)
-        return frozenset(current)
-    finally:
-        _open_pool(net, problem, problem.pool)
+    return frozenset(current)
 
 
 def solve_rooted_nodeweight(
@@ -295,17 +295,16 @@ def solve_rooted_nodeweight(
 
     ``flow-union`` hands the prune its per-terminal witnesses, so the
     prune runs no opening flows. Every flow runs on ``net`` when one is
-    given (see the module notes on what it must hold); its node costs are
-    overwritten, its masks kept.
+    given; its node costs are overwritten, its masks kept.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    net = _network(problem, net)
-    if backend == "flow-union":
-        info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
-        selected, witnesses = flow_union_witnessed(problem, net)
-    else:
-        info = GuaranteeInfo("exact", "1", 1)
-        selected, witnesses = exact_backend(problem, net), None
-    return prune_selection(problem, selected, net, witnesses), info
+    with _posed(problem, net) as net:
+        if backend == "flow-union":
+            info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
+            selected, witnesses = flow_union_witnessed(problem, net)
+        else:
+            info = GuaranteeInfo("exact", "1", 1)
+            selected, witnesses = exact_backend(problem, net), None
+        return prune_selection(problem, selected, net, witnesses), info
 

@@ -514,24 +514,18 @@ def _best_guess(
                 best is not None and g.total_weight(forced) + bound >= best.weight
             ):
                 continue
-            closed = frozenset(x for x in g.adj[r] if x not in picked)
             problem = RootedProblem(
                 graph_r=g,
                 root=r,
                 terminals=tuple(sorted(terminals - {r})),
                 pool=tuple(v for v in g.nodes if v not in forced),
                 k=k,
-                closed_neighbours=closed,
+                closed_neighbours=frozenset(x for x in g.adj[r] if x not in picked),
             )
-            for x in closed:
-                net.set_edge_open(r, x, False)
             try:
                 connectors, info = solve_rooted_nodeweight(problem, config.backend, net)
             except InfeasibleError:
                 continue
-            finally:
-                for x in closed:
-                    net.set_edge_open(r, x, True)
             weight = g.total_weight(forced | connectors)
             if best is None or weight < best.weight:
                 best = _Attempt(picked, connectors, info, weight, guess_root=r)

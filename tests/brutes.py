@@ -216,16 +216,7 @@ class _SourceNetwork(SplitFlowNetwork):
 
     def join_source(self, v: int) -> None:
         """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities."""
-        a = 2 * self.slot[self.SOURCE] + 1
-        b = 2 * self.slot[v]
-        idx = len(self._to)
-        self._to += [b, a]
-        self._from += [a, b]
-        self._cost += [0, 0]
-        self._cap0 += [1, 0]
-        self._res += [1, 0]
-        self._out[a].append(idx)
-        self._out[b].append(idx + 1)
+        self._add_arc(2 * self.slot[self.SOURCE] + 1, 2 * self.slot[v])
 
     def source_side(self, s: int) -> list[int]:
         """Graph nodes, ascending, whose out-node the residual network reaches from s."""
@@ -493,8 +484,8 @@ def edge_cost_map(g: Graph, priced: Iterable[int]) -> dict[tuple[int, int], int]
 
 def set_edge_cost(net: SplitFlowNetwork, u: int, v: int, c: int) -> None:
     """Price both arcs of edge uv at ``c`` (their reverse arcs at -c)."""
-    e = (u, v) if u < v else (v, u)
-    for a in net._edge_arcs[e]:
+    first = net._edge_arcs[(u, v) if u < v else (v, u)]
+    for a in (first, first + 2):
         net._cost[a] = c
         net._cost[a + 1] = -c
 
@@ -503,7 +494,7 @@ def edges_carrying_flow(net: SplitFlowNetwork) -> list[tuple[int, int]]:
     """Edges one of whose arcs the current flow uses."""
     res, cap0 = net._res, net._cap0
     return [
-        e for e, (a1, a2) in net._edge_arcs.items() if res[a1] < cap0[a1] or res[a2] < cap0[a2]
+        e for e, a in net._edge_arcs.items() if res[a] < cap0[a] or res[a + 2] < cap0[a + 2]
     ]
 
 

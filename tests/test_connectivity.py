@@ -252,6 +252,14 @@ def test_violation_on_tiny_graph_is_flagged():
     assert v is not None and v.too_small
 
 
+def test_too_small_witness_describes_itself():
+    # a too-small witness has no pair, so its sentence names the shortage
+    v = find_k_connectivity_violation(Graph([0, 1], [(0, 1)]), 2)
+    assert v is not None and v.pair is None
+    assert v.describe("nodes") == "too few nodes to be k-connected"
+    assert v.describe("members") == "too few members to be k-connected"
+
+
 def test_is_k_T_connected_named_values():
     assert is_k_T_connected(cycle_graph(5), [0, 2], 2)
     assert not is_k_T_connected(path_graph(4), [0, 3], 2)

@@ -3,6 +3,7 @@
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from kmcds import Graph, SplitFlowNetwork
@@ -210,3 +211,42 @@ def test_sink_side_of_a_bowtie_after_a_short_flow():
     net.reset()
     assert net.max_flow(4, SplitFlowNetwork.SINK, 3) == 1
     assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_arc_layout_fixes_every_index(seed, n):
+    # the indices the network no longer stores follow from its layout
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    net = SplitFlowNetwork(g)
+    for v in rng.sample(g.nodes, rng.randint(0, n)):
+        net.join_sink(v)
+    to = net._to
+    for v in g.nodes:
+        a = 2 * net.slot[v]
+        assert (to[a ^ 1], to[a]) == (a, a + 1)
+    assert sorted(net._edge_arcs) == list(g.edges)
+    for (u, v), a in net._edge_arcs.items():
+        su, sv = net.slot[u], net.slot[v]
+        assert (to[a ^ 1], to[a]) == (2 * su + 1, 2 * sv)
+        assert (to[(a + 2) ^ 1], to[a + 2]) == (2 * sv + 1, 2 * su)
+    for x, arcs in enumerate(net._out):
+        for a in arcs:
+            assert to[a ^ 1] == x  # every arc leaves the node that lists it
+
+
+def test_masks_kept_restores_masks_when_its_body_raises():
+    g = complete_graph(5)
+    net = SplitFlowNetwork(g)
+    net.set_edge_open(0, 1, False)
+    masks = list(net._cap0)
+    with pytest.raises(RuntimeError), net.masks_kept():
+        net.set_node_open(2, False)
+        net.set_edge_open(3, 4, False)
+        net.set_edge_open(0, 1, True)
+        net.join_sink(3)
+        raise RuntimeError("body failed")
+    assert net._cap0[: len(masks)] == masks
+    assert net._cap0[len(masks):] == [1, 0]  # the sink arc joined inside stays
+    net.reset()
+    assert net.max_flow(0, 1, 5) == 3  # through 2, 3 and 4; the edge stays closed

@@ -265,10 +265,12 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
         closed_neighbours=frozenset(x for _, x in closed),
     )
     assert _terminal_order(over_g) == _terminal_order(trimmed)
-    net = SplitFlowNetwork(g)
+    shared = SplitFlowNetwork(g)
     for e in closed:
-        net.set_edge_open(*e, False)
-    masks = list(net._cap0)
+        shared.set_edge_open(*e, False)
+    # a network over g with every arc open: each call closes the root edges
+    # its problem names and leaves every mask as it found it
+    bare = SplitFlowNetwork(g)
     draws = [[v for v in pool if rng.random() < 0.5] for _ in range(4)]
     full = frozenset(pool)
     expected_prune = induced_prune_selection(trimmed, full)
@@ -279,36 +281,40 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
         except InfeasibleError:
             expected[backend] = None
 
-    for p in (trimmed, over_g):
-        for chosen in draws:
-            assert find_infeasible_terminal(p, chosen, net) == (
-                induced_find_infeasible_terminal(trimmed, chosen)
-            )
-            assert find_infeasible_terminal(p, chosen) == (
-                induced_find_infeasible_terminal(trimmed, chosen)
-            )
-            assert net._cap0 == masks  # the check reopened the pool it closed
-        assert prune_selection(p, full, net) == expected_prune
-        assert prune_selection(p, full) == expected_prune
-        assert net._cap0 == masks
-
-        for backend, select in (("flow-union", _flow_union), ("exact", exact_backend)):
-            if expected[backend] is None:
-                with pytest.raises(InfeasibleError):
-                    select(p, net)
-                with pytest.raises(InfeasibleError):
-                    select(p)
-                with pytest.raises(InfeasibleError):
-                    solve_rooted_nodeweight(p, backend, net)
-                assert net._cap0 == masks
-                continue
-            selected = select(p, net)
-            assert selected == select(p)  # the same set as on a network of its own
-            assert selected == select(trimmed, net)
-            assert prune_selection(p, selected, net) == induced_prune_selection(trimmed, selected)
-            assert solve_rooted_nodeweight(p, backend, net) == expected[backend]
-            assert solve_rooted_nodeweight(p, backend) == expected[backend]
+    for net, problems in ((shared, (trimmed, over_g)), (bare, (over_g,))):
+        masks = list(net._cap0)
+        for p in problems:
+            for chosen in draws:
+                assert find_infeasible_terminal(p, chosen, net) == (
+                    induced_find_infeasible_terminal(trimmed, chosen)
+                )
+                assert find_infeasible_terminal(p, chosen) == (
+                    induced_find_infeasible_terminal(trimmed, chosen)
+                )
+                assert net._cap0 == masks  # the check reopened the pool it closed
+            assert prune_selection(p, full, net) == expected_prune
+            assert prune_selection(p, full) == expected_prune
             assert net._cap0 == masks
+
+            for backend, select in (("flow-union", _flow_union), ("exact", exact_backend)):
+                if expected[backend] is None:
+                    with pytest.raises(InfeasibleError):
+                        select(p, net)
+                    with pytest.raises(InfeasibleError):
+                        select(p)
+                    with pytest.raises(InfeasibleError):
+                        solve_rooted_nodeweight(p, backend, net)
+                    assert net._cap0 == masks
+                    continue
+                selected = select(p, net)
+                assert selected == select(p)  # the same set as on a network of its own
+                assert selected == select(trimmed, shared)
+                assert prune_selection(p, selected, net) == (
+                    induced_prune_selection(trimmed, selected)
+                )
+                assert solve_rooted_nodeweight(p, backend, net) == expected[backend]
+                assert solve_rooted_nodeweight(p, backend) == expected[backend]
+                assert net._cap0 == masks
 
 
 def test_closed_neighbours_must_be_root_neighbours():
