@@ -64,7 +64,6 @@ def minimal_augmenting_forest(
     kept = []
     for u, v in clique:
         net.set_edge_open(u, v, False)
-        net.reset()
         if net.max_flow(u, v, k) < k:
             net.set_edge_open(u, v, True)
             kept.append((u, v))

@@ -132,8 +132,9 @@ def build_tasks(
 ) -> list[BenchTask]:
     """Deterministic task grid; ids encode every generation parameter.
 
-    guess-root applies to k in {2, 3} only, so other k values skip that
-    variant rather than failing the sweep. Every task carries ``config``.
+    guess-root runs only for k in {2, 3} and the unit-disk variant only on
+    unit-disk instances; other cells skip it, and a grid left with no task
+    is a ValueError naming the rule. Every task carries ``config``.
     ``oracle_cap`` runs the oracle on instances of at most that many
     nodes (0: never); a cap above the oracle's own is refused.
     """
@@ -185,6 +186,13 @@ def build_tasks(
                                     oracle_cap=oracle_cap,
                                 )
                             )
+    if not tasks:
+        rules = []
+        if "guess-root" in variants:
+            rules.append("guess-root runs only for k in {2, 3}")
+        if "unit-disk" in variants:
+            rules.append("the unit-disk variant runs only on unit-disk instances")
+        raise ValueError("the grid plans no solve: " + "; ".join(rules))
     return tasks
 
 

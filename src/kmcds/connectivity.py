@@ -74,20 +74,19 @@ class ConnectivityViolation:
 def _even_schedule(
     net: SplitFlowNetwork, nodes: Sequence[int], k: int
 ) -> Iterator[tuple[int, int]]:
-    """The (source, sink) pairs of Even's schedule, ``net`` reset before each.
+    """The (source, sink) pairs of Even's schedule.
 
     First the pairs among ``nodes[:k]``, then each later node v_j with the
-    super-sink, which is joined to v_1..v_{j-1} by then.
+    super-sink, which ``net`` has joined to v_1..v_{j-1} by the time the
+    pair is yielded.
     """
     for i in range(k):
         for j in range(i + 1, k):
-            net.reset()
             yield nodes[i], nodes[j]
     for v in nodes[: k - 1]:
         net.join_sink(v)
     for j in range(k, len(nodes)):
         net.join_sink(nodes[j - 1])
-        net.reset()
         yield nodes[j], SplitFlowNetwork.SINK
 
 
@@ -114,7 +113,7 @@ def find_k_connectivity_violation(
 
     A given ``paths`` dict receives each flow's k paths under its (source,
     sink) pair; a fan, keyed (v_j, ``SplitFlowNetwork.SINK``), has paths
-    that start at v_j. k = 1 then runs the schedule: same witness as the search.
+    from v_j to earlier nodes. k = 1 then runs the schedule: same witness as the search.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -148,17 +147,14 @@ def find_k_connectivity_violation(
         f = net.max_flow(s, t, k)
         if f >= k:
             if paths is not None:
-                # a fan's paths run s, ..., u, SINK: drop SINK
-                fan = t == SplitFlowNetwork.SINK
-                paths[(s, t)] = tuple(p[:-1] if fan else p for p in net.extract_paths(s, t))
+                paths[(s, t)] = tuple(net.extract_paths())
             continue
         if t == SplitFlowNetwork.SINK:
             # ids ascend with the index, so the least sink-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            s, t = net.sink_side(t)[0], s
-            net.reset()
+            s, t = net.sink_side()[0], s
             f = net.max_flow(s, t, k)
-        cut, direct = net.min_cut_separator(s, t)
+        cut, direct = net.min_cut_separator()
         return ConnectivityViolation((s, t), tuple(cut), direct, f)
     return None
 

@@ -27,20 +27,22 @@ One extra slot, after the graph nodes, is the super-sink
 :attr:`SplitFlowNetwork.SINK`; it has no arcs until
 :meth:`SplitFlowNetwork.join_sink` gives it one of capacity one out of a
 node, so a flow into it may end at a growing node set. Its arcs come after
-all others and, after a reset, nothing leaves its in-node, so flows
-between graph nodes find exactly the paths they would find without it.
+all others and, at the start of every flow, nothing leaves its in-node,
+so flows between graph nodes find exactly the paths they would find
+without it.
 
 Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
 sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
 edge's two arcs, to capacity one or zero. A closed node is as good as
 deleted for flows between other nodes and a closed edge as good as absent,
 so one network serves every induced or edge-deleted subgraph of its graph.
-Masks are written to the initial capacities: they persist across
-:meth:`SplitFlowNetwork.reset` and take effect at the next one. Closed arcs
-keep their place in the arc order and every search skips them, so a masked
-network finds the same paths as a network built on the subgraph. The
-readers of the current flow compare residuals with initial capacities, so
-a closed arc never reads as carrying flow or as cut. A caller that
+Masks are written to the initial capacities, and every flow starts from
+them: it resets the residuals itself, so it never continues the one
+before it. Closed arcs keep their place in the arc order and every
+search skips them, so a masked network finds the same paths as a network
+built on the subgraph. The readers read the last flow, between the ends
+it recorded, and compare residuals with initial capacities, so a closed
+arc never reads as carrying flow or as cut. A caller that
 changes masks for a while runs inside :meth:`SplitFlowNetwork.masks_kept`,
 which gives every arc present on entry its capacity back on exit, also
 when the body raises.
@@ -63,7 +65,7 @@ class SplitFlowNetwork:
     __slots__ = (
         "slot", "ids", "size",
         "_to", "_cost", "_cap0", "_res", "_out", "_edge_arcs",
-        "_seen", "_token", "_parent",
+        "_seen", "_token", "_parent", "_ends",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -99,15 +101,16 @@ class SplitFlowNetwork:
         return idx
 
     def reset(self) -> None:
+        """Give every arc its initial capacity back; each flow starts with this."""
         self._res = list(self._cap0)
 
     def join_sink(self, v: int) -> None:
         """Add the arc v_out -> SINK_in, of capacity one, to the initial capacities.
 
-        Its arcs stay in place across :meth:`reset`. ``SINK`` may be the
-        sink of :meth:`max_flow` and :meth:`extract_paths` and the argument
-        of :meth:`sink_side`, nothing else; after a reset, a flow between
-        graph nodes can enter SINK_in but never leave it.
+        Its arcs stay in place for every later flow. ``SINK`` may be the
+        sink of :meth:`max_flow`, nothing else; a flow between graph nodes
+        starts with nothing leaving SINK_in, so it can enter SINK_in but
+        never leave it.
         """
         self._add_arc(2 * self.slot[v] + 1, 2 * self.slot[self.SINK])
 
@@ -121,11 +124,11 @@ class SplitFlowNetwork:
             self._cap0[: len(saved)] = saved
 
     def set_node_open(self, v: int, is_open: bool) -> None:
-        """Open or close v's internal arc; effective from the next :meth:`reset`."""
+        """Open or close v's internal arc; effective from the next flow."""
         self._cap0[2 * self.slot[v]] = int(is_open)
 
     def set_edge_open(self, u: int, v: int, is_open: bool) -> None:
-        """Open or close both arcs of edge uv; effective from the next :meth:`reset`."""
+        """Open or close both arcs of edge uv; effective from the next flow."""
         a = self._edge_arcs[(u, v) if u < v else (v, u)]
         self._cap0[a] = self._cap0[a + 2] = int(is_open)
 
@@ -193,9 +196,11 @@ class SplitFlowNetwork:
         return dist[t_in]
 
     def max_flow(self, s: int, t: int, cap: int) -> int:
-        """Units of s-t flow pushed, stopping early at ``cap``."""
+        """Units of s-t flow pushed from the masks, stopping early at ``cap``."""
         if s == t:
             raise ValueError("source equals sink")
+        self.reset()
+        self._ends = (s, t)
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
         value = 0
@@ -204,9 +209,11 @@ class SplitFlowNetwork:
         return value
 
     def min_cost_flow(self, s: int, t: int, units: int) -> tuple[int, int]:
-        """(units pushed, total cost) for a cheapest flow of ``units``."""
+        """(units pushed, total cost) for a cheapest flow of ``units`` from the masks."""
         if s == t:
             raise ValueError("source equals sink")
+        self.reset()
+        self._ends = (s, t)
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
         value = 0
@@ -220,7 +227,7 @@ class SplitFlowNetwork:
         return value, total
 
     def nodes_carrying_flow(self) -> list[int]:
-        """Node ids whose internal arc is used by the current flow."""
+        """Node ids whose internal arc is used by the last flow."""
         res, cap0 = self._res, self._cap0
         return [v for i, v in enumerate(self.ids) if res[2 * i] < cap0[2 * i]]
 
@@ -232,12 +239,15 @@ class SplitFlowNetwork:
                 return a
         return None
 
-    def extract_paths(self, s: int, t: int) -> list[tuple[int, ...]]:
-        """Decompose the current flow into s-t node paths (consumes it).
+    def extract_paths(self) -> list[tuple[int, ...]]:
+        """Decompose the last flow into node paths from its source (consumes it).
 
+        Each path ends at the flow's sink, or at its last graph node when
+        the sink is ``SINK``, so every path is a sequence of graph nodes.
         An in-node's one forward arc is its internal arc, so a path steps
         from each in-node it enters straight to the matching out-node.
         """
+        s, t = self._ends
         res, to = self._res, self._to
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
@@ -252,27 +262,13 @@ class SplitFlowNetwork:
                 res[a] += 1
                 res[a ^ 1] -= 1
                 x = to[a]
-                if x % 2 == 0 and x != t_in:
+                if x % 2 == 0 and x < self.size - 2:  # an in-node, not SINK's
                     nodes.append(self.ids[x // 2])
-            nodes.append(t)
             paths.append(tuple(nodes))
         return paths
 
-    def residual_reachable(self, s: int) -> set[int]:
-        s_out = 2 * self.slot[s] + 1
-        seen = {s_out}
-        q = deque([s_out])
-        res, to = self._res, self._to
-        while q:
-            x = q.popleft()
-            for a in self._out[x]:
-                if res[a] > 0 and to[a] not in seen:
-                    seen.add(to[a])
-                    q.append(to[a])
-        return seen
-
-    def sink_side(self, t: int) -> list[int]:
-        """Graph nodes, ascending, whose in-node still reaches t in the residual network.
+    def sink_side(self) -> list[int]:
+        """Graph nodes, ascending, whose in-node still reaches the last flow's sink t.
 
         After a max-flow into ``t`` that fell short of its cap, these are
         the nodes on the sink side of a minimum cut, none of them in the
@@ -286,7 +282,7 @@ class SplitFlowNetwork:
         flow has the same nodes reaching the sink: they are the sink side
         of the minimum cut closest to it, whichever flow was found.
         """
-        t_in = 2 * self.slot[t]
+        t_in = 2 * self.slot[self._ends[1]]
         seen = {t_in}
         q = deque([t_in])
         res, to = self._res, self._to
@@ -300,20 +296,22 @@ class SplitFlowNetwork:
                     q.append(x)
         return [v for v in self.ids if 2 * self.slot[v] in seen]
 
-    def min_cut_separator(self, s: int, t: int) -> tuple[list[int], bool]:
-        """Menger witness after a saturating max-flow run.
+    def min_cut_separator(self) -> tuple[list[int], bool]:
+        """Menger witness of the last flow, a max-flow that stopped short of its cap.
 
         Returns (interior nodes to delete, whether the direct s-t edge is
         part of the cut). Deleting the nodes, plus the edge when flagged,
-        destroys every s-t path.
+        destroys every s-t path. The source side is what the flow's failed
+        last search marked: a max-flow short of its cap ends with one.
         """
-        reach = self.residual_reachable(s)
+        s, t = self._ends
+        seen, token = self._seen, self._token
         nodes: set[int] = set()
         direct = False
         res, cap0, to = self._res, self._cap0, self._to
         for first in self._edge_arcs.values():
             for a in (first, first + 2):
-                if res[a] < cap0[a] and to[a ^ 1] in reach and to[a] not in reach:
+                if res[a] < cap0[a] and seen[to[a ^ 1]] == token and seen[to[a]] != token:
                     u = self.ids[to[a ^ 1] // 2]
                     v = self.ids[to[a] // 2]
                     if v not in (s, t):
@@ -324,7 +322,7 @@ class SplitFlowNetwork:
                         direct = True
         for i, v in enumerate(self.ids):
             a = 2 * i  # v's arc, from its in-node a to its out-node a + 1
-            if res[a] < cap0[a] and a in reach and a + 1 not in reach:
+            if res[a] < cap0[a] and seen[a] == token and seen[a + 1] != token:
                 if v not in (s, t):
                     nodes.add(v)
         return sorted(nodes), direct

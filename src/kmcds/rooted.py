@@ -139,7 +139,6 @@ def _open_pool(net: SplitFlowNetwork, problem: RootedProblem, keep: Iterable[int
 
 def _holds(net: SplitFlowNetwork, problem: RootedProblem, t: int) -> bool:
     """Whether t has k disjoint root paths on the open arcs."""
-    net.reset()
     return net.max_flow(t, problem.root, problem.k) >= problem.k
 
 
@@ -211,7 +210,6 @@ def flow_union_witnessed(
             if pool_closed:
                 _open_pool(net, problem, pool)
                 pool_closed = False
-            net.reset()
             units, _cost = net.min_cost_flow(t, problem.root, problem.k)
             if units < problem.k:
                 raise InfeasibleError(

@@ -295,23 +295,23 @@ def _run_attempt(
 def _final_prune(
     instance: Instance, members: set[int], protected: frozenset[int]
 ) -> list[int]:
-    """Repeatedly drop the heaviest removable node outside ``protected``.
+    """Drop removable nodes outside ``protected``, heaviest first, in one pass.
 
     ``protected`` is the m-dominating set T and every trial keeps it, so
     every trial m-dominates (a node outside the trial lies outside T and
-    has m neighbours in T): only k-connectivity is tested.
+    has m neighbours in T): only k-connectivity is tested, once per node.
+    Adding a node with k neighbours to a k-connected graph keeps it
+    k-connected (the expansion lemma), so with m >= k, G[Y] is k-connected
+    whenever G[X] is, for T ⊆ X ⊆ Y: a node kept against a set is kept
+    against every smaller one, so restarting after a drop changes nothing.
     """
     g = instance.graph
     dropped: list[int] = []
-    while True:
-        for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
-            trial = members - {v}
-            if is_k_connected(g.induced(trial), instance.k):
-                members.discard(v)
-                dropped.append(v)
-                break
-        else:
-            return dropped
+    for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
+        if is_k_connected(g.induced(members - {v}), instance.k):
+            members.discard(v)
+            dropped.append(v)
+    return dropped
 
 
 @contextmanager

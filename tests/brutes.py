@@ -15,8 +15,10 @@ all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
 the edge-cost rooted stage that unit-disk solves ran until the
 node-weighted stage was shown to select the same sets, the pair purchase
 with its own network and min-cost flow that bought each forest bundle
-before the one-terminal flow union did, and the forest peel that built
-one graph and one network per clique edge.
+before the one-terminal flow union did, the forest peel that built
+one graph and one network per clique edge, the final prune that
+restarted from the heaviest node after every drop, and the residual
+search a minimum cut ran before it read its flow's failed last search.
 
 The last block holds helpers that only tests call, moved out of the
 package: edge deletion and neighbourhoods, capped local connectivity,
@@ -28,6 +30,7 @@ the exact minimum-weight m-dominating set.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -183,7 +186,6 @@ def allpair_is_k_connected(g: Graph, k: int) -> bool:
         return _connected(g)
     net = SplitFlowNetwork(g)
     for u, v in _pair_order(g):
-        net.reset()
         if net.max_flow(u, v, k) < k:
             return False
     return True
@@ -197,12 +199,26 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
         return ConnectivityViolation(None, (), False, 0, too_small=True)
     net = SplitFlowNetwork(g)
     for u, v in _pair_order(g):
-        net.reset()
         f = net.max_flow(u, v, k)
         if f < k:
-            cut, direct = net.min_cut_separator(u, v)
+            cut, direct = net.min_cut_separator()
             return ConnectivityViolation((u, v), tuple(cut), direct, f)
     return None
+
+
+def residual_reachable(net: SplitFlowNetwork, s: int) -> set[int]:
+    """Network nodes the residual network of ``net``'s last flow reaches from s_out."""
+    s_out = 2 * net.slot[s] + 1
+    seen = {s_out}
+    q = deque([s_out])
+    res, to = net._res, net._to
+    while q:
+        x = q.popleft()
+        for a in net._out[x]:
+            if res[a] > 0 and to[a] not in seen:
+                seen.add(to[a])
+                q.append(to[a])
+    return seen
 
 
 class _SourceNetwork(SplitFlowNetwork):
@@ -218,9 +234,9 @@ class _SourceNetwork(SplitFlowNetwork):
         """Add the arc SOURCE -> v_in, of capacity one, to the initial capacities."""
         self._add_arc(2 * self.slot[self.SOURCE] + 1, 2 * self.slot[v])
 
-    def source_side(self, s: int) -> list[int]:
-        """Graph nodes, ascending, whose out-node the residual network reaches from s."""
-        reach = self.residual_reachable(s)
+    def source_side(self) -> list[int]:
+        """Graph nodes, ascending, whose out-node the last flow's residual network reaches."""
+        reach = residual_reachable(self, self._ends[0])
         return [v for v in self.ids if 2 * self.slot[v] + 1 in reach]
 
 
@@ -229,13 +245,11 @@ def _source_schedule(
 ) -> Iterable[tuple[int, int]]:
     for i in range(k):
         for j in range(i + 1, k):
-            net.reset()
             yield nodes[i], nodes[j]
     for v in nodes[: k - 1]:
         net.join_source(v)
     for j in range(k, len(nodes)):
         net.join_source(nodes[j - 1])
-        net.reset()
         yield _SourceNetwork.SOURCE, nodes[j]
 
 
@@ -281,10 +295,9 @@ def source_schedule_violation(g: Graph, k: int) -> ConnectivityViolation | None:
         if s == _SourceNetwork.SOURCE:
             # ids ascend with the index, so the least source-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            s = net.source_side(s)[0]
-            net.reset()
+            s = net.source_side()[0]
             f = net.max_flow(s, t, k)
-        cut, direct = net.min_cut_separator(s, t)
+        cut, direct = net.min_cut_separator()
         return ConnectivityViolation((s, t), tuple(cut), direct, f)
     return None
 
@@ -322,12 +335,11 @@ def allpair_build_certificate(
     net = SplitFlowNetwork(sub)
     for i, u in enumerate(inside):
         for v in inside[i + 1:]:
-            net.reset()
             f = net.max_flow(u, v, k)
             if f < k:
                 raise InfeasibleError(f"members {u} and {v} have only {f} disjoint paths")
             if with_witnesses:
-                witnesses[(u, v)] = tuple(net.extract_paths(u, v))
+                witnesses[(u, v)] = tuple(net.extract_paths())
     return AllPairCertificate(k, m, tuple(inside), counts, witnesses)
 
 
@@ -365,7 +377,6 @@ def induced_find_infeasible_terminal(problem: RootedProblem, selected: Iterable[
     sub = problem.graph_r.induced(keep)
     net = SplitFlowNetwork(sub)
     for t in problem.terminals:
-        net.reset()
         if net.max_flow(t, problem.root, problem.k) < problem.k:
             return t
     return None
@@ -399,7 +410,6 @@ def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     selected: set[int] = set()
     order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
     for t in order:
-        net.reset()
         units, _cost = net.min_cost_flow(t, problem.root, problem.k)
         if units < problem.k:
             raise InfeasibleError(f"terminal {t}: only {units} of {problem.k} paths")
@@ -473,6 +483,28 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
     return best
 
 
+def restart_final_prune(
+    instance: Instance, members: set[int], protected: frozenset[int]
+) -> list[int]:
+    """Repeatedly drop the heaviest removable node outside ``protected``.
+
+    ``protected`` is the m-dominating set T and every trial keeps it, so
+    every trial m-dominates (a node outside the trial lies outside T and
+    has m neighbours in T): only k-connectivity is tested.
+    """
+    g = instance.graph
+    dropped: list[int] = []
+    while True:
+        for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
+            trial = members - {v}
+            if is_k_connected(g.induced(trial), instance.k):
+                members.discard(v)
+                dropped.append(v)
+                break
+        else:
+            return dropped
+
+
 def edge_cost_map(g: Graph, priced: Iterable[int]) -> dict[tuple[int, int], int]:
     """Edge costs w_u + w_v counting only endpoints in ``priced``."""
     p = frozenset(priced)
@@ -526,7 +558,6 @@ def edgecost_flow_union(
             set_edge_cost(net, *e, c)
 
     for t in _terminal_order(problem):
-        net.reset()
         units, _cost = net.min_cost_flow(t, problem.root, problem.k)
         if units < problem.k:
             raise InfeasibleError(
@@ -625,7 +656,6 @@ def is_k_T_connected(g: Graph, terminals: Iterable[int], k: int) -> bool:
     net = SplitFlowNetwork(g)
     for i, u in enumerate(ts):
         for v in ts[i + 1:]:
-            net.reset()
             if net.max_flow(u, v, k) < k:
                 return False
     return True

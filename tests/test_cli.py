@@ -231,6 +231,21 @@ def test_bench_rejects_an_empty_axis(capsys, monkeypatch):
     assert swept == []
 
 
+def test_bench_rejects_a_grid_its_skip_rules_empty(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda tasks, jobs=1: swept.append(tasks))
+    for argv, rule in (
+        (("--kinds", "gnp", "--variants", "unit-disk", "--sizes", "10", "--k-values", "2"),
+         "the unit-disk variant runs only on unit-disk instances"),
+        (("--variants", "guess-root", "--k-values", "1"),
+         "guess-root runs only for k in {2, 3}"),
+    ):
+        code, out, err = _run(capsys, "bench", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: the grid plans no solve: {rule}\n"
+    assert swept == []
+
+
 def test_bench_refuses_an_oracle_cap_it_cannot_honour(capsys, monkeypatch):
     swept = []
     monkeypatch.setattr(cli_mod, "run_bench", lambda tasks, jobs=1: swept.append(tasks))

@@ -170,9 +170,9 @@ def test_kernel_matches_source_schedule_reference(monkeypatch):
     calls = []
     sink_side = SplitFlowNetwork.sink_side
 
-    def counted(self, t):
-        calls.append(t)
-        return sink_side(self, t)
+    def counted(self):
+        calls.append(self._ends)
+        return sink_side(self)
 
     monkeypatch.setattr(SplitFlowNetwork, "sink_side", counted)
     failed_later = []

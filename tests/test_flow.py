@@ -12,6 +12,7 @@ from brutes import (
     brute_min_pair_pathset,
     brute_pair_connectivity,
     edge_cost_map,
+    residual_reachable,
     without_edges,
 )
 from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph
@@ -44,7 +45,6 @@ def test_max_flow_matches_separator_brute_force(seed, n):
     nodes = g.nodes
     for i in range(n):
         for j in range(i + 1, n):
-            net.reset()
             got = net.max_flow(nodes[i], nodes[j], n + 1)
             assert got == brute_pair_connectivity(g, nodes[i], nodes[j])
 
@@ -53,7 +53,7 @@ def test_extract_paths_are_internally_disjoint():
     g = petersen()
     net = SplitFlowNetwork(g)
     assert net.max_flow(0, 7, 3) == 3
-    paths = net.extract_paths(0, 7)
+    paths = net.extract_paths()
     assert len(paths) == 3
     interiors = set()
     for p in paths:
@@ -70,7 +70,7 @@ def test_min_cut_separator_witness_checks_out():
     g = path_graph(5)
     net = SplitFlowNetwork(g)
     assert net.max_flow(0, 4, 2) == 1
-    cut, direct = net.min_cut_separator(0, 4)
+    cut, direct = net.min_cut_separator()
     assert not direct
     assert len(cut) == 1
     trimmed = g.induced(set(g.nodes) - set(cut))
@@ -82,7 +82,7 @@ def test_min_cut_separator_flags_direct_edge():
     g = path_graph(2)
     net = SplitFlowNetwork(g)
     assert net.max_flow(0, 1, 5) == 1
-    cut, direct = net.min_cut_separator(0, 1)
+    cut, direct = net.min_cut_separator()
     assert direct and cut == []
 
 
@@ -129,11 +129,10 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
         net.set_node_open(v, False)
     for e in cut_edges:
         net.set_edge_open(*e, False)
-    net.reset()
     value = net.max_flow(s, t, n)
     assert value == SplitFlowNetwork(sub).max_flow(s, t, n)
     assert not gone & set(net.nodes_carrying_flow())
-    separator, direct = net.min_cut_separator(s, t)
+    separator, direct = net.min_cut_separator()
     assert not gone & set(separator)
     assert len(separator) + direct == value
     rest = sub.induced(set(sub.nodes) - set(separator))
@@ -141,12 +140,11 @@ def test_closed_arcs_act_as_deleted_nodes_and_edges(seed, n):
         rest = without_edges(rest, [(s, t)])
     assert brute_pair_connectivity(rest, s, t) == 0
     closed = {frozenset(e) for e in cut_edges}
-    paths = net.extract_paths(s, t)  # consumes the flow, so after the cut reads
+    paths = net.extract_paths()  # consumes the flow, so after the cut reads
     assert len(paths) == value
     assert not any(frozenset(step) in closed for p in paths for step in zip(p, p[1:]))
 
     # a masked min-cost flow walks the paths a flow on the subgraph walks
-    net.reset()
     sub_net = _priced(sub, free)
     units = min(value, 3)
     assert net.min_cost_flow(s, t, units) == sub_net.min_cost_flow(s, t, units)
@@ -159,13 +157,11 @@ def test_reset_keeps_masks_until_reopened():
     net.set_node_open(2, False)
     net.set_edge_open(4, 0, False)
     for _ in range(2):
-        net.reset()
         assert net.max_flow(0, 4, 5) == 2  # 0-1-4 and 0-3-4
         assert 2 not in net.nodes_carrying_flow()
-        assert all((0, 4) != step for p in net.extract_paths(0, 4) for step in zip(p, p[1:]))
+        assert all((0, 4) != step for p in net.extract_paths() for step in zip(p, p[1:]))
     net.set_node_open(2, True)
     net.set_edge_open(0, 4, True)
-    net.reset()
     assert net.max_flow(0, 4, 5) == 4
 
 
@@ -175,25 +171,25 @@ def test_flow_is_deterministic():
     for _ in range(2):
         net = SplitFlowNetwork(g)
         net.max_flow(1, 8, 3)
-        runs.append(net.extract_paths(1, 8))
+        runs.append(net.extract_paths())
     assert runs[0] == runs[1]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 9))
 def test_sink_arcs_leave_pair_flows_unchanged(seed, n):
-    # after a reset nothing leaves SINK_in, and its arcs come last, so a
-    # pair flow walks the paths it walks on a network without the sink
+    # every flow starts with nothing leaving SINK_in, and its arcs come
+    # last, so a pair flow walks the paths it walks on a network without
+    # the sink
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.5)
     net = SplitFlowNetwork(g)
     for v in rng.sample(g.nodes, rng.randint(1, n)):
         net.join_sink(v)
     for u, v in permutations(g.nodes, 2):
-        net.reset()
         fresh = SplitFlowNetwork(g)
         assert net.max_flow(u, v, n) == fresh.max_flow(u, v, n)
-        assert net.min_cut_separator(u, v) == fresh.min_cut_separator(u, v)
-        assert net.extract_paths(u, v) == fresh.extract_paths(u, v)
+        assert net.min_cut_separator() == fresh.min_cut_separator()
+        assert net.extract_paths() == fresh.extract_paths()
 
 
 def test_sink_side_of_a_bowtie_after_a_short_flow():
@@ -202,15 +198,15 @@ def test_sink_side_of_a_bowtie_after_a_short_flow():
     net = SplitFlowNetwork(g)
     for v in (0, 1, 2):
         net.join_sink(v)
-    net.reset()
-    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1, 2, 3, 4]
+    # with no unit pushed, every node reaches the sink
+    assert net.max_flow(3, SplitFlowNetwork.SINK, 0) == 0
+    assert net.sink_side() == [0, 1, 2, 3, 4]
     # node 3 reaches the sink only through 2: one path, cut {2}
     assert net.max_flow(3, SplitFlowNetwork.SINK, 2) == 1
-    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1]
-    assert net.extract_paths(3, SplitFlowNetwork.SINK) == [(3, 2, SplitFlowNetwork.SINK)]
-    net.reset()
+    assert net.sink_side() == [0, 1]
+    assert net.extract_paths() == [(3, 2)]  # a path into SINK ends at its last graph node
     assert net.max_flow(4, SplitFlowNetwork.SINK, 3) == 1
-    assert net.sink_side(SplitFlowNetwork.SINK) == [0, 1]
+    assert net.sink_side() == [0, 1]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
@@ -248,5 +244,67 @@ def test_masks_kept_restores_masks_when_its_body_raises():
         raise RuntimeError("body failed")
     assert net._cap0[: len(masks)] == masks
     assert net._cap0[len(masks):] == [1, 0]  # the sink arc joined inside stays
-    net.reset()
     assert net.max_flow(0, 1, 5) == 3  # through 2, 3 and 4; the edge stays closed
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_every_flow_starts_from_the_masks(seed, n):
+    # one network, masks toggled between flows and never a reset: each
+    # flow reads as the same flow on a fresh network over the subgraph
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    net = _priced(g, frozenset())
+    closed_nodes: set[int] = set()
+    closed_edges: set[tuple[int, int]] = set()
+    for _ in range(8):
+        for v in rng.sample(g.nodes, rng.randint(0, 2)):
+            net.set_node_open(v, v in closed_nodes)
+            closed_nodes ^= {v}
+        for e in rng.sample(g.edges, min(len(g.edges), rng.randint(0, 2))):
+            net.set_edge_open(*e, e in closed_edges)
+            closed_edges ^= {e}
+        open_nodes = [v for v in g.nodes if v not in closed_nodes]
+        if len(open_nodes) < 2:
+            continue
+        s, t = rng.sample(open_nodes, 2)
+        fresh = _priced(without_edges(g, closed_edges).induced(open_nodes), frozenset())
+        units = rng.randint(1, n)
+        if rng.random() < 0.5:
+            assert net.max_flow(s, t, units) == fresh.max_flow(s, t, units)
+        else:
+            assert net.min_cost_flow(s, t, units) == fresh.min_cost_flow(s, t, units)
+        assert net.nodes_carrying_flow() == fresh.nodes_carrying_flow()
+        assert net.extract_paths() == fresh.extract_paths()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_a_short_max_flow_marks_its_residual_source_side(seed, n):
+    # the cut reads the failed last search's marks in place of a new search
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    net = SplitFlowNetwork(g)
+    for v in rng.sample(g.nodes, rng.randint(0, n - 1)):
+        net.join_sink(v)
+    gone = set(rng.sample(g.nodes, rng.randint(0, 2)))
+    for v in gone:
+        net.set_node_open(v, False)
+    cut_edges = rng.sample(g.edges, min(len(g.edges), rng.randint(0, 2)))
+    for e in cut_edges:
+        net.set_edge_open(*e, False)
+    sub = without_edges(g, cut_edges)
+    for s in g.nodes:
+        for t in [v for v in g.nodes if v != s] + [SplitFlowNetwork.SINK]:
+            cap = rng.randint(1, n)
+            value = net.max_flow(s, t, cap)
+            if value == cap:
+                continue
+            marked = {x for x in range(net.size) if net._seen[x] == net._token}
+            assert marked == residual_reachable(net, s)
+            if t != SplitFlowNetwork.SINK:
+                # the cut read off those marks is a Menger witness of the value
+                separator, direct = net.min_cut_separator()
+                assert len(separator) + direct == value
+                rest = sub.induced(set(g.nodes) - (gone - {s, t}) - set(separator))
+                if direct:
+                    rest = without_edges(rest, [(s, t)])
+                assert brute_pair_connectivity(rest, s, t) == 0

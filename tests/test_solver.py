@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import kmcds
 import kmcds.connectivity as connectivity_mod
@@ -33,7 +33,7 @@ from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.serialize import dumps_canonical, report_to_dict
 
-from brutes import edgecost_flow_union, induced_best_guess, without_edges
+from brutes import edgecost_flow_union, induced_best_guess, restart_final_prune, without_edges
 from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
 
 
@@ -577,3 +577,48 @@ def test_every_prune_trial_m_dominates(monkeypatch):
         for trial in trials:
             assert is_m_dominating(instance.graph, trial, instance.m).ok
     assert len(runs) > 16 and seen > len(runs)
+
+
+def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):
+    # every node outside T has m >= k neighbours in T, so a node kept
+    # against a set is kept against every smaller one: one trial per node
+    trials = []
+    real = solver_mod.is_k_connected
+
+    def counted(h, k):
+        trials.append(h)
+        return real(h, k)
+
+    monkeypatch.setattr(solver_mod, "is_k_connected", counted)
+    several = []
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 1))
+    def check(seed, k, extra_m):
+        rng = random.Random(seed)
+        m = k + extra_m
+        n = rng.randint(m + 3, 13)
+        terminals = frozenset(rng.sample(range(n), rng.randint(m, n - 2)))
+        p = rng.choice((0.3, 0.6, 0.9))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        for v in set(range(n)) - terminals:
+            near = [t for t in terminals if (min(v, t), max(v, t)) in edges]
+            for t in rng.sample(sorted(terminals - set(near)), max(0, m - len(near))):
+                edges.add((min(v, t), max(v, t)))
+        g = Graph(range(n), sorted(edges), {v: rng.randint(0, 3) for v in range(n)})
+        outside = sorted(set(range(n)) - terminals)
+        members = terminals | set(rng.sample(outside, rng.randint(2, len(outside))))
+        if not real(g.induced(members), k):
+            return
+        instance = inst(g, k, m)
+        expected = restart_final_prune(instance, set(members), terminals)
+        trials.clear()
+        kept = set(members)
+        assert solver_mod._final_prune(instance, kept, terminals) == expected
+        assert kept == members - set(expected)
+        assert len(trials) == len(members - terminals)
+        if len(expected) >= 2:
+            several.append(seed)
+
+    check()
+    assert len(several) >= 100
