@@ -25,12 +25,7 @@ from .flow import SplitFlowNetwork
 from .generators import gen_gnp, gen_unit_disk
 from .graph import Graph, Instance, attach_root, degree_stats
 from .oracle import OracleResult, opt_kmcds
-from .rooted import (
-    GuaranteeInfo,
-    RootedProblem,
-    exact_backend,
-    solve_rooted_nodeweight,
-)
+from .rooted import RootedProblem, exact_backend, solve_rooted_nodeweight
 from .serialize import (
     dump_instance,
     dump_report,
@@ -56,7 +51,6 @@ __all__ = [
     "ConnectivityViolation",
     "DominationCheck",
     "Graph",
-    "GuaranteeInfo",
     "InfeasibleError",
     "Instance",
     "InvariantViolationError",

@@ -8,7 +8,6 @@ Subcommands: gen, solve, oracle, verify, bench. Exit codes are scriptable:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -23,6 +22,7 @@ from .serialize import (
     dump_instance,
     dump_report,
     dumps_canonical,
+    loads_json,
     parse_fraction,
     read_instance,
     verify_result_to_dict,
@@ -141,10 +141,7 @@ def _members_from_args(args: argparse.Namespace) -> list[int]:
 
 def _read_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        return loads_json(fh.read())
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -224,7 +221,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=tuple(BACKENDS),
         default="flow-union",
         help="rooted-stage solver (exact enumerates, small pools only)",
     )

@@ -303,6 +303,12 @@ class SplitFlowNetwork:
         part of the cut). Deleting the nodes, plus the edge when flagged,
         destroys every s-t path. The source side is what the flow's failed
         last search marked: a max-flow short of its cap ends with one.
+
+        A flow-carrying cut edge arc whose head is s or t is the direct
+        edge from s into t. No flow enters s's in-node. An interior u whose
+        unit of flow goes on into t has its out-node entered only through
+        its own saturated arc or back from t's unmarked in-node, so the
+        search never marks it and no such arc leaves the source side.
         """
         s, t = self._ends
         seen, token = self._seen, self._token
@@ -312,12 +318,9 @@ class SplitFlowNetwork:
         for first in self._edge_arcs.values():
             for a in (first, first + 2):
                 if res[a] < cap0[a] and seen[to[a ^ 1]] == token and seen[to[a]] != token:
-                    u = self.ids[to[a ^ 1] // 2]
                     v = self.ids[to[a] // 2]
                     if v not in (s, t):
                         nodes.add(v)
-                    elif u not in (s, t):
-                        nodes.add(u)
                     else:
                         direct = True
         for i, v in enumerate(self.ids):

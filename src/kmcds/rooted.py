@@ -5,18 +5,20 @@ internally disjoint paths to the root, and a priced pool of optional
 nodes, the solvers here pick a pool subset S so that the graph induced by
 everything outside the pool plus S satisfies the terminal requirement.
 
-Two backends: ``flow-union`` runs one min-cost flow per terminal (pool
-nodes priced at their weight, already-selected or free nodes at zero,
-each set on the network with
+Two backends, named in :data:`BACKENDS`: ``flow-union`` runs one
+min-cost flow per terminal (pool nodes priced at their weight,
+already-selected or free nodes at zero, each set on the network with
 :meth:`~kmcds.flow.SplitFlowNetwork.set_node_cost`) and unions the nodes
-the flows traverse; ``exact`` enumerates pool subsets in
-nondecreasing weight order. Both finish with an inclusion pruning pass.
-When every pool node weighs more than 0, ``flow-union`` first runs one
-max-flow with the unselected pool closed: a terminal that already has k
-paths through free and selected nodes has a zero-cost k-flow, so its
-min-cost flow would buy nothing and is skipped. A zero-weight pool node
-can be bought at cost 0, so with one in the pool every terminal runs its
-min-cost flow.
+the flows traverse; ``exact`` asks the whole pool once, then enumerates
+pool subsets in nondecreasing weight order. Each returns its selection
+with one witness per terminal, the nodes a k-flow of that terminal uses
+inside free and selected nodes, and both hand those witnesses to one
+inclusion pruning pass. When every pool node weighs more than 0,
+``flow-union`` first runs one max-flow with the unselected pool closed:
+a terminal that already has k paths through free and selected nodes has
+a zero-cost k-flow, so its min-cost flow would buy nothing and is
+skipped. A zero-weight pool node can be bought at cost 0, so with one in
+the pool every terminal runs its min-cost flow.
 
 The flow union also buys the solver's forest bundles: for a virtual edge
 uv, :func:`flow_union_witnessed` with the one terminal u and the root at
@@ -37,10 +39,9 @@ built. The prune keeps one k-path witness per terminal, the nodes its
 flow uses, and when it tries to drop a node it re-runs only the
 terminals whose witness uses that node: a witness that avoids the node
 still holds without it, so every verdict is the one a full check would
-give. After ``flow-union`` the prune starts from the witnesses the
-backend's own flows left, every one inside free and selected nodes, and
-runs no opening flows; called without witnesses it finds one per
-terminal first.
+give. The witnesses are the prune's only input besides the selection:
+it starts from the ones the backend's own flows left and runs no
+opening flows.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .flow import SplitFlowNetwork
 from .graph import Graph
 
 _EXACT_POOL_CAP = 20
-
-BACKENDS = ("flow-union", "exact")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,15 +104,6 @@ class RootedProblem:
     @property
     def free(self) -> frozenset[int]:
         return frozenset(self.graph_r.nodes) - frozenset(self.pool)
-
-
-@dataclass(frozen=True, slots=True)
-class GuaranteeInfo:
-    """Proven multiplicative bound of the backend used for one run."""
-
-    backend: str
-    factor_expr: str
-    factor_value: int
 
 
 @contextmanager
@@ -225,16 +215,29 @@ def flow_union_witnessed(
 
 def exact_backend(
     problem: RootedProblem, net: SplitFlowNetwork | None = None
-) -> frozenset[int]:
-    """Cheapest feasible pool subset, by weight-ordered enumeration."""
+) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
+    """Cheapest feasible pool subset, by weight-ordered enumeration, with its witnesses.
+
+    The whole pool is asked first: feasibility is monotone, so when it
+    fails no subset holds. Otherwise the first subset, by weight, on which
+    every terminal holds comes back with each terminal's flow nodes.
+    """
     if len(problem.pool) > _EXACT_POOL_CAP:
         raise ValueError(f"exact backend capped at {_EXACT_POOL_CAP} pool nodes")
     weights = problem.graph_r.weights
     with _posed(problem, net) as net:
-        for _, subset in iter_subsets_by_weight(problem.pool, weights):
-            if find_infeasible_terminal(problem, subset, net) is None:
-                return frozenset(subset)
         bad = find_infeasible_terminal(problem, problem.pool, net)
+        if bad is None:
+            for _, subset in iter_subsets_by_weight(problem.pool, weights):
+                _open_pool(net, problem, subset)
+                witnesses: dict[int, frozenset[int]] = {}
+                for t in problem.terminals:
+                    found = _witness(net, problem, t)
+                    if found is None:
+                        break
+                    witnesses[t] = found
+                else:
+                    return frozenset(subset), witnesses
     raise InfeasibleError(
         f"terminal {bad}: no pool subset yields {problem.k} disjoint root paths"
     )
@@ -244,31 +247,24 @@ def prune_selection(
     problem: RootedProblem,
     selected: frozenset[int],
     net: SplitFlowNetwork | None = None,
-    witnesses: Mapping[int, frozenset[int]] | None = None,
+    *,
+    witnesses: Mapping[int, frozenset[int]],
 ) -> frozenset[int]:
-    """Drop nodes of ``selected``, a pool subset, whose removal keeps feasibility.
+    """Drop nodes of ``selected``, a feasible pool subset, whose removal keeps feasibility.
 
     Heaviest first. A single pass suffices for inclusion minimality:
     feasibility is monotone, so a node kept against a larger set stays
-    unremovable. An infeasible ``selected`` comes back whole.
-    ``witnesses``, when given, holds for every terminal a node set inside
-    free∪selected carrying k disjoint paths to the root; the prune starts
-    from them instead of running one flow per terminal. A verdict only
-    asks whether a k-flow exists without a node, so it does not depend on
-    which witness was held.
+    unremovable. ``witnesses`` holds for every terminal a node set inside
+    free∪selected carrying k disjoint paths to the root, as both backends
+    return one; dropping a node re-runs only the terminals whose witness
+    uses it. A verdict only asks whether a k-flow exists without a node,
+    so it does not depend on which witness was held.
     """
     weights = problem.graph_r.weights
     current = set(selected)
+    witness = dict(witnesses)
     with _posed(problem, net) as net:
         _open_pool(net, problem, current)
-        if witnesses is not None:
-            witness = dict(witnesses)
-        else:
-            witness = {}
-            for t in problem.terminals:
-                witness[t] = _witness(net, problem, t)
-                if witness[t] is None:
-                    return frozenset(selected)
         for v in sorted(selected, key=lambda v: (-weights[v], v)):
             net.set_node_open(v, False)
             for t in problem.terminals:
@@ -284,25 +280,23 @@ def prune_selection(
     return frozenset(current)
 
 
+# each backend's selector, under the name a config gives it
+BACKENDS = {"flow-union": flow_union_witnessed, "exact": exact_backend}
+
+
 def solve_rooted_nodeweight(
     problem: RootedProblem,
     backend: str = "flow-union",
     net: SplitFlowNetwork | None = None,
-) -> tuple[frozenset[int], GuaranteeInfo]:
-    """Dispatch to a backend, then prune. Node weights price the pool.
+) -> frozenset[int]:
+    """Run a backend, then prune from its witnesses. Node weights price the pool.
 
-    ``flow-union`` hands the prune its per-terminal witnesses, so the
-    prune runs no opening flows. Every flow runs on ``net`` when one is
-    given; its node costs are overwritten, its masks kept.
+    Every flow runs on ``net`` when one is given; its node costs are
+    overwritten, its masks kept.
     """
-    if backend not in BACKENDS:
+    select = BACKENDS.get(backend)
+    if select is None:
         raise ValueError(f"unknown backend {backend!r}")
     with _posed(problem, net) as net:
-        if backend == "flow-union":
-            info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
-            selected, witnesses = flow_union_witnessed(problem, net)
-        else:
-            info = GuaranteeInfo("exact", "1", 1)
-            selected, witnesses = exact_backend(problem, net), None
-        return prune_selection(problem, selected, net, witnesses), info
-
+        selected, witnesses = select(problem, net)
+        return prune_selection(problem, selected, net, witnesses=witnesses)

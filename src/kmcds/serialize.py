@@ -152,14 +152,16 @@ def instance_from_dict(doc: Any) -> Instance:
         raise ParseError(str(exc)) from None
 
 
-def load_instance(text: str) -> Instance:
+def loads_json(text: str) -> Any:
+    """The JSON document in ``text``; a syntax error names its line and column."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return instance_from_dict(doc)
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def load_instance(text: str) -> Instance:
+    return instance_from_dict(loads_json(text))
 
 
 def read_instance(path: str) -> Instance:

@@ -68,7 +68,6 @@ from .flow import SplitFlowNetwork
 from .graph import Graph, Instance, attach_root, degree_stats
 from .rooted import (
     BACKENDS,
-    GuaranteeInfo,
     RootedProblem,
     flow_union_witnessed,
     solve_rooted_nodeweight,
@@ -245,7 +244,6 @@ class _Attempt:
 
     attachment: tuple[int, ...]
     connectors: frozenset[int]
-    guarantee: GuaranteeInfo
     weight: int
     guess_root: int | None = None
     grown: tuple[int, ...] = ()
@@ -266,7 +264,7 @@ def _run_attempt(
     problem = RootedProblem(
         graph_r=g_r, root=root, terminals=tuple(sorted(terminals)), pool=pool, k=k
     )
-    connectors, info = solve_rooted_nodeweight(problem, config.backend)
+    connectors = solve_rooted_nodeweight(problem, config.backend)
 
     # no graph on <= k nodes is k-connected; grow the selection with the
     # cheapest spare nodes (supersets keep every property needed later)
@@ -287,7 +285,7 @@ def _run_attempt(
         free |= bought
     weight = g.total_weight(union | pair_nodes)
     return _Attempt(
-        attachment, connectors, info, weight,
+        attachment, connectors, weight,
         grown=tuple(grown), forest=forest, pair_connectors=frozenset(pair_nodes),
     )
 
@@ -382,11 +380,15 @@ def _build_report(
         "total": g.total_weight(members),
     }
     _, max_deg = degree_stats(g)
-    info = best.guarantee
+    if config.backend == "exact":
+        factor_expr, factor_value = "1", 1
+    else:
+        # the rooted problem's terminals: T, less a guessed root
+        factor_expr, factor_value = "2|T|", 2 * len(terminals - {best.guess_root})
     guarantee = {
-        "backend": info.backend,
-        "backend_factor_expr": info.factor_expr,
-        "backend_factor_value": info.factor_value,
+        "backend": config.backend,
+        "backend_factor_expr": factor_expr,
+        "backend_factor_value": factor_value,
         "dominating_bound_expr": "ln(max_degree + m) + 1",
         "dominating_bound_args": {"max_degree": max_deg, "m": m},
         **stage_bounds,
@@ -523,12 +525,12 @@ def _best_guess(
                 closed_neighbours=frozenset(x for x in g.adj[r] if x not in picked),
             )
             try:
-                connectors, info = solve_rooted_nodeweight(problem, config.backend, net)
+                connectors = solve_rooted_nodeweight(problem, config.backend, net)
             except InfeasibleError:
                 continue
             weight = g.total_weight(forced | connectors)
             if best is None or weight < best.weight:
-                best = _Attempt(picked, connectors, info, weight, guess_root=r)
+                best = _Attempt(picked, connectors, weight, guess_root=r)
     return best
 
 

@@ -39,7 +39,6 @@ from typing import Iterable, Mapping
 from kmcds import (
     ConnectivityViolation,
     Graph,
-    GuaranteeInfo,
     Instance,
     RootedProblem,
     domination_counts,
@@ -50,7 +49,7 @@ from kmcds.augment import _is_forest
 from kmcds.domset import _greedy_rounds
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.flow import SplitFlowNetwork
-from kmcds.rooted import _terminal_order, prune_selection
+from kmcds.rooted import _terminal_order
 from kmcds.solver import _Attempt
 
 
@@ -382,6 +381,20 @@ def induced_find_infeasible_terminal(problem: RootedProblem, selected: Iterable[
     return None
 
 
+def induced_witnesses(
+    problem: RootedProblem, selected: Iterable[int]
+) -> dict[int, frozenset[int]] | None:
+    """Each terminal's k-flow nodes in the graph induced by free∪selected, or None if one fails."""
+    sub = problem.graph_r.induced(problem.free | frozenset(selected))
+    net = SplitFlowNetwork(sub)
+    witnesses = {}
+    for t in problem.terminals:
+        if net.max_flow(t, problem.root, problem.k) < problem.k:
+            return None
+        witnesses[t] = frozenset(net.nodes_carrying_flow())
+    return witnesses
+
+
 def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) -> frozenset[int]:
     """Drop nodes whose removal keeps feasibility, heaviest first.
 
@@ -420,13 +433,10 @@ def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     return frozenset(selected)
 
 
-def induced_solve_rooted(
-    problem: RootedProblem, backend: str
-) -> tuple[frozenset[int], GuaranteeInfo]:
+def induced_solve_rooted(problem: RootedProblem, backend: str) -> frozenset[int]:
     """The node-weighted rooted stage with induced-subgraph feasibility checks."""
     if backend == "flow-union":
         selected = _unmasked_flow_union(problem)
-        info = GuaranteeInfo("flow-union", "2|T|", 2 * len(problem.terminals))
     else:
         for _, subset in iter_subsets_by_weight(problem.pool, problem.graph_r.weights):
             if induced_find_infeasible_terminal(problem, subset) is None:
@@ -434,8 +444,7 @@ def induced_solve_rooted(
         else:
             raise InfeasibleError("no pool subset is feasible")
         selected = frozenset(subset)
-        info = GuaranteeInfo("exact", "1", 1)
-    return induced_prune_selection(problem, selected), info
+    return induced_prune_selection(problem, selected)
 
 
 def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: str):
@@ -443,7 +452,7 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
 
     Builds the root-trimmed graph and a fresh rooted stage per candidate;
     returns the solver's record of the lightest feasible candidate (its
-    root, picked neighbours, connectors, guarantee and weight), the first
+    root, picked neighbours, connectors and weight), the first
     found on ties, or None.
     """
     g = instance.graph
@@ -473,13 +482,13 @@ def induced_best_guess(instance: Instance, terminals: frozenset[int], backend: s
                 k=k,
             )
             try:
-                connectors, info = induced_solve_rooted(problem, backend)
+                connectors = induced_solve_rooted(problem, backend)
             except InfeasibleError:
                 continue
             weight = g.total_weight(forced | connectors)
             if best_weight is None or weight < best_weight:
                 best_weight = weight
-                best = _Attempt(tuple(picked), connectors, info, weight, guess_root=r)
+                best = _Attempt(tuple(picked), connectors, weight, guess_root=r)
     return best
 
 
@@ -533,11 +542,12 @@ def edges_carrying_flow(net: SplitFlowNetwork) -> list[tuple[int, int]]:
 def edgecost_flow_union(
     problem: RootedProblem,
     edge_costs: Mapping[tuple[int, int], int] | None = None,
-) -> tuple[frozenset[int], GuaranteeInfo]:
-    """Flow-union variant pricing edges at the weight of priced endpoints.
+) -> frozenset[int]:
+    """Flow-union variant pricing edges at the weight of priced endpoints, pruned.
 
     Default costs are w_u + w_v restricted to pool endpoints; nodes joining
-    the selection stop contributing to the edges around them.
+    the selection stop contributing to the edges around them. The prune is
+    the literal :func:`induced_prune_selection`.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
@@ -570,8 +580,7 @@ def edgecost_flow_union(
             if v in pool and v not in selected:
                 selected.add(v)
                 _refresh_costs_around(v)
-    info = GuaranteeInfo("flow-union-edgecost", "2|T|", 2 * len(problem.terminals))
-    return prune_selection(problem, frozenset(selected), net), info
+    return induced_prune_selection(problem, frozenset(selected))
 
 
 def min_weight_k_paths(

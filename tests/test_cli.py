@@ -288,6 +288,32 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "{inst}", "--backend", "exact"), "exact backend capped at 20 pool nodes"),
+        (
+            ("gen", "--kind", "gnp", "--n", "5", "--p", "1.0", "--weights", "5"),
+            "weight range looks like LO:HI, e.g. 1:100",
+        ),
+        (("verify", "{inst}", "--from-report", "{kind_x}"), "report file carries no node set"),
+        (("verify", "{inst}", "--certificate", "{bad}"), "line 2, column 11: Expecting value"),
+    ],
+    ids=["exact-pool-cap", "weight-range", "no-node-set", "bad-certificate-json"],
+)
+def test_error_paths_exit_one(tmp_path, capsys, argv, message):
+    files = {name: tmp_path / f"{name}.json" for name in ("inst", "kind_x", "bad")}
+    _run(
+        capsys, "gen", "--kind", "gnp", "--n", "40", "--p", "0.3",
+        "--k", "2", "--m", "2", "--seed", "1", "-o", str(files["inst"]),
+    )
+    files["kind_x"].write_text('{"kind": "x"}')
+    files["bad"].write_text('{\n  "kind": oops\n}')
+    code, _, err = _run(capsys, *(a.format(**files) for a in argv))
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--variant", "nonsense", "x.json"])
@@ -389,7 +415,7 @@ def _choices(subcommand, dest):
 def test_name_choices_come_from_the_solver():
     assert _choices("solve", "variant") == tuple(solver_mod.SOLVERS)
     for command in ("solve", "bench"):
-        assert _choices(command, "backend") == BACKENDS
+        assert _choices(command, "backend") == tuple(BACKENDS)
         assert _choices(command, "attachment_rule") == solver_mod.ATTACHMENT_RULES
 
 

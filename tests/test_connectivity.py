@@ -533,6 +533,34 @@ _TAMPERS = {
         lambda c: _with(c, members=(1, 2, 3, 4, 6)),
         "fan for 5, which is not a member after the first k",
     ),
+    "a one-node path": (
+        lambda c: _with(c, fans={6: ((6,), (6, 2), (6, 3))}),
+        "fan of 6: path 6 has fewer than two nodes",
+    ),
+    "a path from another node": (
+        lambda c: _with(c, fans={6: ((5, 1), (6, 2), (6, 3))}),
+        "fan of 6: path 5-1 does not start at 6",
+    ),
+    "a path through one node twice": (
+        lambda c: _with(c, fans={6: ((6, 1), (6, 2), (6, 4, 5, 4, 3))}),
+        "fan of 6: path 6-4-5-4-3 is not simple",
+    ),
+    "members out of order": (
+        lambda c: _with(c, members=(2, 1, 3, 4, 5, 6)),
+        "members are not sorted and distinct",
+    ),
+    "a bundle for a later pair": (
+        lambda c: _with(c, pairs={(4, 5): ((4, 5), (4, 1, 5), (4, 2, 5))}),
+        "pair bundle for (4, 5), which is not a pair of the first k members",
+    ),
+    "a bundle path ending elsewhere": (
+        lambda c: _with(c, pairs={(1, 2): ((1, 2), (1, 3, 2), (1, 4, 5))}),
+        "pair 1-2: a path does not end at 2",
+    ),
+    "a bundle path given twice": (
+        lambda c: _with(c, pairs={(1, 2): ((1, 2), (1, 2), (1, 3, 2))}),
+        "pair 1-2: a path appears twice",
+    ),
 }
 
 
@@ -567,4 +595,12 @@ def test_checker_closes_the_soundness_gaps():
     ghost = Certificate(2, 2, (0, 1, 2, 3, 4, 99), {}, cert.pairs, cert.fans)
     assert check_certificate(inst(g, 2, 2), ghost) == [
         "member 99 is not a node of the graph"
+    ]
+    # K4 on 1..4 and node 0 seeing only 1 and 2: a sound m = 2 proof restated at m = 3
+    g = Graph(range(5), [(0, 1), (0, 2)] + [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+    cert = build_certificate(g, range(1, 5), 2, 2)
+    assert check_certificate(inst(g, 2, 2), cert) == []
+    restated = Certificate(2, 3, cert.members, cert.domination_counts, cert.pairs, cert.fans)
+    assert check_certificate(inst(g, 2, 3), restated) == [
+        "node 0 has 2 member neighbors, need 3"
     ]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmcds import (
-    GuaranteeInfo,
     Graph,
     RootedProblem,
     SplitFlowNetwork,
@@ -18,6 +17,7 @@ from kmcds import (
 from kmcds import rooted as rooted_mod
 from kmcds.errors import InfeasibleError
 from kmcds.rooted import (
+    BACKENDS,
     _terminal_order,
     exact_backend,
     find_infeasible_terminal,
@@ -32,6 +32,7 @@ from brutes import (
     induced_find_infeasible_terminal,
     induced_prune_selection,
     induced_solve_rooted,
+    induced_witnesses,
     without_edges,
 )
 from toolbox import (
@@ -59,7 +60,7 @@ def _problem(g, terminals, attachment, k):
 def test_k5_terminals_need_no_help():
     p = _problem(complete_graph(5), [0, 1, 2], [0, 1], 2)
     for backend in ("flow-union", "exact"):
-        s, info = solve_rooted_nodeweight(p, backend)
+        s = solve_rooted_nodeweight(p, backend)
         assert s == frozenset()
         assert find_infeasible_terminal(p, s) is None
 
@@ -67,24 +68,21 @@ def test_k5_terminals_need_no_help():
 def test_p3_buys_the_middle_node():
     p = _problem(path_graph(3), [0, 2], [0], 1)
     for backend in ("flow-union", "exact"):
-        s, _ = solve_rooted_nodeweight(p, backend)
+        s = solve_rooted_nodeweight(p, backend)
         assert s == {1}
 
 
 def test_p3_under_edge_costs():
     # the edge-cost pricing and the node-weighted stage both buy the middle
     p = _problem(path_graph(3), [0, 2], [0], 1)
-    expected, _ = edgecost_flow_union(p)
-    s, info = solve_rooted_nodeweight(p)
-    assert expected == s == {1}
-    assert info.backend == "flow-union"
+    assert edgecost_flow_union(p) == solve_rooted_nodeweight(p) == {1}
 
 
 def test_all_terminals_means_empty_pool():
     g = complete_graph(4)
     p = _problem(g, list(g.nodes), [0, 1], 2)
     assert p.pool == ()
-    s, _ = solve_rooted_nodeweight(p)
+    s = solve_rooted_nodeweight(p)
     assert s == frozenset()
 
 
@@ -100,20 +98,12 @@ def test_infeasibility_names_the_starved_terminal():
 def test_wheel_flow_union_within_factor_of_exact():
     g = wheel_graph(6)
     p = _problem(g, [1, 3, 5], [1, 3, 5], 3)
-    s_fu, info = solve_rooted_nodeweight(p, "flow-union")
-    s_ex, _ = solve_rooted_nodeweight(p, "exact")
+    s_fu = solve_rooted_nodeweight(p, "flow-union")
+    s_ex = solve_rooted_nodeweight(p, "exact")
     w = g.weights
     assert find_infeasible_terminal(p, s_fu) is None
     assert find_infeasible_terminal(p, s_ex) is None
-    assert sum(w[v] for v in s_fu) <= info.factor_value * sum(w[v] for v in s_ex)
-
-
-def test_guarantee_info_values():
-    p = _problem(complete_graph(5), [0, 1, 2], [0, 1], 2)
-    _, fu = solve_rooted_nodeweight(p, "flow-union")
-    assert fu == GuaranteeInfo("flow-union", "2|T|", 6)
-    _, ex = solve_rooted_nodeweight(p, "exact")
-    assert ex == GuaranteeInfo("exact", "1", 1)
+    assert sum(w[v] for v in s_fu) <= 2 * len(p.terminals) * sum(w[v] for v in s_ex)
 
 
 def test_unknown_backend_rejected():
@@ -136,11 +126,12 @@ def test_prune_drops_redundant_selection():
     # hand the pruner a deliberately bloated feasible selection
     p = _problem(path_graph(5), [0, 4], [0], 1)
     fat = frozenset({1, 2, 3})
-    lean = prune_selection(p, fat)
+    lean = prune_selection(p, fat, witnesses=induced_witnesses(p, fat))
     assert lean == fat  # every path node is load-bearing on a path graph
 
     p2 = _problem(complete_graph(5), [0, 1], [0], 1)
-    assert prune_selection(p2, frozenset({2, 3, 4})) == frozenset()
+    fat = frozenset({2, 3, 4})
+    assert prune_selection(p2, fat, witnesses=induced_witnesses(p2, fat)) == frozenset()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
@@ -154,7 +145,7 @@ def test_exact_backend_matches_brute_enumeration(seed, k):
     p = _problem(g, terminals, terminals[:k], k)
     best = brute_rooted_opt(p.graph_r, p.root, p.terminals, p.pool, k)
     try:
-        s, _ = solve_rooted_nodeweight(p, "exact")
+        s = solve_rooted_nodeweight(p, "exact")
     except InfeasibleError:
         assert best is None
         return
@@ -173,12 +164,12 @@ def test_flow_union_feasible_and_bounded_when_exact_is(seed):
         return
     p = _problem(g, terminals, terminals[:k], k)
     try:
-        s_ex, _ = solve_rooted_nodeweight(p, "exact")
+        s_ex = solve_rooted_nodeweight(p, "exact")
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             solve_rooted_nodeweight(p, "flow-union")
         return
-    s_fu, info = solve_rooted_nodeweight(p, "flow-union")
+    s_fu = solve_rooted_nodeweight(p, "flow-union")
     assert find_infeasible_terminal(p, s_fu) is None
     w = g.weights
     # per-terminal flows are individually optimal, so |T|·OPT caps the
@@ -203,12 +194,12 @@ def test_nodeweight_stage_selects_what_the_edgecost_stage_did(seed, disk):
     terminals = rng.sample(list(g.nodes), rng.randint(k, min(n, k + 3)))
     p = _problem(g, terminals, terminals[:k], k)
     try:
-        expected, _ = edgecost_flow_union(p)
+        expected = edgecost_flow_union(p)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             solve_rooted_nodeweight(p)
         return
-    selected, _ = solve_rooted_nodeweight(p)
+    selected = solve_rooted_nodeweight(p)
     assert selected == expected
     assert find_infeasible_terminal(p, selected) is None
 
@@ -222,20 +213,20 @@ def test_edgecost_backend_is_feasible(seed):
     terminals = nodes[: k + 1]
     p = _problem(g, terminals, terminals[:k], k)
     try:
-        s, _ = solve_rooted_nodeweight(p)
+        s = solve_rooted_nodeweight(p)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             edgecost_flow_union(p)
         return
     assert find_infeasible_terminal(p, s) is None
-    assert edgecost_flow_union(p)[0] == s
+    assert edgecost_flow_union(p) == s
 
 
 def test_zero_weights_cost_nothing():
     g = random_graph(random.Random(3), 7, 0.5, max_weight=0)
     p = _problem(g, [0, 1], [0, 1], 2)
     try:
-        s, _ = solve_rooted_nodeweight(p, "flow-union")
+        s = solve_rooted_nodeweight(p, "flow-union")
     except InfeasibleError:
         return
     assert sum(g.weights[v] for v in s) == 0
@@ -273,6 +264,7 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
     bare = SplitFlowNetwork(g)
     draws = [[v for v in pool if rng.random() < 0.5] for _ in range(4)]
     full = frozenset(pool)
+    full_witnesses = induced_witnesses(trimmed, full)
     expected_prune = induced_prune_selection(trimmed, full)
     expected = {}
     for backend in ("flow-union", "exact"):
@@ -292,11 +284,12 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
                     induced_find_infeasible_terminal(trimmed, chosen)
                 )
                 assert net._cap0 == masks  # the check reopened the pool it closed
-            assert prune_selection(p, full, net) == expected_prune
-            assert prune_selection(p, full) == expected_prune
-            assert net._cap0 == masks
+            if full_witnesses is not None:
+                assert prune_selection(p, full, net, witnesses=full_witnesses) == expected_prune
+                assert prune_selection(p, full, witnesses=full_witnesses) == expected_prune
+                assert net._cap0 == masks
 
-            for backend, select in (("flow-union", _flow_union), ("exact", exact_backend)):
+            for backend, select in BACKENDS.items():
                 if expected[backend] is None:
                     with pytest.raises(InfeasibleError):
                         select(p, net)
@@ -306,10 +299,11 @@ def test_masked_network_matches_induced_subgraph_reference(seed, k):
                         solve_rooted_nodeweight(p, backend, net)
                     assert net._cap0 == masks
                     continue
-                selected = select(p, net)
-                assert selected == select(p)  # the same set as on a network of its own
-                assert selected == select(trimmed, shared)
-                assert prune_selection(p, selected, net) == (
+                selected, witnesses = select(p, net)
+                # the same set and witnesses as on a network of its own
+                assert select(p) == (selected, witnesses)
+                assert select(trimmed, shared)[0] == selected
+                assert prune_selection(p, selected, net, witnesses=witnesses) == (
                     induced_prune_selection(trimmed, selected)
                 )
                 assert solve_rooted_nodeweight(p, backend, net) == expected[backend]
@@ -397,11 +391,11 @@ def test_a_terminal_that_already_holds_runs_no_min_cost_flow(monkeypatch):
     assert sorted(calls) == [0, 3]
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_prune_starts_from_the_flow_union_witnesses(seed, zero_in_pool):
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(sorted(BACKENDS)))
+def test_prune_starts_from_the_flow_union_witnesses(seed, zero_in_pool, backend):
     p = _skip_problem(random.Random(seed), zero_in_pool)
     try:
-        selected, witnesses = flow_union_witnessed(p)
+        selected, witnesses = BACKENDS[backend](p)
     except InfeasibleError:
         return
     inside = p.free | selected
@@ -435,16 +429,15 @@ def test_prune_starts_from_the_flow_union_witnesses(seed, zero_in_pool):
         patched.setattr(SplitFlowNetwork, "max_flow", logged_flow)
         patched.setattr(SplitFlowNetwork, "set_node_open", logged_open)
         patched.setattr(rooted_mod, "prune_selection", logged_prune)
-        pruned, _ = solve_rooted_nodeweight(p)
+        pruned = solve_rooted_nodeweight(p, backend)
     in_prune = events[events.index("prune") + 1:]
     before_drop = in_prune[: in_prune.index("drop")] if "drop" in in_prune else in_prune
     assert "flow" not in before_drop
     assert pruned == induced_prune_selection(p, selected)
     assert prune_selection(p, selected, witnesses=witnesses) == pruned
-    assert prune_selection(p, selected) == pruned
 
 
-def test_prune_without_witnesses_opens_with_one_flow_per_terminal(monkeypatch):
+def test_prune_with_given_witnesses_runs_no_opening_flow(monkeypatch):
     p = _problem(complete_graph(5), [0, 1], [0], 1)
     events = []
     flow = SplitFlowNetwork.max_flow
@@ -454,9 +447,28 @@ def test_prune_without_witnesses_opens_with_one_flow_per_terminal(monkeypatch):
         return flow(self, s, t, cap)
 
     monkeypatch.setattr(SplitFlowNetwork, "max_flow", logged_flow)
-    assert prune_selection(p, frozenset()) == frozenset()
-    assert events == [0, 1]
-    events.clear()
     witnesses = {0: frozenset({0}), 1: frozenset({0, 1})}
     assert prune_selection(p, frozenset(), witnesses=witnesses) == frozenset()
     assert events == []
+
+
+def test_infeasible_exact_asks_the_whole_pool_once(monkeypatch):
+    # leaf 5 has one path whatever is bought: the whole pool alone decides,
+    # in at most one max-flow per terminal, not one per terminal and subset
+    p = _problem(path_graph(6), [0, 1, 5], [0, 1], 2)
+    assert len(p.pool) == 3
+    bad = induced_find_infeasible_terminal(p, p.pool)
+    assert bad is not None
+    flows = []
+    flow = SplitFlowNetwork.max_flow
+
+    def counted(self, s, t, cap):
+        flows.append(s)
+        return flow(self, s, t, cap)
+
+    monkeypatch.setattr(SplitFlowNetwork, "max_flow", counted)
+    with pytest.raises(
+        InfeasibleError, match=f"^terminal {bad}: no pool subset yields 2 disjoint root paths$"
+    ):
+        exact_backend(p)
+    assert len(flows) <= len(p.terminals)

@@ -147,6 +147,25 @@ def test_exact_backend_never_loses():
     _verified(instance, ex)
 
 
+def test_backend_factor_counts_the_rooted_terminals():
+    # the rooted problem's terminals are T, less the root a guess names
+    instance = inst(cycle_graph(6), 2, 2)
+    for config in (SolverConfig(), SolverConfig(backend="exact")):
+        for solve in (solve_general, solve_guess_root):
+            report = solve(instance, config)
+            assert report.guarantee["backend"] == config.backend
+            rooted = set(report.dominating) - {report.guess_root}
+            if config.backend == "exact":
+                expected = ("1", 1)
+            else:
+                expected = ("2|T|", 2 * len(rooted))
+            assert (
+                report.guarantee["backend_factor_expr"], report.guarantee["backend_factor_value"]
+            ) == expected
+    guessed = solve_guess_root(instance)
+    assert guessed.guess_root in guessed.dominating  # so the two counts differ
+
+
 def test_guess_root_on_k4():
     instance = inst(complete_graph(4), 3, 3)
     report = solve_guess_root(instance)
@@ -301,14 +320,13 @@ def test_unit_disk_is_the_general_pipeline_under_its_label(monkeypatch):
                 continue
             assert _label_free(disk) == _label_free(solve_general(instance, config))
             # the edge-cost stage unit-disk solves used to run gives the
-            # same report but for the name of its backend
+            # same report
             with monkeypatch.context() as patched:
                 patched.setattr(
                     solver_mod, "solve_rooted_nodeweight",
                     lambda problem, backend, net=None: edgecost_flow_union(problem),
                 )
-                old = dump_report(solve_unit_disk(instance, config))
-            assert old.replace('"flow-union-edgecost"', '"flow-union"') == dump_report(disk)
+                assert dump_report(solve_unit_disk(instance, config)) == dump_report(disk)
             assert disk.guarantee["backend"] == "flow-union"
             solved += 1
     assert solved >= 20 and refused
@@ -500,7 +518,7 @@ def test_neighbour_bound_is_sound_on_every_candidate():
                             solve_rooted_nodeweight(problem, backend)
                         continue
                     try:
-                        connectors, _ = solve_rooted_nodeweight(problem, backend)
+                        connectors = solve_rooted_nodeweight(problem, backend)
                     except InfeasibleError:
                         continue
                     weight = g.total_weight(forced | connectors)
