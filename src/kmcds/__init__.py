@@ -11,13 +11,12 @@ from .augment import minimal_augmenting_forest
 from .connectivity import (
     Certificate,
     ConnectivityViolation,
-    DominationCheck,
+    VerifyResult,
     build_certificate,
     check_certificate,
     domination_counts,
     find_k_connectivity_violation,
     is_k_connected,
-    is_m_dominating,
 )
 from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError, KmcdsError, ParseError
@@ -26,17 +25,10 @@ from .generators import gen_gnp, gen_unit_disk
 from .graph import Graph, Instance, attach_root, degree_stats
 from .oracle import OracleResult, opt_kmcds
 from .rooted import RootedProblem, exact_backend, solve_rooted_nodeweight
-from .serialize import (
-    dump_instance,
-    dump_report,
-    load_instance,
-    read_instance,
-    write_instance,
-)
+from .serialize import dump_instance, dump_report, load_instance, read_instance
 from .solver import (
     SolutionReport,
     SolverConfig,
-    VerifyResult,
     precheck,
     solve_general,
     solve_guess_root,
@@ -49,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "ConnectivityViolation",
-    "DominationCheck",
     "Graph",
     "InfeasibleError",
     "Instance",
@@ -75,7 +66,6 @@ __all__ = [
     "gen_unit_disk",
     "greedy_mds",
     "is_k_connected",
-    "is_m_dominating",
     "load_instance",
     "minimal_augmenting_forest",
     "opt_kmcds",
@@ -86,5 +76,4 @@ __all__ = [
     "solve_rooted_nodeweight",
     "solve_unit_disk",
     "verify_solution",
-    "write_instance",
 ]

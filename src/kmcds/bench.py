@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -197,9 +198,14 @@ def build_tasks(
 
 
 def run_bench(tasks: list[BenchTask], jobs: int = 1) -> tuple[list[BenchRow], int]:
-    """Run all tasks, return (rows sorted by instance id, skipped count)."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Run all tasks, return (rows sorted by instance id, skipped count).
+
+    ``jobs`` is capped at the task count and the CPU count: with the fork
+    start method the pool starts all its workers at the first submit.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_task, tasks))
     else:
         results = [run_task(t) for t in tasks]

@@ -8,7 +8,6 @@ Subcommands: gen, solve, oracle, verify, bench. Exit codes are scriptable:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench import build_tasks, rows_to_csv, run_bench
@@ -184,10 +183,7 @@ def _axis(flag: str, values: list) -> list:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.jobs is not None:
-        jobs = _positive_int("--jobs", args.jobs)
-    else:
-        jobs = _positive_int("KMCDS_JOBS", os.environ.get("KMCDS_JOBS", "1"))
+    jobs = _positive_int("--jobs", args.jobs)
     tasks = build_tasks(
         kinds=_axis("--kinds", [s for s in args.kinds.split(",") if s]),
         sizes=_axis("--sizes", _parse_int_list(args.sizes)),
@@ -332,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        help="worker processes (default: KMCDS_JOBS or 1)",
+        default="1",
+        help="worker processes, at most one per task and per CPU (default 1)",
     )
     _add_config_flags(p)
     p.add_argument("-o", "--output", help="CSV output path (default stdout)")

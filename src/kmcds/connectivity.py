@@ -15,18 +15,19 @@ literal all-pair loop the kernel replaced, and the super-source loop it
 turned around, are kept in the test suite (``tests/brutes.py``) as the
 references it is compared against.
 
-A certificate (:func:`build_certificate`) is that same pass over G[S]
-with its paths kept: a bundle for each pair among the first k members and
-a fan for each later one, C(k, 2) + (s - k) path systems for s members in
-place of one per member pair. :func:`check_certificate` re-checks them
-without a flow; the all-pair certificate they replaced is the test
-suite's reference.
+A node set S is checked by :func:`certify`: its domination counts and
+that same pass over G[S], in one :class:`VerifyResult`. When S passes, the
+pass keeps its paths as S's certificate: a bundle for each pair among the
+first k members and a fan for each later one, C(k, 2) + (s - k) path
+systems for s members in place of one per member pair.
+:func:`check_certificate` re-checks them without a flow; the all-pair
+certificate they replaced is the test suite's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InfeasibleError
 from .flow import SplitFlowNetwork
@@ -50,17 +51,20 @@ class ConnectivityViolation:
     ``separator`` disconnects ``pair`` once removed; when ``direct_edge``
     is set the pair is adjacent and the edge must be dropped as well (the
     witness then certifies local connectivity below k, Menger-style).
-    ``value`` is the size of that cut, ``len(separator) + direct_edge``,
-    and so an upper bound on the pair's disjoint paths (equal to it when
-    a flow found the witness). ``too_small`` marks graphs with at most k
-    nodes, where no separator is needed.
+    ``too_small`` marks graphs with at most k nodes, where no separator is
+    needed.
     """
 
     pair: tuple[int, int] | None
     separator: tuple[int, ...]
     direct_edge: bool
-    value: int
     too_small: bool = False
+
+    @property
+    def value(self) -> int:
+        """The cut's size, ``len(separator) + direct_edge``: an upper bound on
+        the pair's disjoint paths, equal to it when a flow found the witness."""
+        return len(self.separator) + self.direct_edge
 
     def describe(self, removed: str) -> str:
         """The witness as a sentence; ``removed`` names what the separator holds."""
@@ -118,7 +122,7 @@ def find_k_connectivity_violation(
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= k:
-        return ConnectivityViolation(None, (), False, 0, too_small=True)
+        return ConnectivityViolation(None, (), False, too_small=True)
     nodes = g.nodes
     if k == 1 and paths is None:
         first = nodes[0]
@@ -132,20 +136,17 @@ def find_k_connectivity_violation(
         if len(seen) == g.n:
             return None
         far = next(v for v in nodes if v not in seen)
-        return ConnectivityViolation((first, far), (), False, 0)
+        return ConnectivityViolation((first, far), (), False)
     if k > 1:
         for v in nodes:
             near = g.adj[v]
             if len(near) < k:
                 far = next(w for w in nodes if w != v and w not in near)
-                return ConnectivityViolation(
-                    (min(v, far), max(v, far)), near, False, len(near)
-                )
+                return ConnectivityViolation((min(v, far), max(v, far)), near, False)
 
     net = SplitFlowNetwork(g)
     for s, t in _even_schedule(net, nodes, k):
-        f = net.max_flow(s, t, k)
-        if f >= k:
+        if net.max_flow(s, t, k) >= k:
             if paths is not None:
                 paths[(s, t)] = tuple(net.extract_paths())
             continue
@@ -153,9 +154,9 @@ def find_k_connectivity_violation(
             # ids ascend with the index, so the least sink-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
             s, t = net.sink_side()[0], s
-            f = net.max_flow(s, t, k)
+            net.max_flow(s, t, k)
         cut, direct = net.min_cut_separator()
-        return ConnectivityViolation((s, t), tuple(cut), direct, f)
+        return ConnectivityViolation((s, t), tuple(cut), direct)
     return None
 
 
@@ -167,22 +168,6 @@ def domination_counts(g: Graph, members: Iterable[int]) -> dict[int, int]:
         for v in g.nodes
         if v not in inside
     }
-
-
-class DominationCheck(NamedTuple):
-    ok: bool
-    counts: dict[int, int]
-
-
-def is_m_dominating(g: Graph, members: Iterable[int], m: int) -> DominationCheck:
-    """(verdict, per-node counts) for m-domination of nodes outside ``members``.
-
-    Vacuously ok when ``members`` covers the whole graph.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    counts = domination_counts(g, members)
-    return DominationCheck(all(c >= m for c in counts.values()), counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,23 +193,57 @@ class Certificate:
     fans: Mapping[int, tuple[tuple[int, ...], ...]]
 
 
+@dataclass(frozen=True, slots=True)
+class VerifyResult:
+    """What :func:`certify` found about a node set S, each fact stored once.
+
+    ``domination_violations`` maps every node outside S with fewer than m
+    member neighbors to its count, in id order. ``connectivity_violation``
+    is the kernel's witness that G[S] is not k-connected, or None.
+    ``certificate`` is present exactly when both are empty. The verdicts
+    ``domination_ok``, ``connectivity_ok`` and ``feasible`` are read from
+    these fields, so a record cannot contradict itself.
+    """
+
+    domination_violations: dict[int, int]
+    connectivity_violation: ConnectivityViolation | None
+    certificate: Certificate | None
+
+    @property
+    def domination_ok(self) -> bool:
+        return not self.domination_violations
+
+    @property
+    def connectivity_ok(self) -> bool:
+        return self.connectivity_violation is None
+
+    @property
+    def feasible(self) -> bool:
+        return self.domination_ok and self.connectivity_ok
+
+
 def certify(
     g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
-) -> tuple[dict[int, int], ConnectivityViolation | None, Certificate | None]:
-    """(domination counts, kernel witness, certificate or None) of a set, in one kernel pass."""
+) -> VerifyResult:
+    """Both checks of a node set S, in one kernel pass over G[S].
+
+    The kernel runs even when domination fails, so the record reports
+    both checks; it keeps its paths, for the certificate, only when S
+    m-dominates and ``with_witnesses`` is set.
+    """
     inside = sorted(set(members))
     counts = domination_counts(g, inside)
-    dominated = all(c >= m for c in counts.values())
+    short = {v: c for v, c in counts.items() if c < m}
     paths: dict = {}
     violation = find_k_connectivity_violation(
-        g.induced(inside), k, paths if with_witnesses and dominated else None
+        g.induced(inside), k, paths if with_witnesses and not short else None
     )
-    if not dominated or violation is not None:
-        return counts, violation, None
+    if short or violation is not None:
+        return VerifyResult(short, violation, None)
     sink = SplitFlowNetwork.SINK
     pairs = {(s, t): p for (s, t), p in paths.items() if t != sink}
     fans = {s: p for (s, t), p in paths.items() if t == sink}
-    return counts, None, Certificate(k, m, tuple(inside), counts, pairs, fans)
+    return VerifyResult(short, None, Certificate(k, m, tuple(inside), counts, pairs, fans))
 
 
 def build_certificate(
@@ -234,12 +253,14 @@ def build_certificate(
 
     The error names the first node short of m member neighbors, else the kernel's witness.
     """
-    counts, violation, cert = certify(g, members, k, m, with_witnesses)
-    bad = [v for v, c in counts.items() if c < m]
-    if bad:
-        raise InfeasibleError(f"node {bad[0]} has only {counts[bad[0]]} member neighbors")
+    result = certify(g, members, k, m, with_witnesses)
+    short = result.domination_violations
+    if short:
+        v = next(iter(short))  # the least id: the counts run in id order
+        raise InfeasibleError(f"node {v} has only {short[v]} member neighbors")
+    violation = result.connectivity_violation
     if violation is None:
-        return cert
+        return result.certificate
     if violation.too_small:
         raise InfeasibleError("a k-connected set needs more than k nodes")
     raise InfeasibleError(violation.describe("members"))

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 from ._enum import iter_subsets_by_weight
-from .connectivity import is_k_connected, is_m_dominating
+from .connectivity import domination_counts, is_k_connected
 from .graph import Instance
 
 _ORACLE_NODE_CAP = 16
@@ -44,7 +44,7 @@ def opt_kmcds(instance: Instance) -> OracleResult:
         examined += 1
         if len(subset) <= k:
             continue
-        if not is_m_dominating(g, subset, m).ok:
+        if any(c < m for c in domination_counts(g, subset).values()):
             continue
         if not is_k_connected(g.induced(subset), k):
             continue

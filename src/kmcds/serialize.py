@@ -14,12 +14,12 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable, TYPE_CHECKING
 
-from .connectivity import Certificate
+from .connectivity import Certificate, VerifyResult
 from .errors import ParseError
 from .graph import Graph, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .solver import SolutionReport, VerifyResult
+    from .solver import SolutionReport
 
 SCHEMA_VERSION = 1  # instance files
 REPORT_SCHEMA_VERSION = 2  # reports and verify documents: Even-schedule certificates
@@ -153,11 +153,17 @@ def instance_from_dict(doc: Any) -> Instance:
 
 
 def loads_json(text: str) -> Any:
-    """The JSON document in ``text``; a syntax error names its line and column."""
+    """The JSON document in ``text``.
+
+    A syntax error names its line and column; nesting deeper than the
+    parser's recursion limit is a :class:`ParseError` too.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("the JSON document is nested too deeply") from None
 
 
 def load_instance(text: str) -> Instance:
@@ -167,11 +173,6 @@ def load_instance(text: str) -> Instance:
 def read_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return load_instance(fh.read())
-
-
-def write_instance(path: str, instance: Instance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_instance(instance))
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -280,11 +281,7 @@ def report_to_dict(report: "SolutionReport", include_timings: bool = False) -> d
         # deep copies: editing the document must not edit the report
         "guarantee": copy.deepcopy(report.guarantee),
         "flags": copy.deepcopy(report.flags),
-        "certificate": (
-            certificate_to_dict(report.certificate)
-            if report.certificate is not None
-            else None
-        ),
+        "certificate": certificate_to_dict(report.certificate),
     }
     if include_timings:
         doc["timings_s"] = dict(report.stage_seconds)
@@ -295,7 +292,7 @@ def dump_report(report: "SolutionReport", include_timings: bool = False) -> str:
     return dumps_canonical(report_to_dict(report, include_timings))
 
 
-def verify_result_to_dict(result: "VerifyResult", members: Iterable[int]) -> dict:
+def verify_result_to_dict(result: VerifyResult, members: Iterable[int]) -> dict:
     violation = None
     if result.connectivity_violation is not None:
         v = result.connectivity_violation

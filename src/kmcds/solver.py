@@ -57,6 +57,7 @@ from .augment import minimal_augmenting_forest
 from .connectivity import (
     Certificate,
     ConnectivityViolation,
+    VerifyResult,
     build_certificate,
     certify,
     find_k_connectivity_violation,
@@ -138,24 +139,12 @@ class SolutionReport:
     weights: dict[str, int]
     guarantee: dict[str, object]
     flags: dict[str, object]
-    certificate: Certificate | None
+    certificate: Certificate
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_weight(self) -> int:
         return self.weights["total"]
-
-
-@dataclass(frozen=True, slots=True)
-class VerifyResult:
-    """Outcome of the two independent feasibility verifiers."""
-
-    feasible: bool
-    domination_ok: bool
-    domination_violations: dict[int, int]
-    connectivity_ok: bool
-    connectivity_violation: ConnectivityViolation | None
-    certificate: Certificate | None
 
 
 def verify_solution(
@@ -167,11 +156,7 @@ def verify_solution(
     for v in inside:
         if not g.has_node(v):
             raise ValueError(f"node {v} not in instance")
-    counts, conn_violation, cert = certify(g, inside, instance.k, instance.m, with_witnesses)
-    dom_bad = {v: c for v, c in counts.items() if c < instance.m}
-    return VerifyResult(
-        cert is not None, not dom_bad, dom_bad, conn_violation is None, conn_violation, cert
-    )
+    return certify(g, inside, instance.k, instance.m, with_witnesses)
 
 
 def _require_feasible(instance: Instance) -> None:

@@ -195,13 +195,13 @@ def allpair_find_k_connectivity_violation(g: Graph, k: int) -> ConnectivityViola
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= k:
-        return ConnectivityViolation(None, (), False, 0, too_small=True)
+        return ConnectivityViolation(None, (), False, too_small=True)
     net = SplitFlowNetwork(g)
     for u, v in _pair_order(g):
         f = net.max_flow(u, v, k)
         if f < k:
             cut, direct = net.min_cut_separator()
-            return ConnectivityViolation((u, v), tuple(cut), direct, f)
+            return ConnectivityViolation((u, v), tuple(cut), direct)
     return None
 
 
@@ -263,7 +263,7 @@ def source_schedule_violation(g: Graph, k: int) -> ConnectivityViolation | None:
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= k:
-        return ConnectivityViolation(None, (), False, 0, too_small=True)
+        return ConnectivityViolation(None, (), False, too_small=True)
     nodes = g.nodes
     if k == 1:
         first = nodes[0]
@@ -277,14 +277,12 @@ def source_schedule_violation(g: Graph, k: int) -> ConnectivityViolation | None:
         if len(seen) == g.n:
             return None
         far = next(v for v in nodes if v not in seen)
-        return ConnectivityViolation((first, far), (), False, 0)
+        return ConnectivityViolation((first, far), (), False)
     for v in nodes:
         near = g.adj[v]
         if len(near) < k:
             far = next(w for w in nodes if w != v and w not in near)
-            return ConnectivityViolation(
-                (min(v, far), max(v, far)), near, False, len(near)
-            )
+            return ConnectivityViolation((min(v, far), max(v, far)), near, False)
 
     net = _SourceNetwork(g)
     for s, t in _source_schedule(net, nodes, k):
@@ -295,9 +293,9 @@ def source_schedule_violation(g: Graph, k: int) -> ConnectivityViolation | None:
             # ids ascend with the index, so the least source-side node is
             # one of v_1..v_{j-1}: fewer than k of them fall in the cut
             s = net.source_side()[0]
-            f = net.max_flow(s, t, k)
+            net.max_flow(s, t, k)
         cut, direct = net.min_cut_separator()
-        return ConnectivityViolation((s, t), tuple(cut), direct, f)
+        return ConnectivityViolation((s, t), tuple(cut), direct)
     return None
 
 

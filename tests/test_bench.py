@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import kmcds.bench as bench_mod
 from kmcds import SolverConfig
 from kmcds.bench import BenchRow, BenchTask, build_tasks, rows_to_csv, run_bench, run_task
 from kmcds.solver import SOLVERS
@@ -44,6 +45,36 @@ def test_parallel_rows_match_serial():
     parallel, skipped_p = run_bench(tasks, jobs=2)
     assert [_stable(r) for r in serial] == [_stable(r) for r in parallel]
     assert skipped_s == skipped_p
+
+
+def test_workers_are_capped_by_tasks_and_cpus(monkeypatch):
+    # a stand-in pool records its size and maps in-process, so no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", RecordingPool)
+    tasks = _tasks()
+    serial = {c: [_stable(r) for r in run_bench(tasks[:c], jobs=1)[0]] for c in (2, 8)}
+    for cpus, jobs, count, size in (
+        (4, 5000, 2, 2), (4, 5000, 8, 4), (4, 3, 8, 3), (None, 5000, 8, None),
+    ):
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        rows, _ = run_bench(tasks[:count], jobs=jobs)
+        assert sizes == ([size] if size else [])  # one worker runs in-process
+        assert [_stable(r) for r in rows] == serial[count]
 
 
 def test_csv_shape():

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kmcds
 import kmcds.cli as cli_mod
 import kmcds.solver as solver_mod
 from kmcds import Instance, dump_instance
@@ -182,30 +187,11 @@ def test_solve_infeasible_message_carries_a_true_witness(tmp_path, capsys, n, ed
     assert brute_pair_connectivity(rest, *pair) == 0
 
 
-def test_jobs_variable_is_read_by_bench_only(tmp_path, capsys, monkeypatch):
-    inst = tmp_path / "inst.json"
-    _run(
-        capsys, "gen", "--kind", "gnp", "--n", "6", "--p", "1.0",
-        "--k", "2", "--m", "2", "-o", str(inst),
-    )
-    monkeypatch.setenv("KMCDS_JOBS", "two")
-    code, out, _ = _run(capsys, "solve", str(inst))
-    assert code == 0 and json.loads(out)["kind"] == "kmcds-report"
-    code, out, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "KMCDS_JOBS" in err
-    assert "Traceback" not in err
-
-
-def test_jobs_flag_must_be_a_positive_integer(capsys, monkeypatch):
-    monkeypatch.delenv("KMCDS_JOBS", raising=False)
+def test_jobs_flag_must_be_a_positive_integer(capsys):
     for jobs in ("-3", "0", "two"):
         code, out, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6", "--jobs", jobs)
         assert code == 1 and out == ""
         assert err == f"error: --jobs must be a positive integer, got {jobs!r}\n"
-    monkeypatch.setenv("KMCDS_JOBS", "-3")
-    code, _, err = _run(capsys, "bench", "--kinds", "gnp", "--sizes", "6")
-    assert code == 1 and err == "error: KMCDS_JOBS must be a positive integer, got '-3'\n"
 
 
 def test_per_cell_flag_must_be_a_positive_integer(capsys):
@@ -266,6 +252,18 @@ def test_bench_runs_the_oracle_up_to_its_own_cap(capsys):
     assert rows and all(r["oracle_weight"] for r in rows)
 
 
+def test_bench_ratio_of_a_zero_optimum_is_one(capsys):
+    # every weight 0: the oracle's optimum and the solver's total are both 0
+    code, out, _ = _run(
+        capsys, "bench", "--kinds", "gnp", "--sizes", "7", "--k-values", "1,2",
+        "--per-cell", "2", "--p", "0.8", "--weights", "0:0", "--oracle-cap", "16",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(r["oracle_weight"] == "0" for r in rows)
+    assert {r["ratio"] for r in rows} == {"1.000000"}
+
+
 def test_zero_denominator_radius_is_an_error(capsys):
     for argv in (
         ("gen", "--kind", "unit-disk", "--n", "5", "--radius", "1/0"),
@@ -286,6 +284,21 @@ def test_parse_errors_exit_one(tmp_path, capsys):
 
     code, _, err = _run(capsys, "solve", str(tmp_path / "absent.json"))
     assert code == 1
+
+
+def test_deeply_nested_json_is_an_error_line(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    _run(capsys, "gen", "--kind", "gnp", "--n", "6", "--p", "1.0", "-o", str(inst))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (
+        ("solve", str(deep)),
+        ("verify", str(inst), "--certificate", str(deep)),
+        ("verify", str(inst), "--from-report", str(deep)),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: the JSON document is nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -312,6 +325,17 @@ def test_error_paths_exit_one(tmp_path, capsys, argv, message):
     code, _, err = _run(capsys, *(a.format(**files) for a in argv))
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+def test_module_entry_point_prints_help():
+    src = str(Path(kmcds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "kmcds", "--help"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: kmcds ") and "{gen,solve,oracle,verify,bench}" in done.stdout
 
 
 def test_usage_errors_exit_one(capsys):

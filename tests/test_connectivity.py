@@ -17,9 +17,9 @@ from kmcds import (
     attach_root,
     build_certificate,
     check_certificate,
+    domination_counts,
     find_k_connectivity_violation,
     is_k_connected,
-    is_m_dominating,
 )
 from kmcds.rooted import find_infeasible_terminal
 from kmcds.errors import InfeasibleError
@@ -220,30 +220,30 @@ def test_violation_witness_of_each_kernel_branch():
     # k = 1: the first node and the first node it cannot reach
     g = Graph([3, 5, 8, 9], [(3, 9), (5, 8)])
     assert find_k_connectivity_violation(g, 1) == ConnectivityViolation(
-        (3, 5), (), False, 0
+        (3, 5), (), False
     )
     # k = 1 keeping paths runs the schedule, which finds the search's witness;
     # the isolated node 3 is not taken for a degree witness
     g = Graph(range(5), [(0, 4), (1, 2)])
     assert find_k_connectivity_violation(g, 1, {}) == ConnectivityViolation(
-        (0, 1), (), False, 0
+        (0, 1), (), False
     ) == find_k_connectivity_violation(g, 1)
     # degree below k: the node, its first non-neighbour, its neighbourhood
     g = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 4)])
     assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
-        (0, 4), (3,), False, 1
+        (0, 4), (3,), False
     )
     # bowtie: node 3 fails its flow to the super-sink on {0, 1, 2}
     g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert find_k_connectivity_violation(g, 2) == ConnectivityViolation(
-        (0, 3), (2,), False, 1
+        (0, 3), (2,), False
     )
     # two K4s tied by the edges 0-1 and 2-5: the first pair needs its edge cut
     k4s = [(a, b) for block in ((0, 2, 3, 4), (1, 5, 6, 7))
            for i, a in enumerate(block) for b in block[i + 1:]]
     g = Graph(range(8), k4s + [(0, 1), (2, 5)])
     assert find_k_connectivity_violation(g, 3) == ConnectivityViolation(
-        (0, 1), (2,), True, 2
+        (0, 1), (2,), True
     )
 
 
@@ -285,14 +285,10 @@ def test_is_k_in_connected_to_root_named_values():
 
 def test_is_m_dominating_star_and_vacuous():
     g = star_graph(5)
-    ok, counts = is_m_dominating(g, {0}, 1)
-    assert ok
-    assert counts == {v: 1 for v in range(1, 6)}
-    ok, counts = is_m_dominating(g, {0}, 2)
-    assert not ok
-    assert all(c == 1 for c in counts.values())
-    ok, counts = is_m_dominating(g, g.nodes, 10**6)
-    assert ok and counts == {}
+    assert domination_counts(g, {0}) == {v: 1 for v in range(1, 6)}
+    assert domination_counts(g, {1, 2}) == {0: 2, 3: 0, 4: 0, 5: 0}
+    # a set holding every node leaves nothing to dominate
+    assert domination_counts(g, g.nodes) == {}
 
 
 def test_cut_characterization_named_values():

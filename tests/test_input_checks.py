@@ -1,0 +1,81 @@
+"""Every public input check raises its own exception with its own message."""
+
+import json
+import re
+from fractions import Fraction
+
+import pytest
+
+from kmcds import Graph, Instance, ParseError, RootedProblem, SolverConfig, SplitFlowNetwork
+from kmcds import find_k_connectivity_violation, gen_unit_disk, load_instance
+from kmcds._enum import iter_subsets_by_weight
+
+PTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)))
+PAIR = Graph(range(2), [(0, 1)])
+
+
+def _instance_text(**changes):
+    """A valid two-node instance file with ``changes`` applied; None drops a field."""
+    doc = {
+        "kind": "kmcds-instance", "schema_version": 1, "k": 1, "m": 1,
+        "nodes": [{"id": 0, "weight": 1}, {"id": 1, "weight": 1}], "edges": [[0, 1]],
+    }
+    doc.update(changes)
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+def _case(name, exc, message, call):
+    return pytest.param(call, exc, message, id=name)
+
+
+CHECKS = [
+    _case("subset-weights", ValueError, "weights must be nonnegative",
+          lambda: list(iter_subsets_by_weight([0], {0: -1}))),
+    _case("kernel-k", ValueError, "k must be at least 1",
+          lambda: find_k_connectivity_violation(PAIR, 0)),
+    _case("rooted-k", ValueError, "k must be at least 1",
+          lambda: RootedProblem(PAIR, 0, (1,), (), k=0)),
+    _case("max-flow-ends", ValueError, "source equals sink",
+          lambda: SplitFlowNetwork(PAIR).max_flow(1, 1, 1)),
+    _case("min-cost-ends", ValueError, "source equals sink",
+          lambda: SplitFlowNetwork(PAIR).min_cost_flow(1, 1, 1)),
+    _case("gen-disk-n", ValueError, "need at least one node",
+          lambda: gen_unit_disk(0, "1/2")),
+    _case("gen-disk-weights", ValueError, "weight range must be 0 <= lo <= hi",
+          lambda: gen_unit_disk(3, "1/2", (5, 1))),
+    _case("unit-disk-radius", ValueError, "radius must be nonnegative",
+          lambda: Instance.unit_disk(PTS, Fraction(-1), [1, 1], 1, 1)),
+    _case("instance-radius", ValueError, "radius must be nonnegative",
+          lambda: Instance(PAIR, 1, 1, coords=PTS, radius=Fraction(-1))),
+    _case("denominator", ValueError, "weight denominator must be positive",
+          lambda: Instance(PAIR, 1, 1, weight_denominator=0)),
+    _case("coords-without-radius", ValueError, "coords and radius must be given together",
+          lambda: Instance(PAIR, 1, 1, coords=PTS)),
+    _case("coords-count", ValueError, "one coordinate pair per node required",
+          lambda: Instance(PAIR, 1, 1, coords=PTS[:1], radius=Fraction(1))),
+    _case("general-weights", ValueError, "one weight per node required",
+          lambda: Instance.general(2, [(0, 1)], [1], 1, 1)),
+    _case("unit-disk-weights", ValueError, "one weight per node required",
+          lambda: Instance.unit_disk(PTS, Fraction(1), [1], 1, 1)),
+    _case("rooted-pool", ValueError, "node 7 not in graph",
+          lambda: RootedProblem(PAIR, 0, (1,), (7,), k=1)),
+    _case("backend", ValueError, "unknown backend 'x'",
+          lambda: SolverConfig(backend="x")),
+    _case("attachment-rule", ValueError, "unknown attachment rule 'x'",
+          lambda: SolverConfig(attachment_rule="x")),
+    _case("parse-missing-k", ParseError, "missing field 'k'",
+          lambda: load_instance(_instance_text(k=None))),
+    _case("parse-node-object", ParseError, "each node must be an object",
+          lambda: load_instance(_instance_text(nodes=[1, 2]))),
+    _case("parse-partial-coords", ParseError, "either every node has coordinates or none do",
+          lambda: load_instance(_instance_text(
+              nodes=[{"id": 0, "weight": 1, "x": "0", "y": "0"}, {"id": 1, "weight": 1}],
+              radius="1",
+          ))),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", CHECKS)
+def test_input_check_raises_its_message(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kmcds import Instance, OracleResult, is_k_connected, is_m_dominating, opt_kmcds, precheck
+from kmcds import Instance, OracleResult, is_k_connected, opt_kmcds, precheck
 
-from brutes import enumerated_opt_kmcds
+from brutes import brute_m_dominating, enumerated_opt_kmcds
 from toolbox import complete_graph, cycle_graph, inst, path_graph, random_graph
 
 
@@ -74,6 +74,6 @@ def test_result_is_feasible_and_weight_consistent(seed):
     res = opt_kmcds(instance)
     if not res.feasible:
         return
-    assert is_m_dominating(g, res.members, k).ok
+    assert brute_m_dominating(g, res.members, k)
     assert is_k_connected(g.induced(res.members), k)
     assert res.weight == sum(g.weights[v] for v in res.members)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,6 @@ from kmcds import (
     dump_report,
     gen_gnp,
     gen_unit_disk,
-    is_m_dominating,
     opt_kmcds,
     precheck,
     solve_general,
@@ -33,7 +33,13 @@ from kmcds.domset import greedy_mds
 from kmcds.errors import InfeasibleError, InvariantViolationError
 from kmcds.serialize import dumps_canonical, report_to_dict
 
-from brutes import edgecost_flow_union, induced_best_guess, restart_final_prune, without_edges
+from brutes import (
+    brute_m_dominating,
+    edgecost_flow_union,
+    induced_best_guess,
+    restart_final_prune,
+    without_edges,
+)
 from toolbox import breaking_prune, complete_graph, cycle_graph, inst, petersen, random_graph
 
 
@@ -392,6 +398,23 @@ def test_verify_rejects_bad_sets():
         verify_solution(instance, [99])
 
 
+def test_verify_result_stores_each_fact_once():
+    assert kmcds.VerifyResult is solver_mod.VerifyResult is connectivity_mod.VerifyResult
+    assert [f.name for f in fields(kmcds.VerifyResult)] == [
+        "domination_violations", "connectivity_violation", "certificate",
+    ]
+    assert [f.name for f in fields(kmcds.ConnectivityViolation)] == [
+        "pair", "separator", "direct_edge", "too_small",
+    ]
+    instance = inst(cycle_graph(5), 1, 1)
+    for members in ([0, 1], [0, 2], [0, 1, 2], [0, 1, 2, 3]):
+        res = connectivity_mod.certify(instance.graph, members, 1, 1)
+        assert isinstance(res, kmcds.VerifyResult)
+        assert res == verify_solution(instance, members)
+        assert res.feasible == (res.domination_ok and res.connectivity_ok)
+        assert res.feasible == (res.certificate is not None)
+
+
 @pytest.mark.parametrize("with_witnesses", [True, False])
 def test_feasible_verify_leaves_connectivity_to_the_certificate(monkeypatch, with_witnesses):
     # one kernel pass per verify: it is the certificate's pass on a feasible
@@ -432,6 +455,10 @@ def test_public_names_resolve():
         "greedy_mds_order",
         "coverage_potential",
         "neighbors",
+        # m-domination is read from domination_counts or a VerifyResult
+        "is_m_dominating",
+        "DominationCheck",
+        "write_instance",
     ):
         assert gone not in kmcds.__all__
         assert not hasattr(kmcds, gone)
@@ -593,7 +620,7 @@ def test_every_prune_trial_m_dominates(monkeypatch):
         solve(instance)
         seen += len(trials)
         for trial in trials:
-            assert is_m_dominating(instance.graph, trial, instance.m).ok
+            assert brute_m_dominating(instance.graph, trial, instance.m)
     assert len(runs) > 16 and seen > len(runs)
 
 

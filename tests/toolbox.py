@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from kmcds import Graph, Instance, RootedProblem, is_k_connected, is_m_dominating
+from kmcds import Graph, Instance, RootedProblem, domination_counts, is_k_connected
 
 
 def root_problem(g_r: Graph, root: int, k: int) -> RootedProblem:
@@ -102,7 +102,8 @@ def breaking_prune(instance, members, protected):
     g = instance.graph
     for v in sorted(members):
         trial = members - {v}
-        if is_m_dominating(g, trial, instance.m).ok and not is_k_connected(
+        counts = domination_counts(g, trial).values()
+        if all(c >= instance.m for c in counts) and not is_k_connected(
             g.induced(trial), instance.k
         ):
             members.discard(v)
