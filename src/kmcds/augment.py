@@ -15,7 +15,7 @@ from typing import Iterable
 from .errors import InvariantViolationError
 from .flow import SplitFlowNetwork
 from .graph import Graph
-from .connectivity import is_k_connected
+from .connectivity import find_k_connectivity_violation
 
 
 def _is_forest(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
@@ -42,7 +42,7 @@ def minimal_augmenting_forest(
 
     Starts from the clique on the attachment (edges already in h are
     discarded up front) and peels edges in lexicographic order whenever the
-    rest still suffices, on one network where a peeled edge stays closed.
+    rest still suffices, on the check's network, where a peeled edge stays closed.
     Raises when even the clique cannot reach k-connectivity: callers
     guarantee it can, so that is an upstream bug.
     """
@@ -52,7 +52,8 @@ def minimal_augmenting_forest(
             raise ValueError(f"attachment node {v} not in graph")
     clique = [e for e in combinations(att, 2) if not h.has_edge(*e)]
     full = h.union_edges(clique)
-    if not is_k_connected(full, k):
+    net = SplitFlowNetwork(full)
+    if find_k_connectivity_violation(full, k, net=net) is not None:
         raise InvariantViolationError(
             "attachment clique cannot make the graph k-connected"
         )
@@ -60,7 +61,6 @@ def minimal_augmenting_forest(
         return ()
     # a k-connected graph stays k-connected after deleting edge uv iff u and
     # v keep k disjoint paths: any new small cut must split them
-    net = SplitFlowNetwork(full)
     kept = []
     for u, v in clique:
         net.set_edge_open(u, v, False)

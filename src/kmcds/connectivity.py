@@ -95,19 +95,21 @@ def _even_schedule(
 
 
 def find_k_connectivity_violation(
-    g: Graph, k: int, paths: dict | None = None
+    g: Graph, k: int, paths: dict | None = None, *,
+    members: Iterable[int] | None = None, net: SplitFlowNetwork | None = None,
 ) -> ConnectivityViolation | None:
-    """None when g is k-connected, else a checkable witness.
+    """None when G[members] (all of g by default) is k-connected, else a checkable witness.
 
-    The one connectivity kernel (see the module docstring), in this order:
+    The one connectivity kernel (see the module docstring), over the
+    members v_1..v_s in id order, in this order:
 
-    - at most k nodes: ``too_small``;
-    - k = 1: a search from the first node; the witness pairs it with the
-      first node left unreached, separator ``()``;
-    - k >= 2 and a node v of degree below k: v and its first
-      non-neighbour, separated by N(v);
-    - Even's schedule on one network: the first k nodes pairwise, then a
-      flow from each later node v_j to the super-sink joined to
+    - at most k members: ``too_small``;
+    - k = 1: a search from the first member; the witness pairs it with
+      the first member left unreached, separator ``()``;
+    - k >= 2 and a member v with fewer than k member neighbours: v and its
+      first non-neighbour, separated by those neighbours;
+    - Even's schedule on one network: the first k members pairwise, then
+      a flow from each later member v_j to the super-sink joined to
       v_1..v_{j-1}. When v_j fails, an earlier node u left on the sink
       side of the minimum cut is not adjacent to v_j and is cut off from
       it by fewer than k nodes; one u-v_j flow turns that into the usual
@@ -115,48 +117,55 @@ def find_k_connectivity_violation(
       this replaced would take (see :meth:`SplitFlowNetwork.sink_side`),
       so the witness is too.
 
-    A given ``paths`` dict receives each flow's k paths under its (source,
+    The flows run on ``net``, a network over g, or on a new one, with the
+    non-members closed inside :meth:`SplitFlowNetwork.masks_kept`; closed
+    arcs keep their place, so witness and paths are G[members]'s own. A
+    given ``paths`` dict receives each flow's k paths under its (source,
     sink) pair; a fan, keyed (v_j, ``SplitFlowNetwork.SINK``), has paths
-    from v_j to earlier nodes. k = 1 then runs the schedule: same witness as the search.
+    from v_j to earlier members. k = 1 then runs the schedule: same witness as the search.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n <= k:
+    nodes = g.nodes if members is None else tuple(sorted(set(members)))
+    if len(nodes) <= k:
         return ConnectivityViolation(None, (), False, too_small=True)
-    nodes = g.nodes
+    inside = frozenset(nodes)
     if k == 1 and paths is None:
         first = nodes[0]
         seen = {first}
         stack = [first]
         while stack:
             for w in g.adj[stack.pop()]:
-                if w not in seen:
+                if w in inside and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) == g.n:
+        if len(seen) == len(nodes):
             return None
         far = next(v for v in nodes if v not in seen)
         return ConnectivityViolation((first, far), (), False)
     if k > 1:
         for v in nodes:
-            near = g.adj[v]
+            near = [w for w in g.adj[v] if w in inside]
             if len(near) < k:
                 far = next(w for w in nodes if w != v and w not in near)
-                return ConnectivityViolation((min(v, far), max(v, far)), near, False)
+                return ConnectivityViolation((min(v, far), max(v, far)), tuple(near), False)
 
-    net = SplitFlowNetwork(g)
-    for s, t in _even_schedule(net, nodes, k):
-        if net.max_flow(s, t, k) >= k:
-            if paths is not None:
-                paths[(s, t)] = tuple(net.extract_paths())
-            continue
-        if t == SplitFlowNetwork.SINK:
-            # ids ascend with the index, so the least sink-side node is
-            # one of v_1..v_{j-1}: fewer than k of them fall in the cut
-            s, t = net.sink_side()[0], s
-            net.max_flow(s, t, k)
-        cut, direct = net.min_cut_separator()
-        return ConnectivityViolation((s, t), tuple(cut), direct)
+    net = SplitFlowNetwork(g) if net is None else net
+    with net.masks_kept():
+        for v in set(g.nodes) - inside:
+            net.set_node_open(v, False)
+        for s, t in _even_schedule(net, nodes, k):
+            if net.max_flow(s, t, k) >= k:
+                if paths is not None:
+                    paths[(s, t)] = tuple(net.extract_paths())
+                continue
+            if t == SplitFlowNetwork.SINK:
+                # ids ascend with the index, so the least sink-side node is
+                # one of v_1..v_{j-1}: fewer than k of them fall in the cut
+                s, t = net.sink_side()[0], s
+                net.max_flow(s, t, k)
+            cut, direct = net.min_cut_separator()
+            return ConnectivityViolation((s, t), tuple(cut), direct)
     return None
 
 
@@ -271,9 +280,10 @@ def _path_problems(
     paths: tuple[tuple[int, ...], ...],
     start: int,
     k: int,
-    sub: Graph,
+    g: Graph,
+    rank: Mapping[int, int],
 ) -> list[str]:
-    """Rules every path system shares: k simple paths from ``start`` inside ``sub``."""
+    """Rules every path system shares: k simple paths from ``start`` inside G[rank]."""
     problems = []
     if len(paths) != k:
         problems.append(f"{name}: {len(paths)} paths, need {k}")
@@ -287,7 +297,7 @@ def _path_problems(
             problems.append(f"{name}: path {text} is not simple")
         else:
             for a, b in zip(path, path[1:]):
-                if not sub.has_edge(a, b):
+                if a not in rank or b not in rank or not g.has_edge(a, b):
                     problems.append(f"{name}: path {text} uses edge {a}-{b} outside G[S]")
                     break
     return problems
@@ -362,10 +372,9 @@ def check_certificate(instance: Instance, cert: Certificate) -> list[str]:
     for v in sorted(set(cert.fans) - set(members[k:])):
         problems.append(f"fan for {v}, which is not a member after the first k")
 
-    sub = g.induced(members)
     for (u, v), paths in sorted(cert.pairs.items()):
         name = f"pair {u}-{v}"
-        found = _path_problems(name, paths, u, k, sub)
+        found = _path_problems(name, paths, u, k, g, rank)
         if any(p[-1] != v for p in paths if p):
             found.append(f"{name}: a path does not end at {v}")
         if len(set(paths)) != len(paths):
@@ -374,7 +383,7 @@ def check_certificate(instance: Instance, cert: Certificate) -> list[str]:
         problems += found + ([shared] if shared else [])
     for v, paths in sorted(cert.fans.items()):
         name = f"fan of {v}"
-        found = _path_problems(name, paths, v, k, sub)
+        found = _path_problems(name, paths, v, k, g, rank)
         ends = [p[-1] for p in paths if p]
         for end in sorted(set(ends)):
             if ends.count(end) > 1:

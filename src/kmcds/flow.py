@@ -24,12 +24,12 @@ index of its in-node. Each edge's two arcs follow, the second at the index
 of the first plus 2, and ``_edge_arcs`` keeps the first.
 
 One extra slot, after the graph nodes, is the super-sink
-:attr:`SplitFlowNetwork.SINK`; it has no arcs until
-:meth:`SplitFlowNetwork.join_sink` gives it one of capacity one out of a
-node, so a flow into it may end at a growing node set. Its arcs come after
-all others and, at the start of every flow, nothing leaves its in-node,
-so flows between graph nodes find exactly the paths they would find
-without it.
+:attr:`SplitFlowNetwork.SINK`. :meth:`SplitFlowNetwork.join_sink` opens a
+node's arc into it, made on the first join as the last arc out of the
+node's out-node, so a flow into SINK may end at a growing node set. Sink
+arcs come after all others and, at the start of every flow, nothing
+leaves SINK's in-node, so flows between graph nodes find exactly the
+paths they would find without it.
 
 Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
 sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
@@ -42,10 +42,10 @@ before it. Closed arcs keep their place in the arc order and every
 search skips them, so a masked network finds the same paths as a network
 built on the subgraph. The readers read the last flow, between the ends
 it recorded, and compare residuals with initial capacities, so a closed
-arc never reads as carrying flow or as cut. A caller that
-changes masks for a while runs inside :meth:`SplitFlowNetwork.masks_kept`,
-which gives every arc present on entry its capacity back on exit, also
-when the body raises.
+arc never reads as carrying flow or as cut. A caller that changes masks
+for a while runs inside :meth:`SplitFlowNetwork.masks_kept`, which gives
+every arc present on entry its capacity back and closes every arc added
+since, sink arcs included, also when the body raises.
 """
 
 from __future__ import annotations
@@ -105,23 +105,29 @@ class SplitFlowNetwork:
         self._res = list(self._cap0)
 
     def join_sink(self, v: int) -> None:
-        """Add the arc v_out -> SINK_in, of capacity one, to the initial capacities.
+        """Open the arc v_out -> SINK_in, of capacity one, in the initial capacities.
 
-        Its arcs stay in place for every later flow. ``SINK`` may be the
-        sink of :meth:`max_flow`, nothing else; a flow between graph nodes
-        starts with nothing leaving SINK_in, so it can enter SINK_in but
-        never leave it.
+        The arc is added on v's first join, as the last arc out of v_out,
+        and reopened on a later one. ``SINK`` may be the sink of
+        :meth:`max_flow`, nothing else; a flow between graph nodes starts
+        with nothing leaving SINK_in, so it can enter SINK_in but never
+        leave it.
         """
-        self._add_arc(2 * self.slot[v] + 1, 2 * self.slot[self.SINK])
+        v_out, sink_in = 2 * self.slot[v] + 1, 2 * self.slot[self.SINK]
+        last = self._out[v_out][-1]
+        if self._to[last] == sink_in:
+            self._cap0[last] = 1
+        else:
+            self._add_arc(v_out, sink_in)
 
     @contextmanager
     def masks_kept(self) -> Iterator[None]:
-        """Give every arc present on entry its initial capacity back on exit, also on a raise."""
+        """On exit, also on a raise, restore the arcs present on entry and close the rest."""
         saved = list(self._cap0)
         try:
             yield
         finally:
-            self._cap0[: len(saved)] = saved
+            self._cap0[:] = saved + [0] * (len(self._cap0) - len(saved))
 
     def set_node_open(self, v: int, is_open: bool) -> None:
         """Open or close v's internal arc; effective from the next flow."""

@@ -6,7 +6,8 @@ import time
 from dataclasses import dataclass
 
 from ._enum import iter_subsets_by_weight
-from .connectivity import domination_counts, is_k_connected
+from .connectivity import domination_counts, find_k_connectivity_violation
+from .flow import SplitFlowNetwork
 from .graph import Instance
 
 _ORACLE_NODE_CAP = 16
@@ -32,7 +33,7 @@ def opt_kmcds(instance: Instance) -> OracleResult:
     Ties resolve to the lexicographically first subset. Subsets of at most
     k nodes are skipped before the verifiers run, since none is
     k-connected (tests compare against an enumeration without the skip).
-    Capped at 16 nodes.
+    Every subset is checked on one network over the graph. Capped at 16 nodes.
     """
     g = instance.graph
     if g.n > _ORACLE_NODE_CAP:
@@ -40,13 +41,14 @@ def opt_kmcds(instance: Instance) -> OracleResult:
     k, m = instance.k, instance.m
     start = time.perf_counter()
     examined = 0
+    net = SplitFlowNetwork(g)
     for w, subset in iter_subsets_by_weight(g.nodes, g.weights):
         examined += 1
         if len(subset) <= k:
             continue
         if any(c < m for c in domination_counts(g, subset).values()):
             continue
-        if not is_k_connected(g.induced(subset), k):
+        if find_k_connectivity_violation(g, k, members=subset, net=net) is not None:
             continue
         return OracleResult(frozenset(subset), w, examined, time.perf_counter() - start)
     return OracleResult(None, None, examined, time.perf_counter() - start)

@@ -134,17 +134,14 @@ def instance_from_dict(doc: Any) -> Instance:
     if geometric != bool(coords_by_id) and n > 0:
         raise ParseError("radius and coordinates must appear together")
 
-    weights = [weights_by_id[v] for v in range(n)]
+    radius = parse_fraction(doc["radius"]) if geometric else None
     try:
-        if not geometric:
-            return Instance.general(n, edges, weights, k, m, denominator=denom)
         # the file's own edges; Instance checks them against the disk rule
-        radius = parse_fraction(doc["radius"])
         return Instance(
-            graph=Graph(range(n), edges, dict(enumerate(weights))),
+            graph=Graph(range(n), edges, weights_by_id),
             k=k,
             m=m,
-            coords=tuple(coords_by_id[v] for v in range(n)),
+            coords=tuple(coords_by_id[v] for v in range(n)) if geometric else None,
             radius=radius,
             weight_denominator=denom,
         )

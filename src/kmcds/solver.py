@@ -61,7 +61,6 @@ from .connectivity import (
     build_certificate,
     certify,
     find_k_connectivity_violation,
-    is_k_connected,
 )
 from .domset import greedy_mds
 from .errors import InfeasibleError, InvariantViolationError
@@ -287,11 +286,14 @@ def _final_prune(
     k-connected (the expansion lemma), so with m >= k, G[Y] is k-connected
     whenever G[X] is, for T ⊆ X ⊆ Y: a node kept against a set is kept
     against every smaller one, so restarting after a drop changes nothing.
+    Every trial runs the kernel on one network over G[members].
     """
     g = instance.graph
+    sub = g.induced(members)
+    net = SplitFlowNetwork(sub)
     dropped: list[int] = []
     for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
-        if is_k_connected(g.induced(members - {v}), instance.k):
+        if find_k_connectivity_violation(sub, instance.k, members=members - {v}, net=net) is None:
             members.discard(v)
             dropped.append(v)
     return dropped

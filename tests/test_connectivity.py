@@ -146,6 +146,47 @@ def test_kernel_matches_allpair_reference(seed, k, shape):
     assert brute_pair_connectivity(rest, *found.pair) == 0
 
 
+def test_kernel_on_one_masked_network_matches_fresh_induced_graphs():
+    # members given on one shared network read as G[members] on a fresh
+    # one: same witness, same paths, and the network's masks come back
+    kinds = set()
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def check(seed, k):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice((0.3, 0.6, 0.9)))
+        net = SplitFlowNetwork(g)
+        first = None
+        for _ in range(5):
+            size = rng.randint(0, min(k, n)) if rng.random() < 0.25 else rng.randint(0, n)
+            members = frozenset(rng.sample(g.nodes, size))
+            sub = g.induced(members)
+            paths, fresh_paths = ({}, {}) if rng.random() < 0.5 else (None, None)
+            found = find_k_connectivity_violation(sub, k, fresh_paths)
+            for _ in range(2):  # a second call with the same members adds no arc
+                arcs = len(net._to)
+                kept = {} if paths is not None else None
+                assert find_k_connectivity_violation(
+                    g, k, kept, members=members, net=net
+                ) == found
+                assert kept == fresh_paths
+                if first is None:
+                    first = list(net._cap0)
+                assert net._cap0 == first + [0] * (len(net._cap0) - len(first))
+            assert len(net._to) == arcs
+            if found is None or found.too_small:
+                kinds.add("connected" if found is None else "too small")
+            elif any(len(sub.adj[v]) < k for v in sub.nodes):
+                kinds.add("low degree")
+            else:
+                kinds.add("flow")
+
+    check()
+    assert kinds == {"connected", "too small", "low degree", "flow"}
+
+
 def _glued_blocks(rng: random.Random, k: int) -> Graph:
     """Two dense blocks on at most 14 ids that share a separator of at most k nodes.
 

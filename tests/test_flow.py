@@ -243,7 +243,7 @@ def test_masks_kept_restores_masks_when_its_body_raises():
         net.join_sink(3)
         raise RuntimeError("body failed")
     assert net._cap0[: len(masks)] == masks
-    assert net._cap0[len(masks):] == [1, 0]  # the sink arc joined inside stays
+    assert net._cap0[len(masks):] == [0, 0]  # the sink arc joined inside is closed
     assert net.max_flow(0, 1, 5) == 3  # through 2, 3 and 4; the edge stays closed
 
 

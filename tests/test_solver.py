@@ -603,13 +603,14 @@ def test_the_dominating_set_never_needs_padding(instance):
 def test_every_prune_trial_m_dominates(monkeypatch):
     # every trial keeps T, so the prune tests k-connectivity alone
     trials = []
-    real = solver_mod.is_k_connected
+    real = solver_mod.find_k_connectivity_violation
 
-    def recording(h, k):
-        trials.append(frozenset(h.nodes))
-        return real(h, k)
+    def recording(g, k, paths=None, *, members=None, net=None):
+        if members is not None:
+            trials.append(frozenset(members))
+        return real(g, k, paths, members=members, net=net)
 
-    monkeypatch.setattr(solver_mod, "is_k_connected", recording)
+    monkeypatch.setattr(solver_mod, "find_k_connectivity_violation", recording)
     disks = [gen_unit_disk(12, Fraction(3, 5), (0, 9), seed, 2, 3) for seed in range(4)]
     runs = [(solve_unit_disk, d) for d in disks if precheck(d) is None]
     for instance in _guess_root_instances(8, (6, 11), (2, 3)):
@@ -628,13 +629,13 @@ def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):
     # every node outside T has m >= k neighbours in T, so a node kept
     # against a set is kept against every smaller one: one trial per node
     trials = []
-    real = solver_mod.is_k_connected
+    real = solver_mod.find_k_connectivity_violation
 
-    def counted(h, k):
-        trials.append(h)
-        return real(h, k)
+    def counted(g, k, paths=None, *, members=None, net=None):
+        trials.append(members)
+        return real(g, k, paths, members=members, net=net)
 
-    monkeypatch.setattr(solver_mod, "is_k_connected", counted)
+    monkeypatch.setattr(solver_mod, "find_k_connectivity_violation", counted)
     several = []
 
     @settings(max_examples=300)
@@ -653,7 +654,7 @@ def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):
         g = Graph(range(n), sorted(edges), {v: rng.randint(0, 3) for v in range(n)})
         outside = sorted(set(range(n)) - terminals)
         members = terminals | set(rng.sample(outside, rng.randint(2, len(outside))))
-        if not real(g.induced(members), k):
+        if real(g.induced(members), k) is not None:
             return
         instance = inst(g, k, m)
         expected = restart_final_prune(instance, set(members), terminals)
