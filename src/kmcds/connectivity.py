@@ -16,10 +16,11 @@ turned around, are kept in the test suite (``tests/brutes.py``) as the
 references it is compared against.
 
 A node set S is checked by :func:`certify`: its domination counts and
-that same pass over G[S], in one :class:`VerifyResult`. When S passes, the
-pass keeps its paths as S's certificate: a bundle for each pair among the
-first k members and a fan for each later one, C(k, 2) + (s - k) path
-systems for s members in place of one per member pair.
+that same pass over G[S] (on a network over any subgraph that holds S),
+in one :class:`VerifyResult`. When S passes, the pass keeps its paths as
+S's certificate: a bundle for each pair among the first k members and a
+fan for each later one, C(k, 2) + (s - k) path systems for s members in
+place of one per member pair.
 :func:`check_certificate` re-checks them without a flow; the all-pair
 certificate they replaced is the test suite's reference.
 """
@@ -117,16 +118,21 @@ def find_k_connectivity_violation(
       this replaced would take (see :meth:`SplitFlowNetwork.sink_side`),
       so the witness is too.
 
-    The flows run on ``net``, a network over g, or on a new one, with the
-    non-members closed inside :meth:`SplitFlowNetwork.masks_kept`; closed
-    arcs keep their place, so witness and paths are G[members]'s own. A
-    given ``paths`` dict receives each flow's k paths under its (source,
-    sink) pair; a fan, keyed (v_j, ``SplitFlowNetwork.SINK``), has paths
-    from v_j to earlier members. k = 1 then runs the schedule: same witness as the search.
+    Members outside g are refused first. The flows run on ``net``, a
+    network over any subgraph of g that holds the members, or on a new one
+    over G[members], with its other nodes closed inside
+    :meth:`SplitFlowNetwork.masks_kept`; closed arcs keep their place, so
+    witness and paths are G[members]'s own. A given ``paths`` dict
+    receives each flow's k paths under its (source, sink) pair; a fan,
+    keyed (v_j, ``SplitFlowNetwork.SINK``), has paths from v_j to earlier
+    members. k = 1 then runs the schedule: same witness as the search.
     """
+    nodes = g.nodes if members is None else tuple(sorted(set(members)))
+    stray = [] if members is None else [v for v in nodes if not g.has_node(v)]
+    if stray:
+        raise ValueError(f"nodes {stray} not in graph")
     if k < 1:
         raise ValueError("k must be at least 1")
-    nodes = g.nodes if members is None else tuple(sorted(set(members)))
     if len(nodes) <= k:
         return ConnectivityViolation(None, (), False, too_small=True)
     inside = frozenset(nodes)
@@ -150,9 +156,10 @@ def find_k_connectivity_violation(
                 far = next(w for w in nodes if w != v and w not in near)
                 return ConnectivityViolation((min(v, far), max(v, far)), tuple(near), False)
 
-    net = SplitFlowNetwork(g) if net is None else net
+    if net is None:
+        net = SplitFlowNetwork(g if members is None else g.induced(nodes))
     with net.masks_kept():
-        for v in set(g.nodes) - inside:
+        for v in set(net.ids) - inside:
             net.set_node_open(v, False)
         for s, t in _even_schedule(net, nodes, k):
             if net.max_flow(s, t, k) >= k:
@@ -232,20 +239,21 @@ class VerifyResult:
 
 
 def certify(
-    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
+    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True,
+    *, net: SplitFlowNetwork | None = None,
 ) -> VerifyResult:
     """Both checks of a node set S, in one kernel pass over G[S].
 
     The kernel runs even when domination fails, so the record reports
     both checks; it keeps its paths, for the certificate, only when S
-    m-dominates and ``with_witnesses`` is set.
+    m-dominates and ``with_witnesses`` is set. ``net`` is the kernel's.
     """
     inside = sorted(set(members))
     counts = domination_counts(g, inside)
     short = {v: c for v, c in counts.items() if c < m}
     paths: dict = {}
     violation = find_k_connectivity_violation(
-        g.induced(inside), k, paths if with_witnesses and not short else None
+        g, k, paths if with_witnesses and not short else None, members=inside, net=net
     )
     if short or violation is not None:
         return VerifyResult(short, violation, None)
@@ -256,13 +264,14 @@ def certify(
 
 
 def build_certificate(
-    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True
+    g: Graph, members: Iterable[int], k: int, m: int, with_witnesses: bool = True,
+    *, net: SplitFlowNetwork | None = None,
 ) -> Certificate:
     """:func:`certify`'s certificate; raises :class:`InfeasibleError` if there is none.
 
     The error names the first node short of m member neighbors, else the kernel's witness.
     """
-    result = certify(g, members, k, m, with_witnesses)
+    result = certify(g, members, k, m, with_witnesses, net=net)
     short = result.domination_violations
     if short:
         v = next(iter(short))  # the least id: the counts run in id order

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Instance
+from .graph import Instance, _exact
 
 _GRID = 10**6  # coordinate denominator: 10^-6 resolution on the unit square
 
@@ -58,12 +58,13 @@ def gen_unit_disk(
 
     Coordinates are uniform multiples of 10^-6, kept as exact fractions;
     the edges come from the exact integer disk rule of
-    :meth:`Instance.unit_disk`, so no distance is rounded. Draw order: x
-    then y per node in id order, then one integer weight per node.
+    :meth:`Instance.unit_disk`, so no distance is rounded; a float radius
+    is refused. Draw order: x then y per node in id order, then one
+    integer weight per node.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    r = Fraction(radius)
+    r = _exact(radius, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     lo, hi = weight_range

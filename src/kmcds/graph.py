@@ -139,6 +139,13 @@ def degree_stats(g: Graph) -> tuple[int, int]:
     return (min(degs), max(degs))
 
 
+def _exact(value: Fraction | int | str, what: str) -> Fraction:
+    """``value`` as a Fraction; ints, Fractions and strings such as "3/10" only."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f'{what} {value!r} must be an int, a Fraction or a string such as "3/10"')
+    return Fraction(value)
+
+
 def _disk_edges(
     coords: Mapping[int, tuple[Fraction, Fraction]], radius: Fraction
 ) -> list[tuple[int, int]]:
@@ -216,6 +223,9 @@ class Instance:
         if self.coords is not None:
             if len(self.coords) != g.n:
                 raise ValueError("one coordinate pair per node required")
+            for c in (self.radius, *(c for pt in self.coords for c in pt)):
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"radius and coordinates must be ints or Fractions, not {c!r}")
             if self.radius < 0:
                 raise ValueError("radius must be nonnegative")
             want = _disk_edges(dict(enumerate(self.coords)), self.radius)
@@ -247,24 +257,26 @@ class Instance:
 
     @staticmethod
     def unit_disk(
-        coords: Iterable[tuple[Fraction, Fraction]],
-        radius: Fraction,
+        coords: Iterable[tuple[Fraction | int | str, Fraction | int | str]],
+        radius: Fraction | int | str,
         weights: Iterable[int],
         k: int,
         m: int,
         denominator: int = 1,
     ) -> "Instance":
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in coords)
+        """A disk instance; numbers are ints, Fractions or strings such as "3/10", never floats."""
+        pts = tuple((_exact(x, "coordinate"), _exact(y, "coordinate")) for x, y in coords)
+        radius = _exact(radius, "radius")
         w = list(weights)
         if len(w) != len(pts):
             raise ValueError("one weight per node required")
-        edges = _disk_edges(dict(enumerate(pts)), Fraction(radius))
+        edges = _disk_edges(dict(enumerate(pts)), radius)
         g = Graph(range(len(pts)), edges, dict(enumerate(w)))
         return Instance(
             graph=g,
             k=k,
             m=m,
             coords=pts,
-            radius=Fraction(radius),
+            radius=radius,
             weight_denominator=denominator,
         )

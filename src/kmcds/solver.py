@@ -24,8 +24,8 @@ The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
 5. k disjoint paths bought for each virtual edge uv, in forest order, by
    the flow union of step 3 with one terminal u and the root at v, its
    pool the nodes bought so far left out (no prune, whatever the backend);
-6. union, optional inclusion pruning, then the certificate on Even's
-   schedule, whose construction is the final check: a set it refuses
+6. union, optional inclusion pruning and the certificate on Even's
+   schedule, on one network over G[union]; a set the certificate refuses
    raises :class:`InvariantViolationError`.
 
 :func:`solve_unit_disk` is this pipeline under the ``unit-disk`` label: it
@@ -275,7 +275,7 @@ def _run_attempt(
 
 
 def _final_prune(
-    instance: Instance, members: set[int], protected: frozenset[int]
+    instance: Instance, members: set[int], protected: frozenset[int], net: SplitFlowNetwork
 ) -> list[int]:
     """Drop removable nodes outside ``protected``, heaviest first, in one pass.
 
@@ -286,14 +286,12 @@ def _final_prune(
     k-connected (the expansion lemma), so with m >= k, G[Y] is k-connected
     whenever G[X] is, for T ⊆ X ⊆ Y: a node kept against a set is kept
     against every smaller one, so restarting after a drop changes nothing.
-    Every trial runs the kernel on one network over G[members].
+    Every trial runs the kernel on ``net``, a network over G[members].
     """
     g = instance.graph
-    sub = g.induced(members)
-    net = SplitFlowNetwork(sub)
     dropped: list[int] = []
     for v in sorted(members - protected, key=lambda v: (-g.weights[v], v)):
-        if find_k_connectivity_violation(sub, instance.k, members=members - {v}, net=net) is None:
+        if find_k_connectivity_violation(g, instance.k, members=members - {v}, net=net) is None:
             members.discard(v)
             dropped.append(v)
     return dropped
@@ -317,13 +315,15 @@ def _build_report(
 ) -> SolutionReport:
     """Prune, certify and report the union of ``terminals`` and ``best``'s stage sets.
 
-    The prune keeps every terminal, and the nodes it drops leave the stage
-    sets they came from. The certificate is the final check: a set the
-    builder refuses is a solver bug, raised as :class:`InvariantViolationError`.
-    Whether ``best`` names a guess root decides what differs between the
-    routes: the attachment nodes a guessed root brings in, the pair-stage
-    guarantee entries, and the fallback and enumeration-cap flags (a
-    guess-root report with no guess root is the general pipeline's).
+    One network over G[union] serves the prune's trials and then the
+    certificate. The prune keeps every terminal, and the nodes it drops
+    leave the stage sets they came from. The certificate is the final
+    check: a set the builder refuses is a solver bug, raised as
+    :class:`InvariantViolationError`. Whether ``best`` names a guess root
+    decides what differs between the routes: the attachment nodes a
+    guessed root brings in, the pair-stage guarantee entries, and the
+    fallback and enumeration-cap flags (a guess-root report with no guess
+    root is the general pipeline's).
     ``times`` gains the prune and verify stages.
     """
     g = instance.graph
@@ -347,11 +347,12 @@ def _build_report(
 
     pruned: list[int] = []
     with _timed(times, "prune"):
+        net = SplitFlowNetwork(g.induced(members))
         if config.final_prune:
-            pruned = _final_prune(instance, members, terminals)
+            pruned = _final_prune(instance, members, terminals, net)
     with _timed(times, "verify"):
         try:
-            certificate = build_certificate(g, members, k, m, config.collect_witnesses)
+            certificate = build_certificate(g, members, k, m, config.collect_witnesses, net=net)
         except InfeasibleError as exc:
             raise InvariantViolationError(f"final set is not a (k, m)-cds: {exc}") from None
 

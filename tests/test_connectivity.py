@@ -147,8 +147,10 @@ def test_kernel_matches_allpair_reference(seed, k, shape):
 
 
 def test_kernel_on_one_masked_network_matches_fresh_induced_graphs():
-    # members given on one shared network read as G[members] on a fresh
-    # one: same witness, same paths, and the network's masks come back
+    # members given on one shared network, on a network over G[members]
+    # plus some other nodes, or with no network read as G[members] on a
+    # fresh one: same witness, same paths, and the shared network's masks
+    # come back
     kinds = set()
 
     @settings(max_examples=300)
@@ -176,6 +178,13 @@ def test_kernel_on_one_masked_network_matches_fresh_induced_graphs():
                     first = list(net._cap0)
                 assert net._cap0 == first + [0] * (len(net._cap0) - len(first))
             assert len(net._to) == arcs
+            wider = members | set(rng.sample(g.nodes, rng.randint(0, n)))
+            for other in (SplitFlowNetwork(g.induced(wider)), None):
+                kept = {} if paths is not None else None
+                assert find_k_connectivity_violation(
+                    g, k, kept, members=members, net=other
+                ) == found
+                assert kept == fresh_paths
             if found is None or found.too_small:
                 kinds.add("connected" if found is None else "too small")
             elif any(len(sub.adj[v]) < k for v in sub.nodes):

@@ -9,9 +9,11 @@ import pytest
 from kmcds import Graph, Instance, ParseError, RootedProblem, SolverConfig, SplitFlowNetwork
 from kmcds import find_k_connectivity_violation, gen_unit_disk, load_instance
 from kmcds._enum import iter_subsets_by_weight
+from kmcds.connectivity import certify
 
 PTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)))
 PAIR = Graph(range(2), [(0, 1)])
+C4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def _instance_text(**changes):
@@ -33,6 +35,10 @@ CHECKS = [
           lambda: list(iter_subsets_by_weight([0], {0: -1}))),
     _case("kernel-k", ValueError, "k must be at least 1",
           lambda: find_k_connectivity_violation(PAIR, 0)),
+    _case("kernel-stray-members", ValueError, "nodes [99] not in graph",
+          lambda: find_k_connectivity_violation(C4, 0, members=[0, 1, 99])),
+    _case("certify-stray-members", ValueError, "nodes [99] not in graph",
+          lambda: certify(C4, [0, 1, 99], 2, 2)),
     _case("rooted-k", ValueError, "k must be at least 1",
           lambda: RootedProblem(PAIR, 0, (1,), (), k=0)),
     _case("max-flow-ends", ValueError, "source equals sink",
@@ -47,6 +53,18 @@ CHECKS = [
           lambda: Instance.unit_disk(PTS, Fraction(-1), [1, 1], 1, 1)),
     _case("instance-radius", ValueError, "radius must be nonnegative",
           lambda: Instance(PAIR, 1, 1, coords=PTS, radius=Fraction(-1))),
+    _case("instance-float-radius", ValueError,
+          "radius and coordinates must be ints or Fractions, not 0.5",
+          lambda: Instance(PAIR, 1, 1, coords=PTS, radius=0.5)),
+    _case("instance-bool-coordinate", ValueError,
+          "radius and coordinates must be ints or Fractions, not True",
+          lambda: Instance(PAIR, 1, 1, coords=((True, 0), PTS[1]), radius=Fraction(1))),
+    _case("gen-disk-float-radius", ValueError,
+          'radius 0.3 must be an int, a Fraction or a string such as "3/10"',
+          lambda: gen_unit_disk(5, 0.3)),
+    _case("unit-disk-float-coordinate", ValueError,
+          'coordinate 0.5 must be an int, a Fraction or a string such as "3/10"',
+          lambda: Instance.unit_disk(((0, 0), (0.5, 0)), 1, [1, 1], 1, 1)),
     _case("denominator", ValueError, "weight denominator must be positive",
           lambda: Instance(PAIR, 1, 1, weight_denominator=0)),
     _case("coords-without-radius", ValueError, "coords and radius must be given together",

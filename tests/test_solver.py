@@ -17,6 +17,7 @@ from kmcds import (
     Instance,
     RootedProblem,
     SolverConfig,
+    SplitFlowNetwork,
     check_certificate,
     dump_report,
     gen_gnp,
@@ -422,9 +423,9 @@ def test_feasible_verify_leaves_connectivity_to_the_certificate(monkeypatch, wit
     calls = []
     kernel = connectivity_mod.find_k_connectivity_violation
 
-    def counting(g, k, paths=None):
-        calls.append(g.n)
-        return kernel(g, k, paths)
+    def counting(g, k, paths=None, *, members=None, net=None):
+        calls.append(len(set(members)))
+        return kernel(g, k, paths, members=members, net=net)
 
     monkeypatch.setattr(connectivity_mod, "find_k_connectivity_violation", counting)
     instance = inst(petersen(), 3, 3)
@@ -625,6 +626,48 @@ def test_every_prune_trial_m_dominates(monkeypatch):
     assert len(runs) > 16 and seen > len(runs)
 
 
+@pytest.mark.parametrize("final_prune", [True, False])
+@pytest.mark.parametrize("solve", [solve_general, solve_guess_root])
+def test_report_builds_one_graph_and_one_network(monkeypatch, solve, final_prune):
+    # the prune's trials and the certificate share one network over the
+    # solution, built once whether or not the prune runs
+    built = []
+    inside = []  # non-empty while _build_report runs
+    real_build, real_induced, real_init = (
+        solver_mod._build_report, Graph.induced, SplitFlowNetwork.__init__
+    )
+
+    def build(*args):
+        inside.append(True)
+        try:
+            return real_build(*args)
+        finally:
+            inside.pop()
+
+    def induced(self, members):
+        if inside:
+            built.append("graph")
+        return real_induced(self, members)
+
+    def init(self, graph):
+        if inside:
+            built.append("network")
+        real_init(self, graph)
+
+    monkeypatch.setattr(solver_mod, "_build_report", build)
+    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(SplitFlowNetwork, "__init__", init)
+    pruned = 0
+    for instance in _guess_root_instances(8, (8, 14), (2, 3)):
+        built.clear()
+        report = solve(instance, SolverConfig(final_prune=final_prune))
+        assert sorted(built) == ["graph", "network"]
+        assert check_certificate(instance, report.certificate) == []
+        pruned += len(report.pruned)
+    if solve is solve_general:  # one solve drops a node before the certificate runs
+        assert (pruned > 0) == final_prune
+
+
 def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):
     # every node outside T has m >= k neighbours in T, so a node kept
     # against a set is kept against every smaller one: one trial per node
@@ -660,7 +703,8 @@ def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):
         expected = restart_final_prune(instance, set(members), terminals)
         trials.clear()
         kept = set(members)
-        assert solver_mod._final_prune(instance, kept, terminals) == expected
+        net = SplitFlowNetwork(g.induced(members))
+        assert solver_mod._final_prune(instance, kept, terminals, net) == expected
         assert kept == members - set(expected)
         assert len(trials) == len(members - terminals)
         if len(expected) >= 2:

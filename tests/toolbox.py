@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from kmcds import Graph, Instance, RootedProblem, domination_counts, is_k_connected
+from kmcds import Graph, Instance, RootedProblem, domination_counts, find_k_connectivity_violation
 
 
 def root_problem(g_r: Graph, root: int, k: int) -> RootedProblem:
@@ -97,15 +97,18 @@ def coprime_disk_points(n: int, seed: int = 0) -> list[tuple[Fraction, Fraction]
     ]
 
 
-def breaking_prune(instance, members, protected):
-    """A faulty final prune: drops a node whose loss breaks k-connectivity only."""
+def breaking_prune(instance, members, protected, net):
+    """A faulty final prune: drops a node whose loss breaks k-connectivity only.
+
+    It asks its trials on ``net``, the network the certificate then runs on.
+    """
     g = instance.graph
     for v in sorted(members):
         trial = members - {v}
         counts = domination_counts(g, trial).values()
-        if all(c >= instance.m for c in counts) and not is_k_connected(
-            g.induced(trial), instance.k
-        ):
+        if all(c >= instance.m for c in counts) and find_k_connectivity_violation(
+            g, instance.k, members=trial, net=net
+        ) is not None:
             members.discard(v)
             return [v]
     raise AssertionError("every node is either needed for domination or removable")
