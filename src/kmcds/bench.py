@@ -20,7 +20,6 @@ from .errors import InfeasibleError
 from .generators import gen_gnp, gen_unit_disk
 from .graph import Instance
 from .oracle import _ORACLE_NODE_CAP, opt_kmcds
-from .serialize import parse_fraction
 from .solver import SOLVERS, SolverConfig
 
 
@@ -69,12 +68,7 @@ def _build_instance(task: BenchTask) -> Instance:
             task.n, task.p, (task.weight_lo, task.weight_hi), task.seed, task.k, task.m
         )
     return gen_unit_disk(
-        task.n,
-        parse_fraction(task.radius),
-        (task.weight_lo, task.weight_hi),
-        task.seed,
-        task.k,
-        task.m,
+        task.n, task.radius, (task.weight_lo, task.weight_hi), task.seed, task.k, task.m
     )
 
 
@@ -137,7 +131,8 @@ def build_tasks(
     unit-disk instances; other cells skip it, and a grid left with no task
     is a ValueError naming the rule. Every task carries ``config``.
     ``oracle_cap`` runs the oracle on instances of at most that many
-    nodes (0: never); a cap above the oracle's own is refused.
+    nodes (0: never); a cap above the oracle's own is refused. A sweep
+    with unit-disk instances has its radius checked here, before any task.
     """
     if not 0 <= oracle_cap <= _ORACLE_NODE_CAP:
         raise ValueError(
@@ -151,7 +146,8 @@ def build_tasks(
         if variant not in SOLVERS:
             raise ValueError(f"unknown variant {variant!r}")
     if "unit-disk" in kinds:
-        parse_fraction(radius)
+        # the reader and Instance check every unit-disk task runs, on no points
+        Instance.unit_disk((), radius, (), 1, 1)
     tasks = []
     counter = 0
     for kind in kinds:

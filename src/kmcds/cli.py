@@ -22,7 +22,6 @@ from .serialize import (
     dump_report,
     dumps_canonical,
     loads_json,
-    parse_fraction,
     read_instance,
     verify_result_to_dict,
 )
@@ -80,9 +79,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.radius is None:
             raise ValueError("unit-disk generation needs --radius")
-        inst = gen_unit_disk(
-            args.n, parse_fraction(args.radius), weight_range, args.seed, args.k, args.m
-        )
+        inst = gen_unit_disk(args.n, args.radius, weight_range, args.seed, args.k, args.m)
     _write_output(dump_instance(inst), args.output)
     return EXIT_OK
 

@@ -127,10 +127,7 @@ def find_k_connectivity_violation(
     keyed (v_j, ``SplitFlowNetwork.SINK``), has paths from v_j to earlier
     members. k = 1 then runs the schedule: same witness as the search.
     """
-    nodes = g.nodes if members is None else tuple(sorted(set(members)))
-    stray = [] if members is None else [v for v in nodes if not g.has_node(v)]
-    if stray:
-        raise ValueError(f"nodes {stray} not in graph")
+    nodes = g.nodes if members is None else g.sorted_members(members)
     if k < 1:
         raise ValueError("k must be at least 1")
     if len(nodes) <= k:
@@ -248,7 +245,7 @@ def certify(
     both checks; it keeps its paths, for the certificate, only when S
     m-dominates and ``with_witnesses`` is set. ``net`` is the kernel's.
     """
-    inside = sorted(set(members))
+    inside = g.sorted_members(members)
     counts = domination_counts(g, inside)
     short = {v: c for v, c in counts.items() if c < m}
     paths: dict = {}
@@ -260,7 +257,7 @@ def certify(
     sink = SplitFlowNetwork.SINK
     pairs = {(s, t): p for (s, t), p in paths.items() if t != sink}
     fans = {s: p for (s, t), p in paths.items() if t == sink}
-    return VerifyResult(short, None, Certificate(k, m, tuple(inside), counts, pairs, fans))
+    return VerifyResult(short, None, Certificate(k, m, inside, counts, pairs, fans))
 
 
 def build_certificate(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Instance, _exact
+from .graph import Instance, read_exact
 
 _GRID = 10**6  # coordinate denominator: 10^-6 resolution on the unit square
 
@@ -58,15 +58,13 @@ def gen_unit_disk(
 
     Coordinates are uniform multiples of 10^-6, kept as exact fractions;
     the edges come from the exact integer disk rule of
-    :meth:`Instance.unit_disk`, so no distance is rounded; a float radius
-    is refused. Draw order: x then y per node in id order, then one
-    integer weight per node.
+    :meth:`Instance.unit_disk`, so no distance is rounded; the radius is
+    read by :func:`~kmcds.graph.read_exact`, which refuses floats. Draw
+    order: x then y per node in id order, then one integer weight per node.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    r = _exact(radius, "radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    r = read_exact(radius, "radius")  # before any draw
     lo, hi = weight_range
     if lo < 0 or hi < lo:
         raise ValueError("weight range must be 0 <= lo <= hi")

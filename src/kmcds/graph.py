@@ -92,11 +92,17 @@ class Graph:
             return sum(self.weights.values())
         return sum(self.weights[v] for v in members)
 
-    def induced(self, members: Iterable[int]) -> "Graph":
-        keep = frozenset(members)
-        stray = keep - self._node_set
+    def sorted_members(self, members: Iterable[int]) -> tuple[int, ...]:
+        """``members`` sorted and distinct; a ValueError lists any, of any type, not in the graph."""
+        keep = set(members)
+        stray = [v for v in keep if v not in self._node_set]
         if stray:
-            raise ValueError(f"nodes {sorted(stray)} not in graph")
+            shown = sorted(stray, key=lambda v: (0, v) if isinstance(v, int) else (1, repr(v)))
+            raise ValueError(f"nodes {shown} not in graph")
+        return tuple(sorted(keep))
+
+    def induced(self, members: Iterable[int]) -> "Graph":
+        keep = frozenset(self.sorted_members(members))
         kept_edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
         return Graph(keep, kept_edges, {v: self.weights[v] for v in keep})
 
@@ -139,11 +145,26 @@ def degree_stats(g: Graph) -> tuple[int, int]:
     return (min(degs), max(degs))
 
 
-def _exact(value: Fraction | int | str, what: str) -> Fraction:
-    """``value`` as a Fraction; ints, Fractions and strings such as "3/10" only."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
-        raise ValueError(f'{what} {value!r} must be an int, a Fraction or a string such as "3/10"')
-    return Fraction(value)
+def read_exact(value: Fraction | int | str, what: str) -> Fraction:
+    """``value`` as a Fraction: an int, a Fraction, or a string such as "3/10", "0.3" or "-2".
+
+    The one reader of outside numbers. Anything else (bools, floats, zero
+    denominators, exponents, which Fraction would write out digit by digit)
+    is a ValueError naming ``what`` and quoting at most 40 characters.
+    """
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    if isinstance(value, str) and "e" not in value and "E" not in value:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    shown = repr(value)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    raise ValueError(
+        f'{what} {shown} must be an int, a Fraction or a string such as "3/10", '
+        "with no exponent and a nonzero denominator"
+    )
 
 
 def _disk_edges(
@@ -161,8 +182,6 @@ def _disk_edges(
     denominator multiplied out, in exact integers. Each pair uses its own
     denominators; one common denominator for all points can grow with n.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     rn, rd = radius.numerator, radius.denominator
     sn, sd = (rn, rd) if rn else (1, 1)
     rn2, rd2 = rn * rn, rd * rd
@@ -212,6 +231,10 @@ class Instance:
         g = self.graph
         if g.nodes != tuple(range(g.n)):
             raise ValueError("instance node ids must be dense 0..n-1")
+        for name in ("k", "m", "weight_denominator"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name.replace('_', ' ')} must be an int, not {value!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.m < self.k:
@@ -264,9 +287,9 @@ class Instance:
         m: int,
         denominator: int = 1,
     ) -> "Instance":
-        """A disk instance; numbers are ints, Fractions or strings such as "3/10", never floats."""
-        pts = tuple((_exact(x, "coordinate"), _exact(y, "coordinate")) for x, y in coords)
-        radius = _exact(radius, "radius")
+        """A disk instance; every number goes through :func:`read_exact`."""
+        pts = tuple((read_exact(x, "coordinate"), read_exact(y, "coordinate")) for x, y in coords)
+        radius = read_exact(radius, "radius")
         w = list(weights)
         if len(w) != len(pts):
             raise ValueError("one weight per node required")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import copy
 import json
-from fractions import Fraction
 from typing import Any, Iterable, TYPE_CHECKING
 
 from .connectivity import Certificate, VerifyResult
 from .errors import ParseError
-from .graph import Graph, Instance
+from .graph import Graph, Instance, read_exact
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolutionReport
@@ -30,16 +29,6 @@ VERIFY_KIND = "kmcds-verify"
 
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def parse_fraction(text: str | int) -> Fraction:
-    """The exact value of a string such as "3/10" or of an integer; floats are refused."""
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise ParseError(f"bad fraction {text!r}: write it as a string such as \"3/10\"")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParseError(f"bad fraction {text!r}: {exc}") from None
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -96,7 +85,7 @@ def instance_from_dict(doc: Any) -> Instance:
 
     seen_ids = set()
     weights_by_id: dict[int, int] = {}
-    coords_by_id: dict[int, tuple[Fraction, Fraction]] = {}
+    coords_by_id: dict[int, tuple[Any, Any]] = {}
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ParseError("each node must be an object")
@@ -110,10 +99,7 @@ def instance_from_dict(doc: Any) -> Instance:
         if has_x != has_y:
             raise ParseError(f"node {v} has only one coordinate")
         if has_x:
-            coords_by_id[v] = (
-                parse_fraction(entry["x"]),
-                parse_fraction(entry["y"]),
-            )
+            coords_by_id[v] = (entry["x"], entry["y"])
     n = len(raw_nodes)
     if seen_ids != set(range(n)):
         raise ParseError("node ids must be dense 0..n-1")
@@ -134,15 +120,17 @@ def instance_from_dict(doc: Any) -> Instance:
     if geometric != bool(coords_by_id) and n > 0:
         raise ParseError("radius and coordinates must appear together")
 
-    radius = parse_fraction(doc["radius"]) if geometric else None
     try:
         # the file's own edges; Instance checks them against the disk rule
         return Instance(
             graph=Graph(range(n), edges, weights_by_id),
             k=k,
             m=m,
-            coords=tuple(coords_by_id[v] for v in range(n)) if geometric else None,
-            radius=radius,
+            coords=tuple(
+                (read_exact(x, "coordinate"), read_exact(y, "coordinate"))
+                for _, (x, y) in sorted(coords_by_id.items())
+            ) if geometric else None,
+            radius=read_exact(doc["radius"], "radius") if geometric else None,
             weight_denominator=denom,
         )
     except ValueError as exc:

@@ -264,6 +264,12 @@ def test_bench_ratio_of_a_zero_optimum_is_one(capsys):
     assert {r["ratio"] for r in rows} == {"1.000000"}
 
 
+_NOT_EXACT = (
+    'must be an int, a Fraction or a string such as "3/10", '
+    "with no exponent and a nonzero denominator"
+)
+
+
 def test_zero_denominator_radius_is_an_error(capsys):
     for argv in (
         ("gen", "--kind", "unit-disk", "--n", "5", "--radius", "1/0"),
@@ -272,7 +278,42 @@ def test_zero_denominator_radius_is_an_error(capsys):
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: bad fraction '1/0'") and "Traceback" not in err
+        assert err == f"error: radius '1/0' {_NOT_EXACT}\n"
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("1e5000", f"radius '1e5000' {_NOT_EXACT}"),
+        ("1/0", f"radius '1/0' {_NOT_EXACT}"),
+        ("-1/2", "radius must be nonnegative"),
+    ],
+    ids=["exponent", "zero-denominator", "negative"],
+)
+def test_gen_and_bench_refuse_a_bad_radius_before_any_solve(capsys, monkeypatch, radius, message):
+    swept = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda tasks, jobs=1: swept.append(tasks))
+    for argv in (
+        ("gen", "--kind", "unit-disk", "--n", "5"),
+        ("bench", "--kinds", "unit-disk", "--sizes", "6"),
+        ("bench", "--kinds", "gnp,unit-disk", "--sizes", "8", "--k-values", "1",
+         "--per-cell", "3"),
+    ):
+        code, out, err = _run(capsys, *argv, f"--radius={radius}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert swept == []
+
+
+def test_solve_refuses_an_exponent_coordinate(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "kmcds-instance", "schema_version": 1, "k": 1, "m": 1, "radius": "1",
+        "nodes": [{"id": 0, "weight": 1, "x": "0", "y": "0"},
+                  {"id": 1, "weight": 1, "x": "0", "y": "1e5000"}],
+        "edges": [],
+    }))
+    code, out, err = _run(capsys, "solve", str(inst))
+    assert (code, out, err) == (1, "", f"error: coordinate '1e5000' {_NOT_EXACT}\n")
 
 
 def test_parse_errors_exit_one(tmp_path, capsys):

@@ -7,13 +7,23 @@ from fractions import Fraction
 import pytest
 
 from kmcds import Graph, Instance, ParseError, RootedProblem, SolverConfig, SplitFlowNetwork
-from kmcds import find_k_connectivity_violation, gen_unit_disk, load_instance
+from kmcds import find_k_connectivity_violation, gen_gnp, gen_unit_disk, load_instance
+from kmcds import verify_solution
 from kmcds._enum import iter_subsets_by_weight
 from kmcds.connectivity import certify
 
 PTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)))
 PAIR = Graph(range(2), [(0, 1)])
 C4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+NOT_EXACT = (
+    'must be an int, a Fraction or a string such as "3/10", '
+    "with no exponent and a nonzero denominator"
+)
+# PTS as instance-file nodes; FAR_PAIR moves node 1 to y = 10**5000, read as written
+NEAR_PAIR = [
+    {"id": 0, "weight": 1, "x": "0", "y": "0"}, {"id": 1, "weight": 1, "x": "1/2", "y": "0"},
+]
+FAR_PAIR = [NEAR_PAIR[0], dict(NEAR_PAIR[1], x="0", y="1e5000")]
 
 
 def _instance_text(**changes):
@@ -39,6 +49,14 @@ CHECKS = [
           lambda: find_k_connectivity_violation(C4, 0, members=[0, 1, 99])),
     _case("certify-stray-members", ValueError, "nodes [99] not in graph",
           lambda: certify(C4, [0, 1, 99], 2, 2)),
+    _case("kernel-mixed-stray-members", ValueError, "nodes ['a'] not in graph",
+          lambda: find_k_connectivity_violation(C4, 2, members=["a", 1])),
+    _case("certify-mixed-stray-members", ValueError, "nodes ['a'] not in graph",
+          lambda: certify(C4, ["a", 1], 2, 2)),
+    _case("verify-stray-members", ValueError, "nodes [99, 'a'] not in graph",
+          lambda: verify_solution(Instance(C4, 2, 2), ["a", 1, 99])),
+    _case("induced-mixed-stray-members", ValueError, "nodes [99, None] not in graph",
+          lambda: C4.induced([None, 99, 1])),
     _case("rooted-k", ValueError, "k must be at least 1",
           lambda: RootedProblem(PAIR, 0, (1,), (), k=0)),
     _case("max-flow-ends", ValueError, "source equals sink",
@@ -59,14 +77,32 @@ CHECKS = [
     _case("instance-bool-coordinate", ValueError,
           "radius and coordinates must be ints or Fractions, not True",
           lambda: Instance(PAIR, 1, 1, coords=((True, 0), PTS[1]), radius=Fraction(1))),
-    _case("gen-disk-float-radius", ValueError,
-          'radius 0.3 must be an int, a Fraction or a string such as "3/10"',
+    _case("gen-disk-float-radius", ValueError, f"radius 0.3 {NOT_EXACT}",
           lambda: gen_unit_disk(5, 0.3)),
-    _case("unit-disk-float-coordinate", ValueError,
-          'coordinate 0.5 must be an int, a Fraction or a string such as "3/10"',
+    _case("unit-disk-float-coordinate", ValueError, f"coordinate 0.5 {NOT_EXACT}",
           lambda: Instance.unit_disk(((0, 0), (0.5, 0)), 1, [1, 1], 1, 1)),
+    _case("gen-disk-exponent-radius", ValueError, f"radius '1e5000' {NOT_EXACT}",
+          lambda: gen_unit_disk(5, "1e5000")),
+    _case("gen-disk-zero-denominator", ValueError, f"radius '1/0' {NOT_EXACT}",
+          lambda: gen_unit_disk(3, "1/0")),
+    _case("gen-disk-long-radius", ValueError, f"radius '1E{'0' * 34}... {NOT_EXACT}",
+          lambda: gen_unit_disk(3, "1E" + "0" * 100)),
+    _case("unit-disk-exponent-coordinate", ValueError, f"coordinate '1e5000' {NOT_EXACT}",
+          lambda: Instance.unit_disk(((0, 0), (0, "1e5000")), 1, [1, 1], 1, 1)),
+    _case("unit-disk-zero-denominator", ValueError, f"radius '1/0' {NOT_EXACT}",
+          lambda: Instance.unit_disk(PTS, "1/0", [1, 1], 1, 1)),
+    _case("unit-disk-bool-radius", ValueError, f"radius True {NOT_EXACT}",
+          lambda: Instance.unit_disk(PTS, True, [1, 1], 1, 1)),
     _case("denominator", ValueError, "weight denominator must be positive",
           lambda: Instance(PAIR, 1, 1, weight_denominator=0)),
+    _case("float-denominator", ValueError, "weight denominator must be an int, not 2.0",
+          lambda: Instance(PAIR, 1, 1, weight_denominator=2.0)),
+    _case("float-k", ValueError, "k must be an int, not 2.5",
+          lambda: gen_gnp(12, 0.6, (1, 9), 1, 2.5, 3)),
+    _case("bool-k", ValueError, "k must be an int, not True",
+          lambda: Instance(PAIR, True, 1)),
+    _case("float-m", ValueError, "m must be an int, not 1.0",
+          lambda: Instance(PAIR, 1, 1.0)),
     _case("coords-without-radius", ValueError, "coords and radius must be given together",
           lambda: Instance(PAIR, 1, 1, coords=PTS)),
     _case("coords-count", ValueError, "one coordinate pair per node required",
@@ -90,6 +126,10 @@ CHECKS = [
               nodes=[{"id": 0, "weight": 1, "x": "0", "y": "0"}, {"id": 1, "weight": 1}],
               radius="1",
           ))),
+    _case("parse-exponent-coordinate", ParseError, f"coordinate '1e5000' {NOT_EXACT}",
+          lambda: load_instance(_instance_text(nodes=FAR_PAIR, edges=[], radius="1"))),
+    _case("parse-zero-denominator", ParseError, f"radius '1/0' {NOT_EXACT}",
+          lambda: load_instance(_instance_text(nodes=NEAR_PAIR, radius="1/0"))),
 ]
 
 

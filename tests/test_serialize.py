@@ -103,10 +103,16 @@ def test_malformed_documents_are_rejected():
         (_doc(edges=[[0, 7]]), None),
         (_doc(radius="1/2"), "together"),
         # coordinates and radius are exact: JSON floats and booleans are refused
-        (_doc(radius=0.5, nodes=_NEAR_PAIR), "bad fraction"),
-        (_doc(radius=True, nodes=_NEAR_PAIR), "bad fraction"),
-        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], y=0.249523), _NEAR_PAIR[1]]), "bad fraction"),
-        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], x=True), _NEAR_PAIR[1]]), "bad fraction"),
+        (_doc(radius=0.5, nodes=_NEAR_PAIR), "^radius 0.5 must be an int"),
+        (_doc(radius=True, nodes=_NEAR_PAIR), "^radius True must be an int"),
+        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], y=0.249523), _NEAR_PAIR[1]]),
+         "^coordinate 0.249523 must be an int"),
+        (_doc(radius="1", nodes=[dict(_NEAR_PAIR[0], x=True), _NEAR_PAIR[1]]),
+         "^coordinate True must be an int"),
+        # exponents are refused, not written out digit by digit
+        (_doc(radius="1", nodes=[_NEAR_PAIR[0], dict(_NEAR_PAIR[1], y="1e5000")]),
+         "^coordinate '1e5000' must be an int"),
+        (_doc(radius="1E-3", nodes=_NEAR_PAIR), "^radius '1E-3' must be an int"),
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [0, 1]]), "duplicate"),
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [1, 0]]), "duplicate"),
         (_doc(nodes=[{"id": 0, "weight": -1}, {"id": 1, "weight": 1}]), None),
@@ -127,7 +133,7 @@ def test_bad_fraction_is_a_parse_error():
             {"id": 1, "weight": 1, "x": "1/2", "y": "0"},
         ],
     )
-    with pytest.raises(ParseError, match="bad fraction"):
+    with pytest.raises(ParseError, match="^radius '1/0' must be an int"):
         load_instance(json.dumps(doc))
 
 
