@@ -14,7 +14,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import InfeasibleError
 from .generators import gen_gnp, gen_unit_disk
@@ -131,8 +131,9 @@ def build_tasks(
     unit-disk instances; other cells skip it, and a grid left with no task
     is a ValueError naming the rule. Every task carries ``config``.
     ``oracle_cap`` runs the oracle on instances of at most that many
-    nodes (0: never); a cap above the oracle's own is refused. A sweep
-    with unit-disk instances has its radius checked here, before any task.
+    nodes (0: never); a cap above the oracle's own is refused. Each task's
+    instance is built here at one node, so whatever its generator or
+    :class:`Instance` refuses is refused before the first solve.
     """
     if not 0 <= oracle_cap <= _ORACLE_NODE_CAP:
         raise ValueError(
@@ -145,9 +146,6 @@ def build_tasks(
     for variant in variants:
         if variant not in SOLVERS:
             raise ValueError(f"unknown variant {variant!r}")
-    if "unit-disk" in kinds:
-        # the reader and Instance check every unit-disk task runs, on no points
-        Instance.unit_disk((), radius, (), 1, 1)
     tasks = []
     counter = 0
     for kind in kinds:
@@ -190,6 +188,8 @@ def build_tasks(
         if "unit-disk" in variants:
             rules.append("the unit-disk variant runs only on unit-disk instances")
         raise ValueError("the grid plans no solve: " + "; ".join(rules))
+    for task in tasks:
+        _build_instance(replace(task, n=min(1, task.n)))
     return tasks
 
 

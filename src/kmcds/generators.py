@@ -15,6 +15,16 @@ from .graph import Instance, read_exact
 _GRID = 10**6  # coordinate denominator: 10^-6 resolution on the unit square
 
 
+def _checked_weights(n: int, weight_range: tuple[int, int]) -> tuple[int, int]:
+    """``weight_range`` as (lo, hi), once ``n`` and it pass the checks both generators share."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    lo, hi = weight_range
+    if lo < 0 or hi < lo:
+        raise ValueError("weight range must be 0 <= lo <= hi")
+    return lo, hi
+
+
 def gen_gnp(
     n: int,
     p: float,
@@ -28,13 +38,9 @@ def gen_gnp(
     Draw order: one uniform draw per node pair (i < j, lexicographic),
     then one integer weight per node in id order.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
+    lo, hi = _checked_weights(n, weight_range)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    lo, hi = weight_range
-    if lo < 0 or hi < lo:
-        raise ValueError("weight range must be 0 <= lo <= hi")
     rng = random.Random(seed)
     edges = [
         (i, j)
@@ -62,12 +68,8 @@ def gen_unit_disk(
     read by :func:`~kmcds.graph.read_exact`, which refuses floats. Draw
     order: x then y per node in id order, then one integer weight per node.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
+    lo, hi = _checked_weights(n, weight_range)
     r = read_exact(radius, "radius")  # before any draw
-    lo, hi = weight_range
-    if lo < 0 or hi < lo:
-        raise ValueError("weight range must be 0 <= lo <= hi")
     rng = random.Random(seed)
     coords = []
     for _ in range(n):

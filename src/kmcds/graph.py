@@ -234,7 +234,7 @@ class Instance:
         for name in ("k", "m", "weight_denominator"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name.replace('_', ' ')} must be an int, not {value!r}")
+                raise ValueError(f"{name.replace('_', ' ')} must be an int, not {value!r:.40}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.m < self.k:

@@ -77,9 +77,6 @@ def instance_from_dict(doc: Any) -> Instance:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
     k = _require(doc, "k", (int,))
     m = _require(doc, "m", (int,))
-    denom = doc.get("weight_denominator", 1)
-    if not isinstance(denom, int) or isinstance(denom, bool) or denom < 1:
-        raise ParseError("weight_denominator must be a positive integer")
     raw_nodes = _require(doc, "nodes", (list,))
     raw_edges = _require(doc, "edges", (list,))
 
@@ -114,14 +111,9 @@ def instance_from_dict(doc: Any) -> Instance:
             raise ParseError(f"bad edge entry {pair!r}")
         edges.append((pair[0], pair[1]))
 
-    geometric = "radius" in doc
-    if coords_by_id and len(coords_by_id) != n:
-        raise ParseError("either every node has coordinates or none do")
-    if geometric != bool(coords_by_id) and n > 0:
-        raise ParseError("radius and coordinates must appear together")
-
     try:
-        # the file's own edges; Instance checks them against the disk rule
+        # the file's own edges and numbers; Instance refuses a partial or
+        # unpaired geometry, a bad denominator, and edges off the disk rule
         return Instance(
             graph=Graph(range(n), edges, weights_by_id),
             k=k,
@@ -129,9 +121,9 @@ def instance_from_dict(doc: Any) -> Instance:
             coords=tuple(
                 (read_exact(x, "coordinate"), read_exact(y, "coordinate"))
                 for _, (x, y) in sorted(coords_by_id.items())
-            ) if geometric else None,
-            radius=read_exact(doc["radius"], "radius") if geometric else None,
-            weight_denominator=denom,
+            ) if coords_by_id or "radius" in doc else None,
+            radius=read_exact(doc["radius"], "radius") if "radius" in doc else None,
+            weight_denominator=doc.get("weight_denominator", 1),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None

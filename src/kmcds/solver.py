@@ -100,6 +100,12 @@ class SolverConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.attachment_rule not in ATTACHMENT_RULES:
             raise ValueError(f"unknown attachment rule {self.attachment_rule!r}")
+        for name in ("final_prune", "collect_witnesses"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
+        cap = self.attachment_enum_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+            raise ValueError(f"attachment_enum_cap must be a nonnegative int, not {cap!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,6 +1,9 @@
 """Benchmark grid construction and the worker pool."""
 
+import re
 from dataclasses import fields, replace
+
+import pytest
 
 import kmcds.bench as bench_mod
 from kmcds import SolverConfig
@@ -98,3 +101,36 @@ def test_a_task_solves_under_its_own_config(monkeypatch):
     monkeypatch.setitem(SOLVERS, "general", spy)
     assert run_task(task) is not None
     assert used == [task.config]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"sizes": [6, 0]}, "need at least one node"),
+        ({"k_values": [1, 0]}, "k must be at least 1"),
+        ({"m_offsets": [0, -1]}, "m must be at least k"),
+        ({"kinds": ["unit-disk", "gnp"], "p": 1.5}, "edge probability must lie in [0, 1]"),
+        ({"kinds": ["gnp", "unit-disk"], "radius": "-1/2"}, "radius must be nonnegative"),
+        ({"kinds": ["gnp", "lattice"]}, "unknown instance kind 'lattice'"),
+    ],
+    ids=["size", "k", "m-offset", "p", "radius", "kind"],
+)
+def test_a_bad_cell_is_refused_before_any_solve(monkeypatch, changes, message):
+    calls = []
+
+    def spy(solve):
+        def recorded(instance, config):
+            calls.append(instance.n)
+            return solve(instance, config)
+        return recorded
+
+    for variant, solve in list(SOLVERS.items()):
+        monkeypatch.setitem(SOLVERS, variant, spy(solve))
+    grid = dict(
+        kinds=["gnp"], sizes=[6], k_values=[1], m_offsets=[0], variants=["general"],
+        per_cell=2, seed=0, p=0.7, radius="1/2", weight_range=(1, 9),
+        config=SolverConfig(), oracle_cap=0,
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_bench(build_tasks(**{**grid, **changes}))
+    assert calls == []

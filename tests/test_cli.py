@@ -304,6 +304,37 @@ def test_gen_and_bench_refuse_a_bad_radius_before_any_solve(capsys, monkeypatch,
     assert swept == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--sizes", "6,0"), "need at least one node"),
+        (("--k-values", "1,0"), "k must be at least 1"),
+        (("--m-offsets", "0,-1"), "m must be at least k"),
+        (("--kinds", "unit-disk,gnp", "--p", "1.5"), "edge probability must lie in [0, 1]"),
+        (("--weights", "9:1"), "weight range must be 0 <= lo <= hi"),
+        (("--radius=-1/2",), "radius must be nonnegative"),
+        (("--kinds", "gnp,lattice"), "unknown instance kind 'lattice'"),
+    ],
+    ids=["size", "k", "m-offset", "p", "weights", "radius", "kind"],
+)
+def test_bench_refuses_a_bad_cell_before_any_solve(capsys, monkeypatch, argv, message):
+    solved = []
+
+    def spy(solve):
+        def recorded(instance, config):
+            solved.append(instance.n)
+            return solve(instance, config)
+        return recorded
+
+    for variant, solve in list(solver_mod.SOLVERS.items()):
+        monkeypatch.setitem(solver_mod.SOLVERS, variant, spy(solve))
+    code, out, err = _run(
+        capsys, "bench", "--sizes", "6", "--k-values", "1", "--per-cell", "2", "--p", "0.7", *argv
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert solved == []
+
+
 def test_solve_refuses_an_exponent_coordinate(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

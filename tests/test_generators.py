@@ -1,5 +1,6 @@
 """Seeded instance generators."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,16 +56,19 @@ def test_weights_stay_in_range(seed, n):
 
 
 def test_parameters_are_checked():
-    with pytest.raises(ValueError):
-        gen_gnp(0, 0.5, (1, 9), seed=0)
-    with pytest.raises(ValueError):
-        gen_gnp(5, 1.5, (1, 9), seed=0)
-    with pytest.raises(ValueError):
-        gen_gnp(5, 0.5, (9, 1), seed=0)
-    with pytest.raises(ValueError):
-        gen_gnp(5, 0.5, (-1, 9), seed=0)
-    with pytest.raises(ValueError):
-        gen_unit_disk(5, -1, (1, 9), seed=0)
+    refused = [
+        (lambda: gen_gnp(0, 0.5, (1, 9), seed=0), "need at least one node"),
+        (lambda: gen_unit_disk(0, "1/2", (1, 9), seed=0), "need at least one node"),
+        (lambda: gen_gnp(5, 0.5, (9, 1), seed=0), "weight range must be 0 <= lo <= hi"),
+        (lambda: gen_unit_disk(5, "1/2", (9, 1), seed=0), "weight range must be 0 <= lo <= hi"),
+        (lambda: gen_gnp(5, 0.5, (-1, 9), seed=0), "weight range must be 0 <= lo <= hi"),
+        (lambda: gen_unit_disk(5, "1/2", (-1, 9), seed=0), "weight range must be 0 <= lo <= hi"),
+        (lambda: gen_gnp(5, 1.5, (1, 9), seed=0), "edge probability must lie in [0, 1]"),
+        (lambda: gen_unit_disk(5, -1, (1, 9), seed=0), "radius must be nonnegative"),
+    ]
+    for call, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_instance_parameters_carry_through():

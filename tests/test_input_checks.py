@@ -117,15 +117,42 @@ CHECKS = [
           lambda: SolverConfig(backend="x")),
     _case("attachment-rule", ValueError, "unknown attachment rule 'x'",
           lambda: SolverConfig(attachment_rule="x")),
+    _case("config-final-prune", ValueError, "final_prune must be a bool, not 'no'",
+          lambda: SolverConfig(final_prune="no")),
+    _case("config-collect-witnesses", ValueError, "collect_witnesses must be a bool, not 0",
+          lambda: SolverConfig(collect_witnesses=0)),
+    _case("config-str-enum-cap", ValueError,
+          "attachment_enum_cap must be a nonnegative int, not '3'",
+          lambda: SolverConfig(attachment_rule="enumerate", attachment_enum_cap="3")),
+    _case("config-bool-enum-cap", ValueError,
+          "attachment_enum_cap must be a nonnegative int, not True",
+          lambda: SolverConfig(attachment_enum_cap=True)),
+    _case("config-negative-enum-cap", ValueError,
+          "attachment_enum_cap must be a nonnegative int, not -1",
+          lambda: SolverConfig(attachment_enum_cap=-1)),
     _case("parse-missing-k", ParseError, "missing field 'k'",
           lambda: load_instance(_instance_text(k=None))),
     _case("parse-node-object", ParseError, "each node must be an object",
           lambda: load_instance(_instance_text(nodes=[1, 2]))),
-    _case("parse-partial-coords", ParseError, "either every node has coordinates or none do",
+    _case("parse-partial-coords", ParseError, "one coordinate pair per node required",
           lambda: load_instance(_instance_text(
               nodes=[{"id": 0, "weight": 1, "x": "0", "y": "0"}, {"id": 1, "weight": 1}],
               radius="1",
           ))),
+    _case("parse-coords-without-radius", ParseError,
+          "coords and radius must be given together",
+          lambda: load_instance(_instance_text(nodes=NEAR_PAIR))),
+    _case("parse-fraction-denominator", ParseError,
+          "weight denominator must be an int, not 1.5",
+          lambda: load_instance(_instance_text(weight_denominator=1.5))),
+    _case("parse-bool-denominator", ParseError,
+          "weight denominator must be an int, not True",
+          lambda: load_instance(_instance_text(weight_denominator=True))),
+    _case("parse-zero-denominator-field", ParseError, "weight denominator must be positive",
+          lambda: load_instance(_instance_text(weight_denominator=0))),
+    _case("parse-long-denominator", ParseError,
+          "weight denominator must be an int, not '" + "x" * 39,
+          lambda: load_instance(_instance_text(weight_denominator="x" * 1000))),
     _case("parse-exponent-coordinate", ParseError, f"coordinate '1e5000' {NOT_EXACT}",
           lambda: load_instance(_instance_text(nodes=FAR_PAIR, edges=[], radius="1"))),
     _case("parse-zero-denominator", ParseError, f"radius '1/0' {NOT_EXACT}",

@@ -101,7 +101,7 @@ def test_malformed_documents_are_rejected():
         (_doc(edges=[[0, 1], [0, 1]]), "duplicate"),
         (_doc(edges=[[0, 0]]), "loop"),
         (_doc(edges=[[0, 7]]), None),
-        (_doc(radius="1/2"), "together"),
+        (_doc(radius="1/2"), "^one coordinate pair per node required$"),
         # coordinates and radius are exact: JSON floats and booleans are refused
         (_doc(radius=0.5, nodes=_NEAR_PAIR), "^radius 0.5 must be an int"),
         (_doc(radius=True, nodes=_NEAR_PAIR), "^radius True must be an int"),
