@@ -131,9 +131,10 @@ def build_tasks(
     unit-disk instances; other cells skip it, and a grid left with no task
     is a ValueError naming the rule. Every task carries ``config``.
     ``oracle_cap`` runs the oracle on instances of at most that many
-    nodes (0: never); a cap above the oracle's own is refused. Each task's
-    instance is built here at one node, so whatever its generator or
-    :class:`Instance` refuses is refused before the first solve.
+    nodes (0: never); a cap above the oracle's own is refused. Each
+    cell's instance is built here once at one node, so whatever its
+    generator or :class:`Instance` refuses is refused before the first
+    solve.
     """
     if not 0 <= oracle_cap <= _ORACLE_NODE_CAP:
         raise ValueError(
@@ -188,7 +189,11 @@ def build_tasks(
         if "unit-disk" in variants:
             rules.append("the unit-disk variant runs only on unit-disk instances")
         raise ValueError("the grid plans no solve: " + "; ".join(rules))
-    for task in tasks:
+    # a cell's tasks differ only in seed and variant, and neither can be refused
+    cells = {
+        (t.kind, t.n, t.p, t.radius, t.weight_lo, t.weight_hi, t.k, t.m): t for t in tasks
+    }
+    for task in cells.values():
         _build_instance(replace(task, n=min(1, task.n)))
     return tasks
 

@@ -38,9 +38,13 @@ deleted for flows between other nodes and a closed edge as good as absent,
 so one network serves every induced or edge-deleted subgraph of its graph.
 Masks are written to the initial capacities, and every flow starts from
 them: it resets the residuals itself, so it never continues the one
-before it. Closed arcs keep their place in the arc order and every
-search skips them, so a masked network finds the same paths as a network
-built on the subgraph. The readers read the last flow, between the ends
+before it, with one exception. A min-cost flow asked to resume continues
+the last flow between the same ends: it rebases that flow's residuals on
+the current masks, every arc keeping its flow and every other arc getting
+its mask capacity back, and goes on with the same shortest-path loop.
+Closed arcs keep their place in the arc order and every search skips
+them, so a masked network finds the same paths as a network built on
+the subgraph. The readers read the last flow, between the ends
 it recorded, and compare residuals with initial capacities, so a closed
 arc never reads as carrying flow or as cut. A caller that changes masks
 for a while runs inside :meth:`SplitFlowNetwork.masks_kept`, which gives
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
+from itertools import compress
 from typing import Iterator
 
 from .graph import Graph
@@ -88,6 +93,7 @@ class SplitFlowNetwork:
         self._seen = [0] * self.size
         self._token = 0
         self._parent = [0] * self.size
+        self._ends: tuple[int, int] | None = None
 
     def _add_arc(self, a: int, b: int) -> int:
         """Append the arc a -> b, of capacity one and cost 0, and its reverse; return its index."""
@@ -101,7 +107,7 @@ class SplitFlowNetwork:
         return idx
 
     def reset(self) -> None:
-        """Give every arc its initial capacity back; each flow starts with this."""
+        """Give every arc its initial capacity back; every flow not resumed starts with this."""
         self._res = list(self._cap0)
 
     def join_sink(self, v: int) -> None:
@@ -214,16 +220,45 @@ class SplitFlowNetwork:
             value += 1
         return value
 
-    def min_cost_flow(self, s: int, t: int, units: int) -> tuple[int, int]:
-        """(units pushed, total cost) for a cheapest flow of ``units`` from the masks."""
+    def min_cost_flow(
+        self, s: int, t: int, units: int, *, resume: bool = False
+    ) -> tuple[int, int]:
+        """(units carried, total cost) of a cheapest s-t flow of ``units``.
+
+        The flow starts from the masks, or with ``resume`` from the last
+        flow, which must have run between the same ends. Resuming first
+        rebases that flow on the current masks: an arc carrying it keeps
+        its unit, every other arc gets its mask capacity back, and a mask
+        that closes an arc carrying it is refused. Successive shortest
+        paths then go on from it (Ahuja, Magnanti & Orlin 1993, ch. 9), so
+        the result is a cheapest flow of its value only if the kept flow is
+        one for its own value under the current costs and masks: a flow
+        of cost 0, when no cost is negative, always is. The value and cost
+        returned are the whole flow's, the kept units included.
+        """
         if s == t:
             raise ValueError("source equals sink")
-        self.reset()
-        self._ends = (s, t)
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
-        value = 0
-        total = 0
+        if resume:
+            if self._ends != (s, t):
+                raise ValueError(f"the last flow ran between {self._ends}, not {(s, t)}")
+            # every arc has capacity one, and a reverse arc's residual is
+            # the flow its forward arc carries
+            carrying = list(compress(range(0, len(self._res), 2), self._res[1::2]))
+            cap0 = self._cap0
+            if not all(cap0[a] for a in carrying):
+                raise ValueError("a mask closes an arc that carries the flow")
+            self._res = res = list(cap0)
+            for a in carrying:
+                res[a] = 0
+                res[a ^ 1] = 1
+            value = sum(res[a ^ 1] if a % 2 == 0 else -res[a] for a in self._out[s_out])
+            total = sum(self._cost[a] for a in carrying)
+        else:
+            self.reset()
+            self._ends = (s, t)
+            value = total = 0
         while value < units:
             got = self._augment_cheapest(s_out, t_in)
             if got is None:

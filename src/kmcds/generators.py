@@ -15,10 +15,25 @@ from .graph import Instance, read_exact
 _GRID = 10**6  # coordinate denominator: 10^-6 resolution on the unit square
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _checked_weights(n: int, weight_range: tuple[int, int]) -> tuple[int, int]:
-    """``weight_range`` as (lo, hi), once ``n`` and it pass the checks both generators share."""
+    """``weight_range`` as (lo, hi), once ``n`` and it pass the checks both generators share.
+
+    The one place that refuses a weight range that is not a pair of ints.
+    """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, not {n!r:.40}")
     if n < 1:
         raise ValueError("need at least one node")
+    if not (
+        isinstance(weight_range, (tuple, list))
+        and len(weight_range) == 2
+        and all(map(_is_int, weight_range))
+    ):
+        raise ValueError(f"weight range must be a pair of ints, not {weight_range!r:.40}")
     lo, hi = weight_range
     if lo < 0 or hi < lo:
         raise ValueError("weight range must be 0 <= lo <= hi")
@@ -39,6 +54,8 @@ def gen_gnp(
     then one integer weight per node in id order.
     """
     lo, hi = _checked_weights(n, weight_range)
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise ValueError(f"edge probability must be an int or a float, not {p!r:.40}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

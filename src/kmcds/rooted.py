@@ -17,8 +17,13 @@ inclusion pruning pass. When every pool node weighs more than 0,
 ``flow-union`` first runs one max-flow with the unselected pool closed:
 a terminal that already has k paths through free and selected nodes has
 a zero-cost k-flow, so its min-cost flow would buy nothing and is
-skipped. A zero-weight pool node can be bought at cost 0, so with one in
-the pool every terminal runs its min-cost flow.
+skipped. A terminal that has only j < k of them reopens the pool and
+resumes its min-cost flow from those j units: they cost 0, so they form
+a cheapest flow of value j, and only k - j shortest-path searches are
+left. Each flow bought costs what a flow from zero would, though it may
+break a cost tie another way. A zero-weight pool node can be bought at
+cost 0, so with one in the pool every terminal runs its min-cost flow
+from zero.
 
 The flow union also buys the solver's forest bundles: for a virtual edge
 uv, :func:`flow_union_witnessed` with the one terminal u and the root at
@@ -172,10 +177,13 @@ def flow_union_witnessed(
     no pool node weighs 0, a terminal whose k paths already exist with
     the unselected pool closed (one max-flow decides) skips its min-cost
     flow: a zero-cost k-flow exists, so the cheapest flow would buy
-    nothing. With a zero-weight pool node every terminal runs its
-    min-cost flow. Each witness is the node set of the terminal's own
-    flow, inside free and selected nodes, ready to hand to
-    :func:`prune_selection`.
+    nothing. When that max-flow stops at j < k units, the min-cost flow
+    resumes from them with the pool reopened: a zero-cost flow is a
+    cheapest flow of its value, so the k-flow bought costs what one from
+    zero costs. With a zero-weight pool node every terminal runs its
+    min-cost flow from zero. Each witness is the node set of the
+    terminal's own flow, inside free and selected nodes, ready to hand
+    to :func:`prune_selection`.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
@@ -200,7 +208,8 @@ def flow_union_witnessed(
             if pool_closed:
                 _open_pool(net, problem, pool)
                 pool_closed = False
-            units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+            # with may_skip, t's skip check just left its zero-cost units to resume from
+            units, _cost = net.min_cost_flow(t, problem.root, problem.k, resume=may_skip)
             if units < problem.k:
                 raise InfeasibleError(
                     f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"

@@ -10,7 +10,10 @@ each later node's flow coming from a super-source, the all-pair certificate (k p
 per member pair) and its checker that the Even-schedule certificate
 replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
-feasibility check, in place of one masked network per solve, the
+feasibility check, in place of one masked network per solve, the flow
+union that ran every terminal's min-cost flow from zero with no skip
+check, the same union with its skip check on an induced subgraph and
+each bought flow resumed from that check's paths on a fresh network, the
 all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
 the edge-cost rooted stage that unit-disk solves ran until the
 node-weighted stage was shown to select the same sets, the pair purchase
@@ -411,7 +414,9 @@ def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) ->
 def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     """The flow-union backend on a network of its own, pool priced up front.
 
-    Every terminal runs its min-cost flow: there is no skip check.
+    Every terminal runs its min-cost flow from zero: there is no skip
+    check and no resumed flow, so with one terminal the weight bought is
+    what a from-zero flow costs.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
@@ -431,10 +436,55 @@ def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     return frozenset(selected)
 
 
+def push_paths(net: SplitFlowNetwork, paths: Iterable[tuple[int, ...]]) -> None:
+    """Route one unit along each node path on ``net``'s residuals, as a flow would."""
+    res = net._res
+    for path in paths:
+        arcs = [2 * net.slot[v] for v in path[1:-1]]  # each interior node's own arc
+        for u, v in zip(path, path[1:]):
+            first = net._edge_arcs[(u, v) if u < v else (v, u)]
+            arcs.append(first if u < v else first + 2)  # the arc u_out -> v_in
+        for a in arcs:
+            res[a] -= 1
+            res[a ^ 1] += 1
+
+
+def resumed_flow_union(problem: RootedProblem) -> frozenset[int]:
+    """The flow-union backend with its skip check on induced subgraphs, resumed literally.
+
+    When no pool node weighs 0, each terminal first runs a max-flow on a
+    network over G[free ∪ selected]; k units mean it buys nothing.
+    Otherwise that flow's paths are pushed onto a fresh network over
+    ``graph_r`` with the unselected pool priced, and the min-cost flow
+    continues from them. With a zero-weight pool node every terminal
+    runs its min-cost flow from zero.
+    """
+    g = problem.graph_r
+    pool = frozenset(problem.pool)
+    may_skip = all(g.weights[v] > 0 for v in pool)
+    selected: set[int] = set()
+    order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
+    for t in order:
+        net = SplitFlowNetwork(g)
+        for v in pool - selected:
+            net.set_node_cost(v, g.weights[v])
+        if may_skip:
+            inside = SplitFlowNetwork(g.induced(problem.free | selected))
+            if inside.max_flow(t, problem.root, problem.k) == problem.k:
+                continue
+            net.max_flow(t, problem.root, 0)  # a flow of no unit between t and the root
+            push_paths(net, inside.extract_paths())
+        units, _cost = net.min_cost_flow(t, problem.root, problem.k, resume=may_skip)
+        if units < problem.k:
+            raise InfeasibleError(f"terminal {t}: only {units} of {problem.k} paths")
+        selected.update(v for v in net.nodes_carrying_flow() if v in pool)
+    return frozenset(selected)
+
+
 def induced_solve_rooted(problem: RootedProblem, backend: str) -> frozenset[int]:
     """The node-weighted rooted stage with induced-subgraph feasibility checks."""
     if backend == "flow-union":
-        selected = _unmasked_flow_union(problem)
+        selected = resumed_flow_union(problem)
     else:
         for _, subset in iter_subsets_by_weight(problem.pool, problem.graph_r.weights):
             if induced_find_infeasible_terminal(problem, subset) is None:

@@ -134,3 +134,24 @@ def test_a_bad_cell_is_refused_before_any_solve(monkeypatch, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_bench(build_tasks(**{**grid, **changes}))
     assert calls == []
+
+
+def test_each_cell_is_checked_once(monkeypatch):
+    # p, radius and weights are the grid's, so a task's id up to its seed
+    # names its cell: kind, n, k and m
+    built = []
+    build = bench_mod._build_instance
+
+    def counted(task):
+        built.append(task.instance_id.rsplit("-s", 1)[0])
+        return build(task)
+
+    monkeypatch.setattr(bench_mod, "_build_instance", counted)
+    tasks = build_tasks(
+        kinds=["gnp", "unit-disk"], sizes=[6, 8], k_values=[1, 2], m_offsets=[0, 1],
+        variants=["general", "guess-root", "unit-disk"], per_cell=3, seed=0, p=0.7,
+        radius="1/2", weight_range=(1, 9), config=SolverConfig(), oracle_cap=0,
+    )
+    cells = {t.instance_id.rsplit("-s", 1)[0] for t in tasks}
+    assert len(tasks) == 96 and len(cells) == 16
+    assert sorted(built) == sorted(cells)

@@ -308,3 +308,76 @@ def test_a_short_max_flow_marks_its_residual_source_side(seed, n):
                 if direct:
                     rest = without_edges(rest, [(s, t)])
                 assert brute_pair_connectivity(rest, s, t) == 0
+
+
+def _masked(g, closed_nodes, closed_edges):
+    """A network over g priced at its weights, with the given arcs closed."""
+    net = _priced(g, frozenset())
+    for v in closed_nodes:
+        net.set_node_open(v, False)
+    for e in closed_edges:
+        net.set_edge_open(*e, False)
+    return net
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4), st.booleans())
+def test_a_resumed_cheapest_flow_ends_where_a_fresh_one_does(seed, n, k, zero_cost):
+    # the max-flow through the zero-cost nodes, or a cheapest flow of fewer
+    # units, is a cheapest flow of its value, so going on from it ends
+    # where a flow from the masks ends
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9), max_weight=5)
+    s, t = rng.sample(g.nodes, 2)
+    closed_nodes = {v for v in g.nodes if v not in (s, t) and rng.random() < 0.2}
+    closed_edges = {e for e in g.edges if rng.random() < 0.2}
+    net = _masked(g, closed_nodes, closed_edges)
+    if zero_cost:
+        priced = [v for v in g.nodes if g.weights[v] > 0 and v not in closed_nodes]
+        for v in priced:
+            net.set_node_open(v, False)
+        kept = net.max_flow(s, t, k)
+        for v in priced:
+            net.set_node_open(v, True)
+    else:
+        kept, _cost = net.min_cost_flow(s, t, rng.randint(0, k))
+    fresh = _masked(g, closed_nodes, closed_edges)
+    value, cost = net.min_cost_flow(s, t, k, resume=True)
+    assert value >= kept
+    assert (value, cost) == fresh.min_cost_flow(s, t, k)
+    bought = set(net.nodes_carrying_flow()) - {s, t}
+    assert sum(g.weights[v] for v in bought) == cost
+    interiors: set[int] = set()
+    for path in net.extract_paths():
+        assert (path[0], path[-1]) == (s, t)
+        inner = set(path[1:-1])
+        assert len(inner) == len(path) - 2 and not inner & interiors
+        assert not inner & closed_nodes
+        for step in zip(path, path[1:]):
+            assert g.has_edge(*step) and tuple(sorted(step)) not in closed_edges
+        interiors |= inner
+    assert interiors == bought
+
+
+def test_resume_refuses_other_ends_and_a_closed_flow_arc():
+    net = SplitFlowNetwork(cycle_graph(6))
+    with pytest.raises(ValueError, match="^the last flow ran between None, not \\(0, 3\\)$"):
+        net.min_cost_flow(0, 3, 2, resume=True)
+    assert net.max_flow(0, 3, 1) == 1
+    assert net.extract_paths() == [(0, 1, 2, 3)]
+    assert net.max_flow(0, 3, 1) == 1
+    with pytest.raises(ValueError, match="^the last flow ran between \\(0, 3\\), not \\(3, 0\\)$"):
+        net.min_cost_flow(3, 0, 2, resume=True)
+    for close, reopen in (
+        (lambda: net.set_node_open(2, False), lambda: net.set_node_open(2, True)),
+        (lambda: net.set_edge_open(2, 3, False), lambda: net.set_edge_open(2, 3, True)),
+    ):
+        close()
+        with pytest.raises(ValueError, match="^a mask closes an arc that carries the flow$"):
+            net.min_cost_flow(0, 3, 2, resume=True)
+        reopen()
+    # closing an arc without flow is a mask like any other
+    net.set_node_open(4, False)
+    assert net.min_cost_flow(0, 3, 2, resume=True) == (1, 0)
+    net.set_node_open(4, True)
+    assert net.min_cost_flow(0, 3, 2, resume=True) == (2, 0)
+    assert sorted(net.extract_paths()) == [(0, 1, 2, 3), (0, 5, 4, 3)]

@@ -65,6 +65,17 @@ def test_parameters_are_checked():
         (lambda: gen_unit_disk(5, "1/2", (-1, 9), seed=0), "weight range must be 0 <= lo <= hi"),
         (lambda: gen_gnp(5, 1.5, (1, 9), seed=0), "edge probability must lie in [0, 1]"),
         (lambda: gen_unit_disk(5, -1, (1, 9), seed=0), "radius must be nonnegative"),
+        (lambda: gen_gnp(5, "0.5"), "edge probability must be an int or a float, not '0.5'"),
+        (lambda: gen_gnp(5, True), "edge probability must be an int or a float, not True"),
+        (lambda: gen_gnp(5, 0.5, (1, "9")), "weight range must be a pair of ints, not (1, '9')"),
+        (lambda: gen_unit_disk(5, "1/2", (1.5, 9)),
+         "weight range must be a pair of ints, not (1.5, 9)"),
+        (lambda: gen_gnp(5, 0.5, (1, 2, 3)), "weight range must be a pair of ints, not (1, 2, 3)"),
+        (lambda: gen_unit_disk(5, "1/2", (True, 9)),
+         "weight range must be a pair of ints, not (True, 9)"),
+        (lambda: gen_gnp(5, 0.5, 9), "weight range must be a pair of ints, not 9"),
+        (lambda: gen_gnp("5", 0.5), "n must be an int, not '5'"),
+        (lambda: gen_unit_disk(5.0, "1/2"), "n must be an int, not 5.0"),
     ]
     for call, message in refused:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

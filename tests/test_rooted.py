@@ -33,6 +33,7 @@ from brutes import (
     induced_prune_selection,
     induced_solve_rooted,
     induced_witnesses,
+    resumed_flow_union,
     without_edges,
 )
 from toolbox import (
@@ -336,15 +337,16 @@ def _skip_problem(rng: random.Random, zero_in_pool: bool) -> RootedProblem:
     return _problem(g, terminals, terminals[:k], k)
 
 
-def test_skip_selects_what_the_no_skip_reference_selects():
-    # all-positive pools take the skip; a zero-weight pool node turns it off
+def test_skip_and_resume_select_what_the_literal_reference_selects():
+    # all-positive pools take the skip and resume from its units; a
+    # zero-weight pool node turns both off
     kinds: set[tuple[bool, bool]] = set()
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def check(seed, zero_in_pool):
         p = _skip_problem(random.Random(seed), zero_in_pool)
         try:
-            expected = _unmasked_flow_union(p)
+            expected = resumed_flow_union(p)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 _flow_union(p)
@@ -361,13 +363,50 @@ def test_skip_selects_what_the_no_skip_reference_selects():
     assert any(not feasible for _, feasible in kinds)
 
 
+def test_each_bought_flow_costs_what_a_flow_from_zero_costs():
+    # a resumed flow may buy other nodes at equal cost, so each one is
+    # priced against the no-skip union of its own terminal, the nodes
+    # bought so far free; the resumed runs are counted so none goes unseen
+    depths = []
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def check(seed, zero_in_pool):
+        p = _skip_problem(random.Random(seed), zero_in_pool)
+        g, bought = p.graph_r, []
+        original = SplitFlowNetwork.min_cost_flow
+
+        def recorded(self, s, t, units, *, resume=False):
+            priced = tuple(v for v in p.pool if self._cost[2 * self.slot[v]] > 0)
+            out = self._out[2 * self.slot[s] + 1]
+            kept = sum(self._res[a + 1] for a in out if a % 2 == 0)
+            got = original(self, s, t, units, resume=resume)
+            bought.append((s, priced, got[1]))
+            depths.append(kept if resume else None)
+            return got
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(SplitFlowNetwork, "min_cost_flow", recorded)
+            try:
+                _flow_union(p)
+            except InfeasibleError:
+                return
+        for t, priced, cost in bought:
+            alone = RootedProblem(
+                graph_r=g, root=p.root, terminals=(t,), pool=priced, k=p.k
+            )
+            assert cost == g.total_weight(_unmasked_flow_union(alone))
+
+    check()
+    assert None in depths and {0, 1, 2} <= set(depths)
+
+
 def _count_min_cost_flows(monkeypatch) -> list[int]:
     calls = []
     original = SplitFlowNetwork.min_cost_flow
 
-    def counted(self, s, t, units):
+    def counted(self, s, t, units, *, resume=False):
         calls.append(s)
-        return original(self, s, t, units)
+        return original(self, s, t, units, resume=resume)
 
     monkeypatch.setattr(SplitFlowNetwork, "min_cost_flow", counted)
     return calls
