@@ -50,6 +50,18 @@ arc never reads as carrying flow or as cut. A caller that changes masks
 for a while runs inside :meth:`SplitFlowNetwork.masks_kept`, which gives
 every arc present on entry its capacity back and closes every arc added
 since, sink arcs included, also when the body raises.
+
+Both searches scan only arcs that can be live. An in-node's out-arcs are
+its node arc, first, and then the reverses of the edge arcs into it, each
+with residual equal to the flow on its edge. Every flow here is conserved
+(Ahuja, Magnanti & Orlin 1993, ch. 6), a resumed one included, since its
+rebase keeps each arc's flow: the flow into a graph node's in-node leaves
+through its node arc, except at the flow's own sink. So when a popped
+in-node other than the sink's carries no flow on its node arc, every
+later arc has residual 0, and the search relaxes the node arc alone. It
+reaches and relaxes the same nodes, in the same order and with the same
+parents, as a scan of every arc, so the paths, cuts and costs are those.
+SINK's in-node has no node arc and always gets the whole scan.
 """
 
 from __future__ import annotations
@@ -57,6 +69,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from itertools import compress
+from operator import lt
 from typing import Iterator
 
 from .graph import Graph
@@ -162,12 +175,20 @@ class SplitFlowNetwork:
     def _augment_bfs(self, s_out: int, t_in: int) -> bool:
         self._token += 1
         token = self._token
-        seen, parent, res, to = self._seen, self._parent, self._res, self._to
+        seen, parent, res, to, out = self._seen, self._parent, self._res, self._to, self._out
+        n2 = self.size - 2  # SINK's in-node; graph nodes' in-nodes lie below it
         seen[s_out] = token
-        q = deque([s_out])
-        while q:
-            x = q.popleft()
-            for a in self._out[x]:
+        q = [s_out]
+        for x in q:  # FIFO: the loop reads what it appends
+            if not x & 1 and x < n2 and not res[x + 1]:
+                # no flow through x, so its node arc is its one live arc;
+                # t_in needs no guard, as the search returns on reaching it
+                if res[x] and seen[x + 1] != token:
+                    seen[x + 1] = token
+                    parent[x + 1] = x
+                    q.append(x + 1)
+                continue
+            for a in out[x]:
                 if res[a] > 0:
                     y = to[a]
                     if seen[y] != token:
@@ -184,15 +205,28 @@ class SplitFlowNetwork:
         # no negative cycle exists while the flow stays cost-minimal.
         dist = [_INF] * self.size
         dist[s_out] = 0
-        parent, res, to, cost = self._parent, self._res, self._to, self._cost
+        parent, res, to, cost, out = self._parent, self._res, self._to, self._cost, self._out
         inq = bytearray(self.size)
         inq[s_out] = 1
+        n2 = self.size - 2  # SINK's in-node
         q = deque([s_out])
         while q:
             x = q.popleft()
             inq[x] = 0
             dx = dist[x]
-            for a in self._out[x]:
+            # t_in is popped here, with flow in but none through its node
+            # arc: conservation fails at the sink, so its scan stays whole
+            if not x & 1 and x < n2 and x != t_in and not res[x + 1]:
+                if res[x]:
+                    nd = dx + cost[x]
+                    if nd < dist[x + 1]:
+                        dist[x + 1] = nd
+                        parent[x + 1] = x
+                        if not inq[x + 1]:
+                            inq[x + 1] = 1
+                            q.append(x + 1)
+                continue
+            for a in out[x]:
                 if res[a] > 0:
                     y = to[a]
                     nd = dx + cost[a]
@@ -269,8 +303,8 @@ class SplitFlowNetwork:
 
     def nodes_carrying_flow(self) -> list[int]:
         """Node ids whose internal arc is used by the last flow."""
-        res, cap0 = self._res, self._cap0
-        return [v for i, v in enumerate(self.ids) if res[2 * i] < cap0[2 * i]]
+        n2 = self.size - 2  # node v's arc is 2 * slot[v]; the node arcs come first
+        return list(compress(self.ids, map(lt, self._res[0:n2:2], self._cap0[0:n2:2])))
 
     def _flow_arc(self, x: int) -> int | None:
         """The first forward arc out of x that carries flow, or None."""

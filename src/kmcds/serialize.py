@@ -59,10 +59,14 @@ def dump_instance(instance: Instance) -> str:
     return dumps_canonical(instance_to_dict(instance))
 
 
-def _require(doc: dict, key: str, kinds: tuple[type, ...]) -> Any:
+def _field(doc: dict, key: str) -> Any:
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
-    value = doc[key]
+    return doc[key]
+
+
+def _require(doc: dict, key: str, kinds: tuple[type, ...]) -> Any:
+    value = _field(doc, key)
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ParseError(f"field {key!r} has the wrong type")
     return value
@@ -75,8 +79,8 @@ def instance_from_dict(doc: Any) -> Instance:
         raise ParseError(f"kind must be {INSTANCE_KIND!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    k = _require(doc, "k", (int,))
-    m = _require(doc, "m", (int,))
+    k = _field(doc, "k")
+    m = _field(doc, "m")
     raw_nodes = _require(doc, "nodes", (list,))
     raw_edges = _require(doc, "edges", (list,))
 
@@ -87,7 +91,7 @@ def instance_from_dict(doc: Any) -> Instance:
         if not isinstance(entry, dict):
             raise ParseError("each node must be an object")
         v = _require(entry, "id", (int,))
-        w = _require(entry, "weight", (int,))
+        w = _field(entry, "weight")
         if v in seen_ids:
             raise ParseError(f"duplicate node id {v}")
         seen_ids.add(v)
@@ -112,8 +116,9 @@ def instance_from_dict(doc: Any) -> Instance:
         edges.append((pair[0], pair[1]))
 
     try:
-        # the file's own edges and numbers; Instance refuses a partial or
-        # unpaired geometry, a bad denominator, and edges off the disk rule
+        # the file's own edges and numbers; Graph refuses a weight that is
+        # not an int, and Instance a k or m that is not one, a partial or
+        # unpaired geometry, a bad denominator and edges off the disk rule
         return Instance(
             graph=Graph(range(n), edges, weights_by_id),
             k=k,

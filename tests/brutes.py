@@ -20,8 +20,9 @@ node-weighted stage was shown to select the same sets, the pair purchase
 with its own network and min-cost flow that bought each forest bundle
 before the one-terminal flow union did, the forest peel that built
 one graph and one network per clique edge, the final prune that
-restarted from the heaviest node after every drop, and the residual
-search a minimum cut ran before it read its flow's failed last search.
+restarted from the heaviest node after every drop, the residual
+search a minimum cut ran before it read its flow's failed last search,
+and the flow searches that scanned every arc of every node they popped.
 
 The last block holds helpers that only tests call, moved out of the
 package: edge deletion and neighbourhoods, capped local connectivity,
@@ -51,7 +52,7 @@ from kmcds._enum import iter_subsets_by_weight
 from kmcds.augment import _is_forest
 from kmcds.domset import _greedy_rounds
 from kmcds.errors import InfeasibleError, InvariantViolationError
-from kmcds.flow import SplitFlowNetwork
+from kmcds.flow import _INF, SplitFlowNetwork
 from kmcds.rooted import _terminal_order
 from kmcds.solver import _Attempt
 
@@ -240,6 +241,63 @@ class _SourceNetwork(SplitFlowNetwork):
         """Graph nodes, ascending, whose out-node the last flow's residual network reaches."""
         reach = residual_reachable(self, self._ends[0])
         return [v for v in self.ids if 2 * self.slot[v] + 1 in reach]
+
+
+class FullScanNetwork(SplitFlowNetwork):
+    """The network whose two searches scan every arc of every node they pop.
+
+    The package's searches relax only the node arc of an in-node that no
+    flow passes through, since conservation leaves every other arc out of
+    it at residual 0; these are the searches from before that rule.
+    """
+
+    def _augment_bfs(self, s_out: int, t_in: int) -> bool:
+        self._token += 1
+        token = self._token
+        seen, parent, res, to = self._seen, self._parent, self._res, self._to
+        seen[s_out] = token
+        q = deque([s_out])
+        while q:
+            x = q.popleft()
+            for a in self._out[x]:
+                if res[a] > 0:
+                    y = to[a]
+                    if seen[y] != token:
+                        seen[y] = token
+                        parent[y] = a
+                        if y == t_in:
+                            self._apply_path(t_in, s_out)
+                            return True
+                        q.append(y)
+        return False
+
+    def _augment_cheapest(self, s_out: int, t_in: int) -> int | None:
+        # Bellman-Ford over residual arcs; residual costs may be negative but
+        # no negative cycle exists while the flow stays cost-minimal.
+        dist = [_INF] * self.size
+        dist[s_out] = 0
+        parent, res, to, cost = self._parent, self._res, self._to, self._cost
+        inq = bytearray(self.size)
+        inq[s_out] = 1
+        q = deque([s_out])
+        while q:
+            x = q.popleft()
+            inq[x] = 0
+            dx = dist[x]
+            for a in self._out[x]:
+                if res[a] > 0:
+                    y = to[a]
+                    nd = dx + cost[a]
+                    if nd < dist[y]:
+                        dist[y] = nd
+                        parent[y] = a
+                        if not inq[y]:
+                            inq[y] = 1
+                            q.append(y)
+        if dist[t_in] >= _INF:
+            return None
+        self._apply_path(t_in, s_out)
+        return dist[t_in]
 
 
 def _source_schedule(

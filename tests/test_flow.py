@@ -1,20 +1,37 @@
 """Node-splitting flow network against definition-level brute force."""
 
+import json
 import random
+from contextlib import ExitStack
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kmcds import Graph, SplitFlowNetwork
+from kmcds import (
+    Graph,
+    SolverConfig,
+    SplitFlowNetwork,
+    dump_report,
+    find_k_connectivity_violation,
+    gen_gnp,
+    gen_unit_disk,
+    solve_general,
+    solve_guess_root,
+    solve_unit_disk,
+)
+from kmcds.errors import InfeasibleError
 
 from brutes import (
+    FullScanNetwork,
     brute_min_pair_pathset,
     brute_pair_connectivity,
     edge_cost_map,
     residual_reachable,
     without_edges,
 )
+from test_golden_reports import GOLDEN, current as golden_hashes
 from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph
 
 
@@ -381,3 +398,109 @@ def test_resume_refuses_other_ends_and_a_closed_flow_arc():
     net.set_node_open(4, True)
     assert net.min_cost_flow(0, 3, 2, resume=True) == (2, 0)
     assert sorted(net.extract_paths()) == [(0, 1, 2, 3), (0, 5, 4, 3)]
+
+
+def _same_search_state(live, full):
+    """Both networks hold the same residuals, marks and parents."""
+    assert live._res == full._res
+    assert live._parent == full._parent
+    assert (live._seen, live._token) == (full._seen, full._token)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_live_arc_searches_match_the_full_scan(seed, n):
+    # one random run of masks, sink joins and flows on two networks: the
+    # package's searches and the full-scan reference must agree on every
+    # value, residual, mark and parent, and on everything read from a flow
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+    costs = {v: rng.choice((0, 0, 1, 2, 3, 4, 5)) for v in g.nodes}
+    nets = (SplitFlowNetwork(g), FullScanNetwork(g))
+    for net in nets:
+        for v, c in costs.items():
+            net.set_node_cost(v, c)
+
+    def both(call):
+        got = [call(net) for net in nets]
+        assert got[0] == got[1]
+        _same_search_state(*nets)
+        return got[0]
+
+    def read_flow(short):
+        both(lambda net: net.nodes_carrying_flow())
+        both(lambda net: net.sink_side())
+        if short:
+            both(lambda net: net.min_cut_separator())
+        if rng.random() < 0.5:
+            both(lambda net: net.extract_paths())
+
+    for _ in range(10):
+        roll = rng.random()
+        if roll < 0.15:
+            v = rng.choice(g.nodes)
+            is_open = rng.random() < 0.4
+            both(lambda net: net.set_node_open(v, is_open))
+        elif roll < 0.25 and g.edges:
+            e = rng.choice(g.edges)
+            is_open = rng.random() < 0.4
+            both(lambda net: net.set_edge_open(*e, is_open))
+        elif roll < 0.35:
+            v = rng.choice(g.nodes)
+            both(lambda net: net.join_sink(v))
+        elif roll < 0.6:
+            s = rng.choice(g.nodes)
+            t = rng.choice([v for v in g.nodes if v != s] + [SplitFlowNetwork.SINK])
+            cap = rng.randint(1, 4)
+            value = both(lambda net: net.max_flow(s, t, cap))
+            read_flow(value < cap)
+        elif roll < 0.8:
+            s, t = rng.sample(g.nodes, 2)
+            units = rng.randint(1, 4)
+            both(lambda net: net.min_cost_flow(s, t, units))
+            read_flow(False)
+        else:
+            # a max-flow through the zero-cost nodes alone, so its units are
+            # a cheapest flow; then the priced nodes reopen and it resumes
+            s, t = rng.sample(g.nodes, 2)
+            units = rng.randint(1, 4)
+            cap = rng.randint(0, units)
+            shut = [v for v in g.nodes if costs[v] and v not in (s, t)]
+            with ExitStack() as stack:
+                for net in nets:
+                    stack.enter_context(net.masks_kept())
+                    for v in shut:
+                        net.set_node_open(v, False)
+                both(lambda net: net.max_flow(s, t, cap))
+            both(lambda net: net.min_cost_flow(s, t, units, resume=True))
+            read_flow(False)
+
+
+def _outputs(solve, instance):
+    """A kernel witness with its kept paths, and the solver's report texts."""
+    paths: dict = {}
+    texts = [repr((find_k_connectivity_violation(instance.graph, instance.k, paths), paths))]
+    for config in (SolverConfig(), SolverConfig(final_prune=False)):
+        try:
+            texts.append(dump_report(solve(instance, config)))
+        except InfeasibleError as exc:
+            texts.append(f"infeasible: {exc}")
+    return texts
+
+
+def test_reports_are_byte_identical_under_the_full_scan_searches(monkeypatch):
+    # the golden grid (general, guess-root with its forced fallbacks and
+    # the exact backend, unit-disk, zero weights, m > k, the final prune on
+    # and off, verify documents) and larger instances, with both searches
+    # swapped for the full-scan reference
+    larger = [(solve_general, gen_gnp(60, 0.15, (0, 9), seed, 2 + seed % 2, 3)) for seed in range(4)]
+    larger += [(solve_guess_root, gen_gnp(18, 0.35, (1, 30), seed, 2, 2 + seed % 2)) for seed in range(4)]
+    larger += [
+        (solve_unit_disk, gen_unit_disk(40, Fraction(2, 5), (0, 9), seed, 2, 3)) for seed in range(4)
+    ]
+    live = [_outputs(*case) for case in larger]
+    with monkeypatch.context() as patched:
+        for name in ("_augment_bfs", "_augment_cheapest"):
+            patched.setattr(SplitFlowNetwork, name, getattr(FullScanNetwork, name))
+        pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert golden_hashes() == pinned
+        assert [_outputs(*case) for case in larger] == live

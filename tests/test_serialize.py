@@ -90,8 +90,8 @@ def test_malformed_documents_are_rejected():
         ("[1, 2]", "object"),
         (_doc(kind="other"), "kind"),
         (_doc(schema_version=2), "schema_version"),
-        (_doc(k="1"), "wrong type"),
-        (_doc(m=True), "wrong type"),
+        (_doc(k="1"), "^k must be an int, not '1'$"),
+        (_doc(m=True), "^m must be an int, not True$"),
         (_doc(weight_denominator=0), "positive"),
         (_doc(nodes=[{"id": 0, "weight": 1}, {"id": 0, "weight": 1}]), "duplicate"),
         (_doc(nodes=[{"id": 0, "weight": 1}, {"id": 5, "weight": 1}]), "dense"),
@@ -116,6 +116,11 @@ def test_malformed_documents_are_rejected():
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [0, 1]]), "duplicate"),
         (_doc(radius="1", nodes=_NEAR_PAIR, edges=[[0, 1], [1, 0]]), "duplicate"),
         (_doc(nodes=[{"id": 0, "weight": -1}, {"id": 1, "weight": 1}]), None),
+        (_doc(nodes=[{"id": 0, "weight": 1}, {"id": 1, "weight": "1"}]),
+         "^weight of node 1 must be an integer$"),
+        (_doc(nodes=[{"id": 0, "weight": True}, {"id": 1, "weight": 1}]),
+         "^weight of node 0 must be an integer$"),
+        (_doc(nodes=[{"id": 0}, {"id": 1, "weight": 1}]), "^missing field 'weight'$"),
         (_doc(k=0), None),
         (_doc(m=0), None),
     ]
