@@ -38,30 +38,36 @@ deleted for flows between other nodes and a closed edge as good as absent,
 so one network serves every induced or edge-deleted subgraph of its graph.
 Masks are written to the initial capacities, and every flow starts from
 them: it resets the residuals itself, so it never continues the one
-before it, with one exception. A min-cost flow asked to resume continues
-the last flow between the same ends: it rebases that flow's residuals on
-the current masks, every arc keeping its flow and every other arc getting
-its mask capacity back, and goes on with the same shortest-path loop.
-Closed arcs keep their place in the arc order and every search skips
-them, so a masked network finds the same paths as a network built on
-the subgraph. The readers read the last flow, between the ends
-it recorded, and compare residuals with initial capacities, so a closed
-arc never reads as carrying flow or as cut. A caller that changes masks
-for a while runs inside :meth:`SplitFlowNetwork.masks_kept`, which gives
-every arc present on entry its capacity back and closes every arc added
-since, sink arcs included, also when the body raises.
+before it. Closed arcs keep their place in the arc order and every
+search skips them, so a masked network finds the same paths as a
+network built on the subgraph. The readers read the last flow, between
+the ends it recorded, and compare residuals with initial capacities, so
+a closed arc never reads as carrying flow or as cut. A caller that
+changes masks for a while runs inside
+:meth:`SplitFlowNetwork.masks_kept`, which gives every arc present on
+entry its capacity back and closes every arc added since, sink arcs
+included, also when the body raises.
+
+A min-cost flow first pushes breadth-first paths over zero-cost arcs
+alone: each priced node arc sits at residual 0 for that phase and then
+gets its mask capacity back, so the flow so far stays. Successive
+shortest paths go on from there (Ahuja, Magnanti & Orlin 1993, ch. 9).
+:meth:`SplitFlowNetwork.set_node_cost` refuses a negative cost, so no
+flow costs less than 0 and the zero-cost flow is a cheapest flow of its
+value. A cheapest flow has no negative residual cycle, and a shortest
+augmenting path keeps the flow cheapest for its new value, so no
+residual cycle is ever negative and every shortest-path search ends.
 
 Both searches scan only arcs that can be live. An in-node's out-arcs are
 its node arc, first, and then the reverses of the edge arcs into it, each
 with residual equal to the flow on its edge. Every flow here is conserved
-(Ahuja, Magnanti & Orlin 1993, ch. 6), a resumed one included, since its
-rebase keeps each arc's flow: the flow into a graph node's in-node leaves
-through its node arc, except at the flow's own sink. So when a popped
-in-node other than the sink's carries no flow on its node arc, every
-later arc has residual 0, and the search relaxes the node arc alone. It
-reaches and relaxes the same nodes, in the same order and with the same
-parents, as a scan of every arc, so the paths, cuts and costs are those.
-SINK's in-node has no node arc and always gets the whole scan.
+(Ahuja, Magnanti & Orlin 1993, ch. 6): the flow into a graph node's
+in-node leaves through its node arc, except at the flow's own sink. So
+when a popped in-node other than the sink's carries no flow on its node
+arc, every later arc has residual 0, and the search relaxes the node arc
+alone. It reaches and relaxes the same nodes, in the same order and with
+the same parents, as a scan of every arc, so the paths, cuts and costs
+are those. SINK's in-node has no node arc and always gets the whole scan.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ class SplitFlowNetwork:
         return idx
 
     def reset(self) -> None:
-        """Give every arc its initial capacity back; every flow not resumed starts with this."""
+        """Give every arc its initial capacity back; every flow starts with this."""
         self._res = list(self._cap0)
 
     def join_sink(self, v: int) -> None:
@@ -158,7 +164,9 @@ class SplitFlowNetwork:
         self._cap0[a] = self._cap0[a + 2] = int(is_open)
 
     def set_node_cost(self, v: int, c: int) -> None:
-        """Price v's internal arc at ``c``, the one way a node gets a cost."""
+        """Price v's internal arc at ``c`` >= 0, the one way a node gets a cost."""
+        if c < 0:
+            raise ValueError(f"node cost {c} is negative")
         a = 2 * self.slot[v]
         self._cost[a] = c
         self._cost[a + 1] = -c
@@ -201,8 +209,9 @@ class SplitFlowNetwork:
         return False
 
     def _augment_cheapest(self, s_out: int, t_in: int) -> int | None:
-        # Bellman-Ford over residual arcs; residual costs may be negative but
-        # no negative cycle exists while the flow stays cost-minimal.
+        # Bellman-Ford over residual arcs: reverse arcs may cost less than
+        # 0, but the flow stays a cheapest one of its value, so no residual
+        # cycle is negative and the queue empties
         dist = [_INF] * self.size
         dist[s_out] = 0
         parent, res, to, cost, out = self._parent, self._res, self._to, self._cost, self._out
@@ -254,45 +263,30 @@ class SplitFlowNetwork:
             value += 1
         return value
 
-    def min_cost_flow(
-        self, s: int, t: int, units: int, *, resume: bool = False
-    ) -> tuple[int, int]:
-        """(units carried, total cost) of a cheapest s-t flow of ``units``.
+    def min_cost_flow(self, s: int, t: int, units: int) -> tuple[int, int]:
+        """(units carried, total cost) of a cheapest s-t flow of ``units``, from the masks.
 
-        The flow starts from the masks, or with ``resume`` from the last
-        flow, which must have run between the same ends. Resuming first
-        rebases that flow on the current masks: an arc carrying it keeps
-        its unit, every other arc gets its mask capacity back, and a mask
-        that closes an arc carrying it is refused. Successive shortest
-        paths then go on from it (Ahuja, Magnanti & Orlin 1993, ch. 9), so
-        the result is a cheapest flow of its value only if the kept flow is
-        one for its own value under the current costs and masks: a flow
-        of cost 0, when no cost is negative, always is. The value and cost
-        returned are the whole flow's, the kept units included.
+        Breadth-first paths over zero-cost arcs come first, each priced
+        node arc held at residual 0 until they run out; then every
+        priced arc gets its mask capacity back and cheapest paths go on
+        from that flow, which costs 0 and is therefore a cheapest one of
+        its value (the module docstring gives the argument).
         """
         if s == t:
             raise ValueError("source equals sink")
+        self.reset()
+        self._ends = (s, t)
         s_out = 2 * self.slot[s] + 1
         t_in = 2 * self.slot[t]
-        if resume:
-            if self._ends != (s, t):
-                raise ValueError(f"the last flow ran between {self._ends}, not {(s, t)}")
-            # every arc has capacity one, and a reverse arc's residual is
-            # the flow its forward arc carries
-            carrying = list(compress(range(0, len(self._res), 2), self._res[1::2]))
-            cap0 = self._cap0
-            if not all(cap0[a] for a in carrying):
-                raise ValueError("a mask closes an arc that carries the flow")
-            self._res = res = list(cap0)
-            for a in carrying:
-                res[a] = 0
-                res[a ^ 1] = 1
-            value = sum(res[a ^ 1] if a % 2 == 0 else -res[a] for a in self._out[s_out])
-            total = sum(self._cost[a] for a in carrying)
-        else:
-            self.reset()
-            self._ends = (s, t)
-            value = total = 0
+        res, n2 = self._res, self.size - 2  # node v's arc is 2 * slot[v]
+        priced = list(compress(range(0, n2, 2), self._cost[0:n2:2]))
+        for a in priced:
+            res[a] = 0
+        value = total = 0
+        while value < units and self._augment_bfs(s_out, t_in):
+            value += 1
+        for a in priced:
+            res[a] = self._cap0[a]
         while value < units:
             got = self._augment_cheapest(s_out, t_in)
             if got is None:

@@ -167,10 +167,20 @@ def read_exact(value: Fraction | int | str, what: str) -> Fraction:
     )
 
 
+# the least int of 4301 digits: Python writes ints of up to 4300 digits
+# as text by default, so an instance must keep its numbers below it
+_DIGITS_CAP = 10**4300
+_TOO_LONG = "has a numerator or denominator of more than 4300 digits"
+
+
 def _disk_edges(
     coords: Mapping[int, tuple[Fraction, Fraction]], radius: Fraction
 ) -> list[tuple[int, int]]:
     """Sorted pairs ``(u, v)``, ``u < v``, with ``dist(u, v) <= radius``.
+
+    Every disk instance's numbers are checked here, before any pair is
+    compared: a negative radius, or a radius or coordinate whose numerator
+    or denominator has more than 4300 digits, is a ValueError.
 
     Points are bucketed into square cells of side ``s`` (``radius``, or 1
     when the radius is 0), so a point is compared only with the points of
@@ -182,12 +192,18 @@ def _disk_edges(
     denominator multiplied out, in exact integers. Each pair uses its own
     denominators; one common denominator for all points can grow with n.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     rn, rd = radius.numerator, radius.denominator
+    if max(rn, rd) >= _DIGITS_CAP:
+        raise ValueError(f"radius {_TOO_LONG}")
     sn, sd = (rn, rd) if rn else (1, 1)
     rn2, rd2 = rn * rn, rd * rd
     cells: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
     for v, (x, y) in coords.items():
         a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        if max(abs(a), b, abs(c), d) >= _DIGITS_CAP:
+            raise ValueError(f"coordinate of node {v} {_TOO_LONG}")
         cell = ((a * sd) // (b * sn), (c * sd) // (d * sn))
         cells.setdefault(cell, []).append((v, a, b, c, d))
 
@@ -249,8 +265,6 @@ class Instance:
             for c in (self.radius, *(c for pt in self.coords for c in pt)):
                 if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                     raise ValueError(f"radius and coordinates must be ints or Fractions, not {c!r}")
-            if self.radius < 0:
-                raise ValueError("radius must be nonnegative")
             want = _disk_edges(dict(enumerate(self.coords)), self.radius)
             if tuple(want) != g.edges:
                 raise ValueError("edge set disagrees with the disk rule")

@@ -13,17 +13,10 @@ the flows traverse; ``exact`` asks the whole pool once, then enumerates
 pool subsets in nondecreasing weight order. Each returns its selection
 with one witness per terminal, the nodes a k-flow of that terminal uses
 inside free and selected nodes, and both hand those witnesses to one
-inclusion pruning pass. When every pool node weighs more than 0,
-``flow-union`` first runs one max-flow with the unselected pool closed:
-a terminal that already has k paths through free and selected nodes has
-a zero-cost k-flow, so its min-cost flow would buy nothing and is
-skipped. A terminal that has only j < k of them reopens the pool and
-resumes its min-cost flow from those j units: they cost 0, so they form
-a cheapest flow of value j, and only k - j shortest-path searches are
-left. Each flow bought costs what a flow from zero would, though it may
-break a cost tie another way. A zero-weight pool node can be bought at
-cost 0, so with one in the pool every terminal runs its min-cost flow
-from zero.
+inclusion pruning pass. Each min-cost flow starts with zero-cost paths,
+through free, selected and zero-weight pool nodes, before it pays for
+any: a terminal that already has k of them buys nothing and runs no
+shortest-path search, and one that has j < k runs only k - j.
 
 The flow union also buys the solver's forest bundles: for a virtual edge
 uv, :func:`flow_union_witnessed` with the one terminal u and the root at
@@ -173,43 +166,22 @@ def flow_union_witnessed(
 
     Terminals go in :func:`_terminal_order`. Each flow is exact for its own
     terminal, so the union costs at most |terminals| times the optimum;
-    the reported guarantee stays at the conservative 2|terminals|. When
-    no pool node weighs 0, a terminal whose k paths already exist with
-    the unselected pool closed (one max-flow decides) skips its min-cost
-    flow: a zero-cost k-flow exists, so the cheapest flow would buy
-    nothing. When that max-flow stops at j < k units, the min-cost flow
-    resumes from them with the pool reopened: a zero-cost flow is a
-    cheapest flow of its value, so the k-flow bought costs what one from
-    zero costs. With a zero-weight pool node every terminal runs its
-    min-cost flow from zero. Each witness is the node set of the
-    terminal's own flow, inside free and selected nodes, ready to hand
-    to :func:`prune_selection`.
+    the reported guarantee stays at the conservative 2|terminals|. Every
+    terminal runs one :meth:`~kmcds.flow.SplitFlowNetwork.min_cost_flow`,
+    which pushes its zero-cost paths first, so a terminal whose k paths
+    already exist through free and selected nodes buys nothing. Each
+    witness is the node set of the terminal's own flow, inside free and
+    selected nodes, ready to hand to :func:`prune_selection`.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
-    # a zero-weight pool node may join a cheapest flow at no cost, so a
-    # zero-cost flow through selected nodes only need not be the one bought
-    may_skip = all(g.weights[v] > 0 for v in pool)
     selected: set[int] = set()
     witnesses: dict[int, frozenset[int]] = {}
-    pool_closed = False  # whether the pool outside ``selected`` is closed
     with _posed(problem, net) as net:
         for v in g.nodes:
             net.set_node_cost(v, g.weights[v] if v in pool else 0)
         for t in _terminal_order(problem):
-            if may_skip:
-                if not pool_closed:
-                    _open_pool(net, problem, selected)
-                    pool_closed = True
-                found = _witness(net, problem, t)
-                if found is not None:
-                    witnesses[t] = found
-                    continue
-            if pool_closed:
-                _open_pool(net, problem, pool)
-                pool_closed = False
-            # with may_skip, t's skip check just left its zero-cost units to resume from
-            units, _cost = net.min_cost_flow(t, problem.root, problem.k, resume=may_skip)
+            units, _cost = net.min_cost_flow(t, problem.root, problem.k)
             if units < problem.k:
                 raise InfeasibleError(
                     f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"

@@ -10,10 +10,10 @@ each later node's flow coming from a super-source, the all-pair certificate (k p
 per member pair) and its checker that the Even-schedule certificate
 replaced, the rooted stage and guess-root
 candidate loop that build one induced subgraph and one flow network per
-feasibility check, in place of one masked network per solve, the flow
-union that ran every terminal's min-cost flow from zero with no skip
-check, the same union with its skip check on an induced subgraph and
-each bought flow resumed from that check's paths on a fresh network, the
+feasibility check, in place of one masked network per solve, plain
+successive shortest paths from zero and the flow union that ran them
+for every terminal, the same union with each terminal's zero-cost
+paths found on an induced subgraph and moved onto a fresh network, the
 all-pair ``Fraction`` disk rule that the integer grid-cell rule replaced,
 the edge-cost rooted stage that unit-disk solves ran until the
 node-weighted stage was shown to select the same sets, the pair purchase
@@ -469,12 +469,41 @@ def induced_prune_selection(problem: RootedProblem, selected: frozenset[int]) ->
     return frozenset(current)
 
 
+def cheapest_path_sweeps(
+    net: SplitFlowNetwork, s: int, t: int, units: int, value: int = 0
+) -> tuple[int, int]:
+    """Push cheapest s-t paths on ``net``'s residuals as they stand, up to ``units``.
+
+    ``value`` units at cost 0 already flow; returns the whole flow's
+    (value, cost).
+    """
+    s_out, t_in = 2 * net.slot[s] + 1, 2 * net.slot[t]
+    cost = 0
+    while value < units:
+        got = net._augment_cheapest(s_out, t_in)
+        if got is None:
+            break
+        cost += got
+        value += 1
+    return value, cost
+
+
+def ssp_min_cost_flow(net: SplitFlowNetwork, s: int, t: int, units: int) -> tuple[int, int]:
+    """Plain successive shortest paths from the masks, with no zero-cost phase.
+
+    It also prices edge arcs correctly, which the package's
+    ``min_cost_flow`` does not: its zero-cost phase reads node costs only.
+    """
+    net.max_flow(s, t, 0)  # a flow of no unit: residuals reset, ends recorded
+    return cheapest_path_sweeps(net, s, t, units)
+
+
 def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     """The flow-union backend on a network of its own, pool priced up front.
 
-    Every terminal runs its min-cost flow from zero: there is no skip
-    check and no resumed flow, so with one terminal the weight bought is
-    what a from-zero flow costs.
+    Every terminal runs plain successive shortest paths from zero, with no
+    zero-cost phase, so with one terminal the weight bought is what a
+    from-zero flow costs.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
@@ -484,7 +513,7 @@ def _unmasked_flow_union(problem: RootedProblem) -> frozenset[int]:
     selected: set[int] = set()
     order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
     for t in order:
-        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+        units, _cost = ssp_min_cost_flow(net, t, problem.root, problem.k)
         if units < problem.k:
             raise InfeasibleError(f"terminal {t}: only {units} of {problem.k} paths")
         for v in net.nodes_carrying_flow():
@@ -507,32 +536,28 @@ def push_paths(net: SplitFlowNetwork, paths: Iterable[tuple[int, ...]]) -> None:
             res[a ^ 1] += 1
 
 
-def resumed_flow_union(problem: RootedProblem) -> frozenset[int]:
-    """The flow-union backend with its skip check on induced subgraphs, resumed literally.
+def zero_start_flow_union(problem: RootedProblem) -> frozenset[int]:
+    """The flow-union backend with each zero-cost start taken literally.
 
-    When no pool node weighs 0, each terminal first runs a max-flow on a
-    network over G[free ∪ selected]; k units mean it buys nothing.
-    Otherwise that flow's paths are pushed onto a fresh network over
-    ``graph_r`` with the unselected pool priced, and the min-cost flow
-    continues from them. With a zero-weight pool node every terminal
-    runs its min-cost flow from zero.
+    Per terminal, a max-flow on a network over G minus the pool nodes
+    still priced above 0 gives its zero-cost paths; they are pushed onto
+    a fresh network over ``graph_r`` with those nodes priced, and
+    cheapest-path sweeps go on from them up to k units.
     """
     g = problem.graph_r
     pool = frozenset(problem.pool)
-    may_skip = all(g.weights[v] > 0 for v in pool)
     selected: set[int] = set()
     order = sorted(problem.terminals, key=lambda t: (-sum(g.weights[u] for u in g.adj[t]), t))
     for t in order:
+        priced = {v for v in pool - selected if g.weights[v] > 0}
+        inside = SplitFlowNetwork(g.induced(set(g.nodes) - priced))
+        kept = inside.max_flow(t, problem.root, problem.k)
         net = SplitFlowNetwork(g)
-        for v in pool - selected:
+        for v in priced:
             net.set_node_cost(v, g.weights[v])
-        if may_skip:
-            inside = SplitFlowNetwork(g.induced(problem.free | selected))
-            if inside.max_flow(t, problem.root, problem.k) == problem.k:
-                continue
-            net.max_flow(t, problem.root, 0)  # a flow of no unit between t and the root
-            push_paths(net, inside.extract_paths())
-        units, _cost = net.min_cost_flow(t, problem.root, problem.k, resume=may_skip)
+        net.max_flow(t, problem.root, 0)  # a flow of no unit between t and the root
+        push_paths(net, inside.extract_paths())
+        units, _cost = cheapest_path_sweeps(net, t, problem.root, problem.k, kept)
         if units < problem.k:
             raise InfeasibleError(f"terminal {t}: only {units} of {problem.k} paths")
         selected.update(v for v in net.nodes_carrying_flow() if v in pool)
@@ -542,7 +567,7 @@ def resumed_flow_union(problem: RootedProblem) -> frozenset[int]:
 def induced_solve_rooted(problem: RootedProblem, backend: str) -> frozenset[int]:
     """The node-weighted rooted stage with induced-subgraph feasibility checks."""
     if backend == "flow-union":
-        selected = resumed_flow_union(problem)
+        selected = zero_start_flow_union(problem)
     else:
         for _, subset in iter_subsets_by_weight(problem.pool, problem.graph_r.weights):
             if induced_find_infeasible_terminal(problem, subset) is None:
@@ -674,7 +699,7 @@ def edgecost_flow_union(
             set_edge_cost(net, *e, c)
 
     for t in _terminal_order(problem):
-        units, _cost = net.min_cost_flow(t, problem.root, problem.k)
+        units, _cost = ssp_min_cost_flow(net, t, problem.root, problem.k)
         if units < problem.k:
             raise InfeasibleError(
                 f"terminal {t}: only {units} of {problem.k} disjoint paths to the root"

@@ -3,15 +3,10 @@
 import csv
 import io
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import kmcds
 import kmcds.cli as cli_mod
 import kmcds.solver as solver_mod
 from kmcds import Instance, dump_instance
@@ -19,7 +14,7 @@ from kmcds.cli import build_parser, main
 from kmcds.rooted import BACKENDS
 
 from brutes import brute_pair_connectivity, without_edges
-from toolbox import breaking_prune, cycle_graph, inst
+from toolbox import breaking_prune, cycle_graph, inst, run_python
 
 
 def _run(capsys, *argv):
@@ -400,12 +395,7 @@ def test_error_paths_exit_one(tmp_path, capsys, argv, message):
 
 
 def test_module_entry_point_prints_help():
-    src = str(Path(kmcds.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "kmcds", "--help"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_python(["-m", "kmcds", "--help"], timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: kmcds ") and "{gen,solve,oracle,verify,bench}" in done.stdout
 

@@ -2,7 +2,6 @@
 
 import json
 import random
-from contextlib import ExitStack
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,10 +28,11 @@ from brutes import (
     brute_pair_connectivity,
     edge_cost_map,
     residual_reachable,
+    ssp_min_cost_flow,
     without_edges,
 )
 from test_golden_reports import GOLDEN, current as golden_hashes
-from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph
+from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph, run_python
 
 
 def _priced(g, free):
@@ -327,77 +327,87 @@ def test_a_short_max_flow_marks_its_residual_source_side(seed, n):
                 assert brute_pair_connectivity(rest, s, t) == 0
 
 
-def _masked(g, closed_nodes, closed_edges):
-    """A network over g priced at its weights, with the given arcs closed."""
-    net = _priced(g, frozenset())
-    for v in closed_nodes:
-        net.set_node_open(v, False)
-    for e in closed_edges:
-        net.set_edge_open(*e, False)
-    return net
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4), st.booleans())
-def test_a_resumed_cheapest_flow_ends_where_a_fresh_one_does(seed, n, k, zero_cost):
-    # the max-flow through the zero-cost nodes, or a cheapest flow of fewer
-    # units, is a cheapest flow of its value, so going on from it ends
-    # where a flow from the masks ends
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+def test_min_cost_flow_matches_successive_shortest_paths_from_zero(seed, n, units):
+    # the zero-cost phase and the sweeps after it end at the value and cost
+    # of plain successive shortest paths from the masks, on node costs 0-9
+    # with many zeros, under the package's searches and the full-scan ones
     rng = random.Random(seed)
-    g = random_graph(rng, n, rng.uniform(0.2, 0.9), max_weight=5)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+    costs = {v: rng.randint(0, 9) if rng.random() < 0.6 else 0 for v in g.nodes}
     s, t = rng.sample(g.nodes, 2)
     closed_nodes = {v for v in g.nodes if v not in (s, t) and rng.random() < 0.2}
     closed_edges = {e for e in g.edges if rng.random() < 0.2}
-    net = _masked(g, closed_nodes, closed_edges)
-    if zero_cost:
-        priced = [v for v in g.nodes if g.weights[v] > 0 and v not in closed_nodes]
-        for v in priced:
+
+    def build(cls):
+        net = cls(g)
+        for v, c in costs.items():
+            net.set_node_cost(v, c)
+        for v in closed_nodes:
             net.set_node_open(v, False)
-        kept = net.max_flow(s, t, k)
-        for v in priced:
-            net.set_node_open(v, True)
-    else:
-        kept, _cost = net.min_cost_flow(s, t, rng.randint(0, k))
-    fresh = _masked(g, closed_nodes, closed_edges)
-    value, cost = net.min_cost_flow(s, t, k, resume=True)
-    assert value >= kept
-    assert (value, cost) == fresh.min_cost_flow(s, t, k)
-    bought = set(net.nodes_carrying_flow()) - {s, t}
-    assert sum(g.weights[v] for v in bought) == cost
-    interiors: set[int] = set()
-    for path in net.extract_paths():
-        assert (path[0], path[-1]) == (s, t)
-        inner = set(path[1:-1])
-        assert len(inner) == len(path) - 2 and not inner & interiors
-        assert not inner & closed_nodes
-        for step in zip(path, path[1:]):
-            assert g.has_edge(*step) and tuple(sorted(step)) not in closed_edges
-        interiors |= inner
-    assert interiors == bought
+        for e in closed_edges:
+            net.set_edge_open(*e, False)
+        return net
+
+    expected = ssp_min_cost_flow(build(FullScanNetwork), s, t, units)
+    assert expected[0] == build(SplitFlowNetwork).max_flow(s, t, units)
+    for cls in (SplitFlowNetwork, FullScanNetwork):
+        net = build(cls)
+        value, cost = net.min_cost_flow(s, t, units)
+        assert (value, cost) == expected
+        bought = set(net.nodes_carrying_flow()) - {s, t}
+        assert sum(costs[v] for v in bought) == cost
+        interiors: set[int] = set()
+        for path in net.extract_paths():
+            assert (path[0], path[-1]) == (s, t)
+            inner = set(path[1:-1])
+            assert len(inner) == len(path) - 2 and not inner & interiors
+            assert not inner & closed_nodes
+            for step in zip(path, path[1:]):
+                assert g.has_edge(*step) and tuple(sorted(step)) not in closed_edges
+            interiors |= inner
+        assert interiors == bought
 
 
-def test_resume_refuses_other_ends_and_a_closed_flow_arc():
-    net = SplitFlowNetwork(cycle_graph(6))
-    with pytest.raises(ValueError, match="^the last flow ran between None, not \\(0, 3\\)$"):
-        net.min_cost_flow(0, 3, 2, resume=True)
-    assert net.max_flow(0, 3, 1) == 1
-    assert net.extract_paths() == [(0, 1, 2, 3)]
-    assert net.max_flow(0, 3, 1) == 1
-    with pytest.raises(ValueError, match="^the last flow ran between \\(0, 3\\), not \\(3, 0\\)$"):
-        net.min_cost_flow(3, 0, 2, resume=True)
-    for close, reopen in (
-        (lambda: net.set_node_open(2, False), lambda: net.set_node_open(2, True)),
-        (lambda: net.set_edge_open(2, 3, False), lambda: net.set_edge_open(2, 3, True)),
-    ):
-        close()
-        with pytest.raises(ValueError, match="^a mask closes an arc that carries the flow$"):
-            net.min_cost_flow(0, 3, 2, resume=True)
-        reopen()
-    # closing an arc without flow is a mask like any other
-    net.set_node_open(4, False)
-    assert net.min_cost_flow(0, 3, 2, resume=True) == (1, 0)
-    net.set_node_open(4, True)
-    assert net.min_cost_flow(0, 3, 2, resume=True) == (2, 0)
-    assert sorted(net.extract_paths()) == [(0, 1, 2, 3), (0, 5, 4, 3)]
+def _ends_alone(code: str) -> str:
+    """Run ``code`` in a fresh interpreter under a 10 s timeout; return its output."""
+    done = run_python(["-c", code], timeout=10)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_TIMED = """
+import time
+from kmcds import Graph, SplitFlowNetwork
+start = time.perf_counter()
+{body}
+assert time.perf_counter() - start < 1, "took a second or more"
+"""
+
+
+def test_a_negative_node_cost_is_refused():
+    # on the path 0-1-2-3, costs of -3 on nodes 1 and 2 would close a
+    # residual cycle of cost -6 and the shortest-path search would not end
+    body = """
+net = SplitFlowNetwork(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
+try:
+    net.set_node_cost(1, -3)
+except ValueError as exc:
+    print(exc)
+"""
+    assert _ends_alone(_TIMED.format(body=body)) == "node cost -3 is negative\n"
+
+
+def test_a_min_cost_flow_after_a_max_flow_through_a_priced_node_is_cheapest():
+    # on the 4-cycle 0-1-3-2 the max-flow routes through node 1, priced 5;
+    # the min-cost flow starts from the masks, not from that flow
+    body = """
+net = SplitFlowNetwork(Graph(range(4), [(0, 1), (1, 3), (2, 3), (0, 2)]))
+net.set_node_cost(1, 5)
+assert net.max_flow(0, 3, 1) == 1
+print(net.min_cost_flow(0, 3, 2))
+"""
+    assert _ends_alone(_TIMED.format(body=body)) == "(2, 5)\n"
 
 
 def _same_search_state(live, full):
@@ -453,25 +463,10 @@ def test_live_arc_searches_match_the_full_scan(seed, n):
             cap = rng.randint(1, 4)
             value = both(lambda net: net.max_flow(s, t, cap))
             read_flow(value < cap)
-        elif roll < 0.8:
+        else:
             s, t = rng.sample(g.nodes, 2)
             units = rng.randint(1, 4)
             both(lambda net: net.min_cost_flow(s, t, units))
-            read_flow(False)
-        else:
-            # a max-flow through the zero-cost nodes alone, so its units are
-            # a cheapest flow; then the priced nodes reopen and it resumes
-            s, t = rng.sample(g.nodes, 2)
-            units = rng.randint(1, 4)
-            cap = rng.randint(0, units)
-            shut = [v for v in g.nodes if costs[v] and v not in (s, t)]
-            with ExitStack() as stack:
-                for net in nets:
-                    stack.enter_context(net.masks_kept())
-                    for v in shut:
-                        net.set_node_open(v, False)
-                both(lambda net: net.max_flow(s, t, cap))
-            both(lambda net: net.min_cost_flow(s, t, units, resume=True))
             read_flow(False)
 
 

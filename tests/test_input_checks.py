@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from kmcds import Graph, Instance, ParseError, RootedProblem, SolverConfig, SplitFlowNetwork
-from kmcds import find_k_connectivity_violation, gen_gnp, gen_unit_disk, load_instance
-from kmcds import verify_solution
+from kmcds import dump_instance, find_k_connectivity_violation, gen_gnp, gen_unit_disk
+from kmcds import load_instance, verify_solution
 from kmcds._enum import iter_subsets_by_weight
 from kmcds.connectivity import certify
+from kmcds.graph import _disk_edges
 
 PTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)))
 PAIR = Graph(range(2), [(0, 1)])
@@ -19,6 +20,7 @@ NOT_EXACT = (
     'must be an int, a Fraction or a string such as "3/10", '
     "with no exponent and a nonzero denominator"
 )
+TOO_LONG = "has a numerator or denominator of more than 4300 digits"
 # PTS as instance-file nodes; FAR_PAIR moves node 1 to y = 10**5000, read as written
 NEAR_PAIR = [
     {"id": 0, "weight": 1, "x": "0", "y": "0"}, {"id": 1, "weight": 1, "x": "1/2", "y": "0"},
@@ -71,6 +73,17 @@ CHECKS = [
           lambda: Instance.unit_disk(PTS, Fraction(-1), [1, 1], 1, 1)),
     _case("instance-radius", ValueError, "radius must be nonnegative",
           lambda: Instance(PAIR, 1, 1, coords=PTS, radius=Fraction(-1))),
+    _case("gen-disk-radius", ValueError, "radius must be nonnegative",
+          lambda: gen_unit_disk(3, "-1/2")),
+    # the sign comes first, before a single point is read
+    _case("disk-edges-radius", ValueError, "radius must be nonnegative",
+          lambda: _disk_edges({0: (None, None)}, Fraction(-1))),
+    _case("gen-disk-radius-digits", ValueError, f"radius {TOO_LONG}",
+          lambda: dump_instance(gen_unit_disk(3, 10**5000))),
+    _case("unit-disk-coordinate-digits", ValueError, f"coordinate of node 1 {TOO_LONG}",
+          lambda: Instance.unit_disk(((0, 0), (Fraction(1, 10**5000), 0)), 1, [1, 1], 1, 1)),
+    _case("instance-coordinate-digits", ValueError, f"coordinate of node 0 {TOO_LONG}",
+          lambda: Instance(PAIR, 1, 1, coords=((-(10**4300), 0), PTS[1]), radius=Fraction(1))),
     _case("instance-float-radius", ValueError,
           "radius and coordinates must be ints or Fractions, not 0.5",
           lambda: Instance(PAIR, 1, 1, coords=PTS, radius=0.5)),
@@ -157,6 +170,8 @@ CHECKS = [
           lambda: load_instance(_instance_text(nodes=FAR_PAIR, edges=[], radius="1"))),
     _case("parse-zero-denominator", ParseError, f"radius '1/0' {NOT_EXACT}",
           lambda: load_instance(_instance_text(nodes=NEAR_PAIR, radius="1/0"))),
+    _case("parse-negative-radius", ParseError, "radius must be nonnegative",
+          lambda: load_instance(_instance_text(nodes=NEAR_PAIR, radius="-1/2"))),
 ]
 
 
@@ -164,3 +179,11 @@ CHECKS = [
 def test_input_check_raises_its_message(call, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_numbers_of_4300_digits_are_written_and_read_back():
+    # the largest numbers an instance keeps still go to text and back
+    longest = 10**4300 - 1
+    inst = Instance.unit_disk(((0, 0), (Fraction(1, longest), 0)), longest, [1, 1], 1, 1)
+    again = load_instance(dump_instance(inst))
+    assert (again.coords, again.radius, again.graph.edges) == (inst.coords, inst.radius, ((0, 1),))

@@ -33,8 +33,8 @@ from brutes import (
     induced_prune_selection,
     induced_solve_rooted,
     induced_witnesses,
-    resumed_flow_union,
     without_edges,
+    zero_start_flow_union,
 )
 from toolbox import (
     complete_graph,
@@ -319,7 +319,7 @@ def test_closed_neighbours_must_be_root_neighbours():
                       closed_neighbours=frozenset({2}))
 
 
-def _skip_problem(rng: random.Random, zero_in_pool: bool) -> RootedProblem:
+def _pool_problem(rng: random.Random, zero_in_pool: bool) -> RootedProblem:
     """A rooted problem whose pool has a zero-weight node or weighs above 0 throughout."""
     k = rng.randint(1, 3)
     n = rng.randint(k + 3, 12)
@@ -337,16 +337,16 @@ def _skip_problem(rng: random.Random, zero_in_pool: bool) -> RootedProblem:
     return _problem(g, terminals, terminals[:k], k)
 
 
-def test_skip_and_resume_select_what_the_literal_reference_selects():
-    # all-positive pools take the skip and resume from its units; a
-    # zero-weight pool node turns both off
+def test_zero_cost_starts_select_what_the_literal_reference_selects():
+    # every pool, a zero-weight node in it or not, takes the zero-cost
+    # start; the reference finds those paths on an induced subgraph
     kinds: set[tuple[bool, bool]] = set()
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def check(seed, zero_in_pool):
-        p = _skip_problem(random.Random(seed), zero_in_pool)
+        p = _pool_problem(random.Random(seed), zero_in_pool)
         try:
-            expected = resumed_flow_union(p)
+            expected = zero_start_flow_union(p)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 _flow_union(p)
@@ -363,29 +363,48 @@ def test_skip_and_resume_select_what_the_literal_reference_selects():
     assert any(not feasible for _, feasible in kinds)
 
 
+def _count_sweeps(monkeypatch) -> list[int]:
+    """Record the source of every cheapest-path sweep on any network."""
+    sources = []
+    original = SplitFlowNetwork._augment_cheapest
+
+    def counted(self, s_out, t_in):
+        sources.append(self.ids[s_out // 2])
+        return original(self, s_out, t_in)
+
+    monkeypatch.setattr(SplitFlowNetwork, "_augment_cheapest", counted)
+    return sources
+
+
 def test_each_bought_flow_costs_what_a_flow_from_zero_costs():
-    # a resumed flow may buy other nodes at equal cost, so each one is
-    # priced against the no-skip union of its own terminal, the nodes
-    # bought so far free; the resumed runs are counted so none goes unseen
+    # a zero-cost start may buy other nodes at equal cost, so each flow is
+    # priced against the from-zero union of its own terminal, the nodes
+    # bought so far free; the zero-cost units of every flow are counted so
+    # that starts of each depth are seen
     depths = []
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def check(seed, zero_in_pool):
-        p = _skip_problem(random.Random(seed), zero_in_pool)
+        p = _pool_problem(random.Random(seed), zero_in_pool)
         g, bought = p.graph_r, []
-        original = SplitFlowNetwork.min_cost_flow
+        flow, search = SplitFlowNetwork.min_cost_flow, SplitFlowNetwork._augment_bfs
+        found = []
 
-        def recorded(self, s, t, units, *, resume=False):
+        def recorded(self, s, t, units):
             priced = tuple(v for v in p.pool if self._cost[2 * self.slot[v]] > 0)
-            out = self._out[2 * self.slot[s] + 1]
-            kept = sum(self._res[a + 1] for a in out if a % 2 == 0)
-            got = original(self, s, t, units, resume=resume)
+            found.clear()
+            got = flow(self, s, t, units)
             bought.append((s, priced, got[1]))
-            depths.append(kept if resume else None)
+            depths.append(sum(found))
             return got
+
+        def logged(self, s_out, t_in):
+            found.append(search(self, s_out, t_in))
+            return found[-1]
 
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(SplitFlowNetwork, "min_cost_flow", recorded)
+            patched.setattr(SplitFlowNetwork, "_augment_bfs", logged)
             try:
                 _flow_union(p)
             except InfeasibleError:
@@ -397,42 +416,30 @@ def test_each_bought_flow_costs_what_a_flow_from_zero_costs():
             assert cost == g.total_weight(_unmasked_flow_union(alone))
 
     check()
-    assert None in depths and {0, 1, 2} <= set(depths)
-
-
-def _count_min_cost_flows(monkeypatch) -> list[int]:
-    calls = []
-    original = SplitFlowNetwork.min_cost_flow
-
-    def counted(self, s, t, units, *, resume=False):
-        calls.append(s)
-        return original(self, s, t, units, resume=resume)
-
-    monkeypatch.setattr(SplitFlowNetwork, "min_cost_flow", counted)
-    return calls
+    assert {0, 1, 2, 3} <= set(depths)
 
 
 def test_a_terminal_that_already_holds_runs_no_min_cost_flow(monkeypatch):
     # on C6 terminal 0 has its own root edge, while 3 must buy 1-2 or 4-5
     p = _problem(cycle_graph(6), [0, 3], [0], 1)
-    calls = _count_min_cost_flows(monkeypatch)
+    sweeps = _count_sweeps(monkeypatch)
     expected = _unmasked_flow_union(p)
-    assert calls == [0, 3]
-    calls.clear()
+    assert sweeps == [0, 3]
+    sweeps.clear()
     assert _flow_union(p) == expected
-    assert calls == [3]  # fewer min-cost flows than terminals
+    assert sweeps == [3]  # fewer cheapest-path sweeps than terminals
 
-    # a zero-weight pool node may be bought for free: every terminal runs
+    # a zero-weight pool node changes nothing: 0 still holds for free
     g = cycle_graph(6, {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1})
     p = _problem(g, [0, 3], [0], 1)
-    calls.clear()
+    sweeps.clear()
     assert _flow_union(p) == frozenset({1, 2})
-    assert sorted(calls) == [0, 3]
+    assert sweeps == [3]
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(sorted(BACKENDS)))
 def test_prune_starts_from_the_flow_union_witnesses(seed, zero_in_pool, backend):
-    p = _skip_problem(random.Random(seed), zero_in_pool)
+    p = _pool_problem(random.Random(seed), zero_in_pool)
     try:
         selected, witnesses = BACKENDS[backend](p)
     except InfeasibleError:

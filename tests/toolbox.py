@@ -1,11 +1,29 @@
-"""Small named graphs and instance builders shared across tests."""
+"""Small named graphs, instance builders and a subprocess runner shared across tests."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import kmcds
 from kmcds import Graph, Instance, RootedProblem, domination_counts, find_k_connectivity_violation
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this kmcds importable, under ``timeout`` seconds.
+
+    A run that outlasts it raises ``subprocess.TimeoutExpired``, so a hang fails its test.
+    """
+    src = str(Path(kmcds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def root_problem(g_r: Graph, root: int, k: int) -> RootedProblem:
