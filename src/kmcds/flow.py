@@ -25,11 +25,10 @@ of the first plus 2, and ``_edge_arcs`` keeps the first.
 
 One extra slot, after the graph nodes, is the super-sink
 :attr:`SplitFlowNetwork.SINK`. :meth:`SplitFlowNetwork.join_sink` opens a
-node's arc into it, made on the first join as the last arc out of the
-node's out-node, so a flow into SINK may end at a growing node set. Sink
-arcs come after all others and, at the start of every flow, nothing
-leaves SINK's in-node, so flows between graph nodes find exactly the
-paths they would find without it.
+node's arc into it, so a flow into SINK may end at a growing node set,
+and :meth:`SplitFlowNetwork.join_edge` an edge; both append their arcs on
+the first join. At the start of every flow nothing leaves SINK's in-node,
+so flows between graph nodes find the paths they would find without SINK.
 
 Arcs can be closed and opened again: :meth:`SplitFlowNetwork.set_node_open`
 sets a node's internal arc, :meth:`SplitFlowNetwork.set_edge_open` an
@@ -45,8 +44,8 @@ the ends it recorded, and compare residuals with initial capacities, so
 a closed arc never reads as carrying flow or as cut. A caller that
 changes masks for a while runs inside
 :meth:`SplitFlowNetwork.masks_kept`, which gives every arc present on
-entry its capacity back and closes every arc added since, sink arcs
-included, also when the body raises.
+entry its capacity back and closes every arc joined since, also when the
+body raises.
 
 A min-cost flow first pushes breadth-first paths over zero-cost arcs
 alone: each priced node arc sits at residual 0 for that phase and then
@@ -88,7 +87,7 @@ class SplitFlowNetwork:
 
     __slots__ = (
         "slot", "ids", "size",
-        "_to", "_cost", "_cap0", "_res", "_out", "_edge_arcs",
+        "_to", "_cost", "_cap0", "_res", "_out", "_edge_arcs", "_sink_arcs",
         "_seen", "_token", "_parent", "_ends",
     )
 
@@ -109,6 +108,7 @@ class SplitFlowNetwork:
             su, sv = self.slot[u], self.slot[v]
             self._edge_arcs[(u, v)] = self._add_arc(2 * su + 1, 2 * sv)
             self._add_arc(2 * sv + 1, 2 * su)
+        self._sink_arcs: dict[int, int] = {}
         self._seen = [0] * self.size
         self._token = 0
         self._parent = [0] * self.size
@@ -132,18 +132,23 @@ class SplitFlowNetwork:
     def join_sink(self, v: int) -> None:
         """Open the arc v_out -> SINK_in, of capacity one, in the initial capacities.
 
-        The arc is added on v's first join, as the last arc out of v_out,
-        and reopened on a later one. ``SINK`` may be the sink of
-        :meth:`max_flow`, nothing else; a flow between graph nodes starts
-        with nothing leaving SINK_in, so it can enter SINK_in but never
-        leave it.
+        The arc is added on v's first join and reopened on a later one.
+        ``SINK`` may be the sink of :meth:`max_flow`, nothing else; a flow
+        between graph nodes starts with nothing leaving SINK_in, so it can
+        enter SINK_in but never leave it.
         """
-        v_out, sink_in = 2 * self.slot[v] + 1, 2 * self.slot[self.SINK]
-        last = self._out[v_out][-1]
-        if self._to[last] == sink_in:
-            self._cap0[last] = 1
-        else:
-            self._add_arc(v_out, sink_in)
+        if v not in self._sink_arcs:
+            self._sink_arcs[v] = self._add_arc(2 * self.slot[v] + 1, 2 * self.slot[self.SINK])
+        self._cap0[self._sink_arcs[v]] = 1
+
+    def join_edge(self, u: int, v: int) -> None:
+        """Open edge uv's two arcs in the initial capacities, appending them on uv's first join."""
+        e = (u, v) if u < v else (v, u)
+        if e not in self._edge_arcs:
+            su, sv = self.slot[e[0]], self.slot[e[1]]
+            self._edge_arcs[e] = self._add_arc(2 * su + 1, 2 * sv)
+            self._add_arc(2 * sv + 1, 2 * su)
+        self.set_edge_open(u, v, True)
 
     @contextmanager
     def masks_kept(self) -> Iterator[None]:

@@ -106,17 +106,6 @@ class Graph:
         kept_edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
         return Graph(keep, kept_edges, {v: self.weights[v] for v in keep})
 
-    def union_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph with additional edges; already-present edges are ignored."""
-        new = list(self.edges)
-        present = set(self.edges)
-        for u, v in extra:
-            e = (u, v) if u < v else (v, u)
-            if e not in present:
-                present.add(e)
-                new.append(e)
-        return Graph(self.nodes, new, self.weights)
-
 
 def attach_root(g: Graph, attachment: Iterable[int], k: int) -> tuple[Graph, int]:
     """Add a zero-weight virtual root adjacent to exactly ``attachment``.
@@ -226,6 +215,10 @@ def _disk_edges(
     return out
 
 
+# the graph Instance.unit_disk built by the disk rule, set only while it builds its Instance
+_ruled_graph: Graph | None = None
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """A solver input: weighted graph plus connectivity/domination targets.
@@ -265,9 +258,10 @@ class Instance:
             for c in (self.radius, *(c for pt in self.coords for c in pt)):
                 if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                     raise ValueError(f"radius and coordinates must be ints or Fractions, not {c!r}")
-            want = _disk_edges(dict(enumerate(self.coords)), self.radius)
-            if tuple(want) != g.edges:
-                raise ValueError("edge set disagrees with the disk rule")
+            if g is not _ruled_graph:
+                want = _disk_edges(dict(enumerate(self.coords)), self.radius)
+                if tuple(want) != g.edges:
+                    raise ValueError("edge set disagrees with the disk rule")
 
     @property
     def n(self) -> int:
@@ -308,12 +302,11 @@ class Instance:
         if len(w) != len(pts):
             raise ValueError("one weight per node required")
         edges = _disk_edges(dict(enumerate(pts)), radius)
-        g = Graph(range(len(pts)), edges, dict(enumerate(w)))
-        return Instance(
-            graph=g,
-            k=k,
-            m=m,
-            coords=pts,
-            radius=radius,
-            weight_denominator=denominator,
-        )
+        global _ruled_graph
+        _ruled_graph = g = Graph(range(len(pts)), edges, dict(enumerate(w)))
+        try:
+            return Instance(
+                graph=g, k=k, m=m, coords=pts, radius=radius, weight_denominator=denominator
+            )
+        finally:
+            _ruled_graph = None

@@ -27,7 +27,7 @@ one place where node weights become flow costs.
 
 A solve runs every flow on one :class:`~kmcds.flow.SplitFlowNetwork`: the
 caller's, whose open arcs are the edges of ``graph_r`` (a network over a
-supergraph with the extra edges closed will do), or one built over
+supergraph with its extra nodes or edges closed will do), or one built over
 ``graph_r``. Every entry point closes the edges from the root to its
 closed neighbours itself and runs inside
 :meth:`~kmcds.flow.SplitFlowNetwork.masks_kept`, so every call leaves

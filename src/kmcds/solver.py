@@ -16,17 +16,20 @@ none of them again.
 The pipeline shared by :func:`solve_general` and :func:`solve_unit_disk`:
 
 1. greedy m-dominating set T (never padded, as |T| >= k);
-2. virtual zero-weight root attached to k terminals R;
+2. virtual zero-weight root attached to k terminals R, in a graph g_r
+   whose one network steps 3-5 share, the root closed after step 3;
 3. rooted augmentation buying S so every terminal keeps k disjoint root
    paths (node-weighted min-cost flows, or exhaustive search under the
    exact backend);
-4. inclusion-minimal virtual forest J on R making G[T∪S] k-connected;
+4. inclusion-minimal virtual forest J on R making G[T∪S] k-connected,
+   peeled from K(R), which suffices by step 3 and m >= k (untested);
 5. k disjoint paths bought for each virtual edge uv, in forest order, by
    the flow union of step 3 with one terminal u and the root at v, its
    pool the nodes bought so far left out (no prune, whatever the backend);
 6. union, optional inclusion pruning and the certificate on Even's
-   schedule, on one network over G[union]; a set the certificate refuses
-   raises :class:`InvariantViolationError`.
+   schedule, on one network over G[union], so a solve builds networks only
+   for the precheck, each attempt and this step; a set the certificate
+   refuses raises :class:`InvariantViolationError`.
 
 :func:`solve_unit_disk` is this pipeline under the ``unit-disk`` label: it
 requires geometry and adds the cited edge-cost conversion factors to the
@@ -245,11 +248,14 @@ def _run_attempt(
     g = instance.graph
     k = instance.k
     g_r, root = attach_root(g, attachment, k)
+    net = SplitFlowNetwork(g_r)
     pool = tuple(v for v in g.nodes if v not in terminals)
     problem = RootedProblem(
         graph_r=g_r, root=root, terminals=tuple(sorted(terminals)), pool=pool, k=k
     )
-    connectors = solve_rooted_nodeweight(problem, config.backend)
+    connectors = solve_rooted_nodeweight(problem, config.backend, net)
+    # later stages pose their problems on g; a closed root is a dead end
+    net.set_node_open(root, False)
 
     # no graph on <= k nodes is k-connected; grow the selection with the
     # cheapest spare nodes (supersets keep every property needed later)
@@ -258,20 +264,15 @@ def _run_attempt(
     union.update(grown)
     connectors |= frozenset(grown)
 
-    core = g.induced(union)
-    forest = minimal_augmenting_forest(core, attachment, k)
+    forest = minimal_augmenting_forest(g, union, attachment, k, net)
     free = set(union)
-    pair_nodes: set[int] = set()
     for u, v in forest:
         outside = tuple(x for x in g.nodes if x not in free)
         pair = RootedProblem(graph_r=g, root=v, terminals=(u,), pool=outside, k=k)
-        bought, _witnesses = flow_union_witnessed(pair)
-        pair_nodes |= bought
-        free |= bought
-    weight = g.total_weight(union | pair_nodes)
+        free |= flow_union_witnessed(pair, net)[0]
     return _Attempt(
-        attachment, connectors, weight,
-        grown=tuple(grown), forest=forest, pair_connectors=frozenset(pair_nodes),
+        attachment, connectors, g.total_weight(free),
+        grown=tuple(grown), forest=forest, pair_connectors=frozenset(free - union),
     )
 
 

@@ -56,6 +56,8 @@ from kmcds.flow import _INF, SplitFlowNetwork
 from kmcds.rooted import _terminal_order
 from kmcds.solver import _Attempt
 
+from toolbox import with_edges
+
 
 def _reachable(g: Graph, src: int, blocked: frozenset[int]) -> set[int]:
     seen = {src}
@@ -944,24 +946,34 @@ def opt_mds_bruteforce(instance: Instance) -> frozenset[int]:
     raise RuntimeError("the full node set always m-dominates")
 
 
+def clique_suffices(h: Graph, attachment: Iterable[int], k: int) -> bool:
+    """Whether h plus the clique on ``attachment`` is k-connected.
+
+    The precondition ``minimal_augmenting_forest`` states and does not
+    test, checked on a fresh graph by the connectivity kernel.
+    """
+    return is_k_connected(with_edges(h, combinations(sorted(set(attachment)), 2)), k)
+
+
 def rebuilt_augmenting_forest(
     h: Graph, attachment: Iterable[int], k: int
 ) -> tuple[tuple[int, int], ...]:
     """Inclusion-minimal virtual edges on ``attachment`` making h k-connected.
 
-    The reference for ``minimal_augmenting_forest``: each peel test builds
-    its own graph and flow network instead of closing an edge on one.
-    Starts from the clique on the attachment (edges already in h are
-    discarded up front) and peels edges in lexicographic order whenever the
-    rest still suffices. Raises when even the clique cannot reach
-    k-connectivity: callers guarantee it can, so that is an upstream bug.
+    The reference for ``minimal_augmenting_forest`` on ``members`` = h's
+    nodes: each peel test builds its own graph and flow network instead
+    of closing an edge on the solver's. Starts from the clique on the
+    attachment (edges already in h are discarded up front) and peels
+    edges in lexicographic order whenever the rest still suffices. Raises
+    when even the clique cannot reach k-connectivity (see
+    :func:`clique_suffices`).
     """
     att = sorted(set(attachment))
     for v in att:
         if not h.has_node(v):
             raise ValueError(f"attachment node {v} not in graph")
     clique = [e for e in combinations(att, 2) if not h.has_edge(*e)]
-    if not is_k_connected(h.union_edges(clique), k):
+    if not clique_suffices(h, att, k):
         raise InvariantViolationError(
             "attachment clique cannot make the graph k-connected"
         )
@@ -970,7 +982,7 @@ def rebuilt_augmenting_forest(
         rest = [f for f in kept if f != e]
         # a k-connected graph stays k-connected after deleting edge uv iff
         # u and v keep k disjoint paths: any new small cut must split them
-        candidate = h.union_edges(rest)
+        candidate = with_edges(h, rest)
         if local_connectivity(candidate, e[0], e[1], k) >= k:
             kept = rest
     if not _is_forest(att, kept):

@@ -38,7 +38,7 @@ from brutes import (
     opt_mds_bruteforce,
 )
 from exactbounds import within_ln_plus_one
-from toolbox import random_graph, root_problem
+from toolbox import random_graph, root_problem, with_edges
 
 CFG = SolverConfig(collect_witnesses=False)
 
@@ -71,9 +71,9 @@ def pipeline_runs():
     records = []
     real_forest = solver_mod.minimal_augmenting_forest
 
-    def recording_forest(h, attachment, k):
-        j = real_forest(h, attachment, k)
-        records.append((h, tuple(sorted(set(attachment))), k, j))
+    def recording_forest(g, members, attachment, k, net):
+        j = real_forest(g, members, attachment, k, net)
+        records.append((g.induced(members), tuple(sorted(set(attachment))), k, j))
         return j
 
     outputs = []
@@ -188,10 +188,10 @@ def test_criterion_4_forest_invariants(pipeline_runs):
     for h, attachment, k, forest in records:
         assert _is_forest(attachment, forest)
         assert len(forest) <= k - 1
-        assert is_k_connected(h.union_edges(forest), k)
+        assert is_k_connected(with_edges(h, forest), k)
         for e in forest:
             rest = [f for f in forest if f != e]
-            assert not is_k_connected(h.union_edges(rest), k)
+            assert not is_k_connected(with_edges(h, rest), k)
     _line(4, len(records) > 0, f"{len(records)} forests, all minimal and within k-1 edges")
 
 

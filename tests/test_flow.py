@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +32,9 @@ from brutes import (
     without_edges,
 )
 from test_golden_reports import GOLDEN, current as golden_hashes
-from toolbox import complete_graph, cycle_graph, path_graph, petersen, random_graph, run_python
+from toolbox import (
+    complete_graph, cycle_graph, path_graph, petersen, random_graph, run_python, with_edges,
+)
 
 
 def _priced(g, free):
@@ -232,13 +234,21 @@ def test_arc_layout_fixes_every_index(seed, n):
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.5)
     net = SplitFlowNetwork(g)
+    missing = [e for e in combinations(g.nodes, 2) if not g.has_edge(*e)]
+    joined = rng.sample(missing, rng.randint(0, len(missing)))
     for v in rng.sample(g.nodes, rng.randint(0, n)):
         net.join_sink(v)
+        if joined:
+            net.join_edge(*joined[rng.randrange(len(joined))][::rng.choice((1, -1))])
+    for e in joined:
+        net.join_edge(*e)
     to = net._to
     for v in g.nodes:
         a = 2 * net.slot[v]
         assert (to[a ^ 1], to[a]) == (a, a + 1)
-    assert sorted(net._edge_arcs) == list(g.edges)
+    for v, a in net._sink_arcs.items():
+        assert (to[a ^ 1], to[a]) == (2 * net.slot[v] + 1, 2 * net.slot[SplitFlowNetwork.SINK])
+    assert sorted(net._edge_arcs) == sorted([*g.edges, *joined])
     for (u, v), a in net._edge_arcs.items():
         su, sv = net.slot[u], net.slot[v]
         assert (to[a ^ 1], to[a]) == (2 * su + 1, 2 * sv)
@@ -246,6 +256,55 @@ def test_arc_layout_fixes_every_index(seed, n):
     for x, arcs in enumerate(net._out):
         for a in arcs:
             assert to[a ^ 1] == x  # every arc leaves the node that lists it
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_a_joined_edge_flows_as_an_edge_built_in(seed, n):
+    # sink and edge arcs joined in any order: one sink arc per node, and
+    # every flow has the value and cost it has on a network built with
+    # the edge, or, once the edge is closed, without it
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.4)
+    missing = [e for e in combinations(g.nodes, 2) if not g.has_edge(*e)]
+    if not missing:
+        return
+    v, w = rng.choice(missing)[:: rng.choice((1, -1))]
+    net, built, plain = (
+        SplitFlowNetwork(g), SplitFlowNetwork(with_edges(g, [(v, w)])), SplitFlowNetwork(g)
+    )
+    costs = {x: rng.choice((0, 0, 1, 3, 7)) for x in g.nodes}
+    sinks = [v, *rng.sample(g.nodes, rng.randint(0, n))]
+    for other in (built, plain):
+        for x in sinks:
+            other.join_sink(x)
+    net.join_sink(v)
+    net.join_edge(v, w)
+    for x in sinks:
+        net.join_sink(x)
+    sink_in = 2 * net.slot[SplitFlowNetwork.SINK]
+    for x in g.nodes:
+        into_sink = [a for a in net._out[2 * net.slot[x] + 1] if net._to[a] == sink_in]
+        assert len(into_sink) == (x in sinks)
+    for other in (net, built, plain):
+        for x, c in costs.items():
+            other.set_node_cost(x, c)
+
+    def same_flows(a, b):
+        for s in g.nodes:
+            for t in [*g.nodes, SplitFlowNetwork.SINK]:
+                if s != t:
+                    assert a.max_flow(s, t, n) == b.max_flow(s, t, n)
+                if t != SplitFlowNetwork.SINK and s != t:
+                    assert a.min_cost_flow(s, t, 3) == b.min_cost_flow(s, t, 3)
+
+    same_flows(net, built)
+    with net.masks_kept():
+        net.set_edge_open(w, v, False)
+        same_flows(net, plain)
+    same_flows(net, built)
+    with net.masks_kept():
+        net.join_edge(w, v)  # a later join opens it, and it stays open
+    same_flows(net, built)
 
 
 def test_masks_kept_restores_masks_when_its_body_raises():
@@ -454,9 +513,12 @@ def test_live_arc_searches_match_the_full_scan(seed, n):
             e = rng.choice(g.edges)
             is_open = rng.random() < 0.4
             both(lambda net: net.set_edge_open(*e, is_open))
-        elif roll < 0.35:
+        elif roll < 0.3:
             v = rng.choice(g.nodes)
             both(lambda net: net.join_sink(v))
+        elif roll < 0.35:
+            u, v = rng.sample(g.nodes, 2)
+            both(lambda net: net.join_edge(u, v))
         elif roll < 0.6:
             s = rng.choice(g.nodes)
             t = rng.choice([v for v in g.nodes if v != s] + [SplitFlowNetwork.SINK])

@@ -1,15 +1,20 @@
 """Graph and Instance construction, validation, and geometry."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmcds import Graph, Instance, attach_root, degree_stats
+import kmcds.graph as graph_mod
+from kmcds import Graph, Instance, ParseError, attach_root, degree_stats, dump_instance
+from kmcds import gen_unit_disk, load_instance
 from kmcds.graph import _disk_edges
 
 from brutes import brute_disk_edges, neighbors, without_edges
-from toolbox import complete_graph, coprime_disk_points, path_graph, random_graph, star_graph
+from toolbox import (
+    complete_graph, coprime_disk_points, path_graph, random_graph, star_graph, with_edges,
+)
 
 
 def test_rejects_duplicate_nodes():
@@ -81,7 +86,7 @@ def test_induced_rejects_foreign_nodes():
 
 def test_union_and_without_edges():
     g = path_graph(3)
-    g2 = g.union_edges([(0, 2), (1, 0)])
+    g2 = with_edges(g, [(0, 2), (1, 0)])
     assert g2.edges == ((0, 1), (0, 2), (1, 2))
     g3 = without_edges(g2, [(2, 0)])
     assert g3.edges == g.edges
@@ -202,3 +207,34 @@ def test_neighbors_never_intersects_members(seed):
     out = neighbors(g, members)
     assert not (out & members)
     assert all(any(w in members for w in g.adj[v]) for v in out)
+
+
+def test_disk_rule_runs_once_per_instance_and_checks_every_outside_graph(monkeypatch):
+    calls = []
+
+    def counted(coords, radius):
+        calls.append(len(coords))
+        return _disk_edges(coords, radius)
+
+    monkeypatch.setattr(graph_mod, "_disk_edges", counted)
+    instance = gen_unit_disk(30, Fraction(3, 10), (1, 9), 4, 1, 1)
+    assert len(instance.graph.edges) > 1
+    assert calls == [30]  # derived once, not again to validate
+    doc = json.loads(dump_instance(instance))
+    assert load_instance(json.dumps(doc)).graph.edges == instance.graph.edges
+    assert calls == [30] * 2  # a parsed file is checked against the rule
+    doc["edges"].pop(0)
+    with pytest.raises(ParseError, match="edge set disagrees with the disk rule"):
+        load_instance(json.dumps(doc))
+    wrong = Graph(range(30), instance.graph.edges[1:])
+    spread = tuple((10 * x, 10 * y) for x, y in instance.coords)
+    # the coords and radius unit_disk used, equal copies of them, and the
+    # very graph it built under points the rule leaves apart
+    for graph, coords, radius in (
+        (wrong, instance.coords, instance.radius),
+        (wrong, tuple(instance.coords), Fraction(3, 10)),
+        (instance.graph, spread, instance.radius),
+    ):
+        with pytest.raises(ValueError, match="edge set disagrees with the disk rule"):
+            Instance(graph=graph, k=1, m=1, coords=coords, radius=radius)
+    assert calls == [30] * 6

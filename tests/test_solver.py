@@ -626,37 +626,43 @@ def test_every_prune_trial_m_dominates(monkeypatch):
     assert len(runs) > 16 and seen > len(runs)
 
 
+def _builds_inside(monkeypatch, name):
+    """A list that gains "graph" or "network" for each one built while ``solver.<name>`` runs."""
+    built = []
+    inside = []  # non-empty while the function runs
+    real_fn, real_graph, real_net = (
+        getattr(solver_mod, name), Graph.__init__, SplitFlowNetwork.__init__
+    )
+
+    def fn(*args):
+        inside.append(True)
+        try:
+            return real_fn(*args)
+        finally:
+            inside.pop()
+
+    def graph_init(self, *args, **kwargs):
+        if inside:
+            built.append("graph")
+        real_graph(self, *args, **kwargs)
+
+    def net_init(self, graph):
+        if inside:
+            built.append("network")
+        real_net(self, graph)
+
+    monkeypatch.setattr(solver_mod, name, fn)
+    monkeypatch.setattr(Graph, "__init__", graph_init)
+    monkeypatch.setattr(SplitFlowNetwork, "__init__", net_init)
+    return built
+
+
 @pytest.mark.parametrize("final_prune", [True, False])
 @pytest.mark.parametrize("solve", [solve_general, solve_guess_root])
 def test_report_builds_one_graph_and_one_network(monkeypatch, solve, final_prune):
     # the prune's trials and the certificate share one network over the
     # solution, built once whether or not the prune runs
-    built = []
-    inside = []  # non-empty while _build_report runs
-    real_build, real_induced, real_init = (
-        solver_mod._build_report, Graph.induced, SplitFlowNetwork.__init__
-    )
-
-    def build(*args):
-        inside.append(True)
-        try:
-            return real_build(*args)
-        finally:
-            inside.pop()
-
-    def induced(self, members):
-        if inside:
-            built.append("graph")
-        return real_induced(self, members)
-
-    def init(self, graph):
-        if inside:
-            built.append("network")
-        real_init(self, graph)
-
-    monkeypatch.setattr(solver_mod, "_build_report", build)
-    monkeypatch.setattr(Graph, "induced", induced)
-    monkeypatch.setattr(SplitFlowNetwork, "__init__", init)
+    built = _builds_inside(monkeypatch, "_build_report")
     pruned = 0
     for instance in _guess_root_instances(8, (8, 14), (2, 3)):
         built.clear()
@@ -666,6 +672,20 @@ def test_report_builds_one_graph_and_one_network(monkeypatch, solve, final_prune
         pruned += len(report.pruned)
     if solve is solve_general:  # one solve drops a node before the certificate runs
         assert (pruned > 0) == final_prune
+
+
+@pytest.mark.parametrize("backend", ["flow-union", "exact"])
+def test_an_attempt_builds_one_graph_and_one_network(monkeypatch, backend):
+    # g_r and one network over it: the rooted stage, the forest peel and
+    # every pair bundle run on that network
+    built = _builds_inside(monkeypatch, "_run_attempt")
+    forests = 0
+    for instance in _guess_root_instances(12, (8, 14), (2, 3)):
+        built.clear()
+        report = solve_general(instance, SolverConfig(backend=backend))
+        assert sorted(built) == ["graph", "network"]
+        forests += bool(report.forest)
+    assert forests > 0
 
 
 def test_final_prune_in_one_pass_matches_the_restart_loop(monkeypatch):

@@ -32,6 +32,12 @@ def root_problem(g_r: Graph, root: int, k: int) -> RootedProblem:
     return RootedProblem(graph_r=g_r, root=root, terminals=others, pool=(), k=k)
 
 
+def with_edges(g: Graph, extra) -> Graph:
+    """g plus the edges in ``extra`` (either orientation); edges g has are ignored."""
+    added = {(u, v) if u < v else (v, u) for u, v in extra} - set(g.edges)
+    return Graph(g.nodes, [*g.edges, *added], g.weights)
+
+
 def path_graph(n: int, weights=None) -> Graph:
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)], _w(n, weights))
 
