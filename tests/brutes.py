@@ -22,7 +22,8 @@ before the one-terminal flow union did, the forest peel that built
 one graph and one network per clique edge, the final prune that
 restarted from the heaviest node after every drop, the residual
 search a minimum cut ran before it read its flow's failed last search,
-and the flow searches that scanned every arc of every node they popped.
+the flow searches that scanned every arc of every node they popped, and
+the greedy domination that recomputed every node's gain in every round.
 
 The last block holds helpers that only tests call, moved out of the
 package: edge deletion and neighbourhoods, capped local connectivity,
@@ -893,6 +894,41 @@ def check_subpartition_characterization(g: Graph, k: int) -> bool:
 
 
 _OPT_MDS_CAP = 16
+
+
+def scan_greedy_rounds(g: Graph, m: int) -> list[int]:
+    """The density-rule greedy with every gain recomputed in every round."""
+    nodes = g.nodes
+    selected: set[int] = set()
+    # demand[v]: covers still owed to v; joining T clears a node's own demand
+    demand = {v: m for v in nodes}
+    outstanding = m * len(nodes)
+    order: list[int] = []
+    while outstanding > 0:
+        best_v = -1
+        best_gain = 0
+        best_w = 0
+        for u in nodes:
+            if u in selected:
+                continue
+            gain = demand[u] + sum(1 for w in g.adj[u] if w not in selected and demand[w] > 0)
+            if gain == 0:
+                continue
+            # ratio gain/weight by cross-multiplication; zero weight wins
+            # over any positive weight, ties keep the lower index
+            if best_v < 0 or gain * best_w > best_gain * g.weights[u]:
+                best_v, best_gain, best_w = u, gain, g.weights[u]
+        if best_v < 0:
+            raise RuntimeError("positive demand but no node with positive gain")
+        order.append(best_v)
+        selected.add(best_v)
+        outstanding -= demand[best_v]
+        demand[best_v] = 0
+        for w in g.adj[best_v]:
+            if w not in selected and demand[w] > 0:
+                demand[w] -= 1
+                outstanding -= 1
+    return order
 
 
 def greedy_mds_order(instance: Instance) -> list[int]:

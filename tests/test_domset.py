@@ -5,9 +5,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kmcds import degree_stats, greedy_mds
+import kmcds.domset
+from kmcds import Graph, degree_stats, gen_gnp, greedy_mds
 
-from brutes import brute_m_dominating, coverage_potential, greedy_mds_order, opt_mds_bruteforce
+from brutes import (
+    brute_m_dominating,
+    coverage_potential,
+    greedy_mds_order,
+    opt_mds_bruteforce,
+    scan_greedy_rounds,
+)
 from exactbounds import within_ln_plus_one
 from toolbox import complete_graph, cycle_graph, inst, random_graph, star_graph
 
@@ -85,3 +92,97 @@ def test_greedy_is_feasible_and_within_log_bound(seed, m):
     w_opt = sum(g.weights[v] for v in opt)
     assert w_opt <= w_greedy
     assert within_ln_plus_one(w_greedy, w_opt, degree_stats(g)[1] + m)
+
+
+# weights 0-1, 0-3, 0-30, 1-30, all zero, and around 2**60, where two
+# ratios can round to the same float
+_WEIGHT_RANGES = [(0, 1), (0, 3), (0, 30), (1, 30), (0, 0), (2**60 - 8, 2**60 + 8)]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.floats(0.05, 0.7),
+    st.integers(1, 4),
+    st.sampled_from(_WEIGHT_RANGES),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_lazy_picks_match_the_scan(seed, n, p, m, weight_range, isolated, split):
+    rng = random.Random(seed)
+    # ids with gaps; the first `isolated` get no edge, and a split puts no
+    # edge between the two halves of the rest
+    ids = sorted(rng.sample(range(4 * n), n))
+    isolated = min(isolated, n - 1)
+    rest = ids[isolated:]
+    half = len(rest) // 2 if split else len(rest)
+    parts = [rest[:half], rest[half:]]
+    edges = [
+        (u, v)
+        for part in parts
+        for i, u in enumerate(part)
+        for v in part[i + 1 :]
+        if rng.random() < p
+    ]
+    g = Graph(ids, edges, {v: rng.randint(*weight_range) for v in ids})
+    order = kmcds.domset._greedy_rounds(g, m)
+    assert order == scan_greedy_rounds(g, m)
+    assert brute_m_dominating(g, order, m)
+
+
+def test_ratios_compare_exactly_above_2_to_the_53():
+    # 4/(2**60 + 1) and 4/2**60 round to the same float; exactly, node 1's
+    # ratio is larger, and it covers everything alone
+    w0, w1 = 2**60 + 1, 2**60
+    assert 4 / w0 == 4 / w1
+    g = Graph(
+        range(4),
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+        {0: w0, 1: w1, 2: 2**62, 3: 2**62},
+    )
+    assert kmcds.domset._greedy_rounds(g, 1) == scan_greedy_rounds(g, 1) == [1]
+
+
+def test_equal_ratios_go_to_the_lower_id():
+    # nodes 0 and 1 both have gain 4 at weight 5, and either covers all
+    g = Graph(
+        range(4),
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+        {0: 5, 1: 5, 2: 100, 3: 100},
+    )
+    assert kmcds.domset._greedy_rounds(g, 1) == scan_greedy_rounds(g, 1) == [0]
+
+
+def test_zero_weight_lowest_id_beats_a_larger_gain():
+    # star centred on 1: leaf 0 (gain 2) comes before the centre (gain 5),
+    # so both are bought, where the centre alone would do
+    g = Graph(range(5), [(1, 0), (1, 2), (1, 3), (1, 4)], {0: 0, 1: 0, 2: 5, 3: 5, 4: 5})
+    assert kmcds.domset._greedy_rounds(g, 1) == scan_greedy_rounds(g, 1) == [0, 1]
+
+
+def test_a_stale_key_that_fell_goes_back_and_is_taken_later():
+    # 0 covers 2-5 and goes first; node 1's stale gain 4 (ties with 6, lower
+    # id) falls to 1 once 2-4 are covered, so 6 goes next and 1 goes last
+    g = Graph(
+        range(10),
+        [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (6, 7), (6, 8), (6, 9)],
+        {0: 1, 1: 1, 6: 1, **{v: 10 for v in (2, 3, 4, 5, 7, 8, 9)}},
+    )
+    assert kmcds.domset._greedy_rounds(g, 1) == scan_greedy_rounds(g, 1) == [0, 6, 1]
+
+
+def test_gain_evaluations_stay_under_10n(monkeypatch):
+    # a full scan evaluates every unselected node in every round: about
+    # 40,600 gains here, against about 1500 for the lazy rounds
+    instance = gen_gnp(400, 0.04, (1, 100), 0, 3, 3)
+    calls = []
+    gain = kmcds.domset._gain
+
+    def counted(g, demand, v):
+        calls.append(v)
+        return gain(g, demand, v)
+
+    monkeypatch.setattr(kmcds.domset, "_gain", counted)
+    order = kmcds.domset._greedy_rounds(instance.graph, instance.m)
+    assert order == scan_greedy_rounds(instance.graph, instance.m)
+    assert len(order) <= len(calls) < 10 * instance.graph.n
